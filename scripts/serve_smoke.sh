@@ -5,7 +5,8 @@
 #   2. POST /v1/run?wait=1 twice: the first must miss, the second must hit
 #      and the two bodies must be byte-identical (cmp);
 #   3. POST /v1/sweep?wait=1 twice: the second may contain no "miss";
-#   4. scrape /metrics and check the request/cache/queue/stage series;
+#   4. scrape /metrics and check the request/cache/queue/stage series, and
+#      that the misses left no warm-checkpoint images or series behind;
 #   5. stream GET /v1/jobs/{id}/events for a fresh async run: progress
 #      events must arrive before the terminal one;
 #   6. export GET /v1/trace through ptb-trace serve to Perfetto JSON (the
@@ -142,6 +143,14 @@ for series in ptb_serve_http_requests ptb_serve_cache_hits \
 done
 check "no corrupt entries seen" grep -q '^ptb_serve_cache_corrupt 0' \
   "$tmp/m.body"
+
+# Every miss replays functional warmup: the daemon writes no warm-checkpoint
+# images and exports no warm-image series or stage.
+check "cache dir holds no ckpt-*.ptbc images" bash -c \
+  '! compgen -G "$1/ckpt-*.ptbc" > /dev/null' -- "$tmp/cache"
+check "metrics expose no warm-image series" bash -c \
+  '! grep -qE "ptb_serve_cache_warm_|ptb_serve_stage_warm_restore_ms" "$1"' \
+  -- "$tmp/m.body"
 
 # --- live progress stream ---------------------------------------------------
 # A config no earlier request used, so the run really simulates and emits

@@ -127,10 +127,10 @@ struct RunProgress {
 /// Host-side observation hooks for one run, threaded through RunOptions by
 /// the serve plane (ISSUE 10): `progress` fires from the cycle loop every
 /// `progress_every` cycles; `stage_enter`/`stage_exit` bracket named
-/// host-level stages around the run (warm-checkpoint restore in run_one,
-/// cache probe/simulate/serialize/publish in cached_run_payload). Hooks
-/// observe only — a null observer (the default) costs one pointer test
-/// and results are byte-identical either way (tests/serve proves it).
+/// host-level stages around the run (cache probe/simulate/serialize/
+/// publish in cached_run_payload). Hooks observe only — a null observer
+/// (the default) costs one pointer test and results are byte-identical
+/// either way (tests/serve proves it).
 /// (Named enter/exit, not begin/end: `stage_begin` is EventTrace's
 /// sequential-point API and ptb-lint polices that token by name.)
 struct RunObserver {

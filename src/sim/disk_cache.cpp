@@ -401,31 +401,25 @@ void DiskRunCache::enforce_quota() const {
 std::string cached_run_payload(const DiskRunCache& cache,
                                const WorkloadProfile& profile,
                                const SimConfig& cfg, bool& hit) {
-  const std::uint64_t key = DiskRunCache::run_key(profile.name, cfg);
-  return cache.get_or_compute(key, hit, [&] {
-    RunOptions opts;
-    opts.stats = true;  // the artifact carries the StatsDump JSON
-    const RunResult r = run_one(profile, cfg, opts);
-    return RunArtifact::from_result(profile.name, cfg, r).to_payload();
-  });
+  return cached_run_payload(cache, profile, cfg, hit, nullptr);
 }
 
 std::string cached_run_payload(const DiskRunCache& cache,
                                const WorkloadProfile& profile,
                                const SimConfig& cfg, bool& hit,
                                const RunObserver* observer) {
-  if (observer == nullptr) {
-    return cached_run_payload(cache, profile, cfg, hit);
-  }
-  // Open-coded get_or_compute with the same counter semantics (load bumps
-  // hit/miss/corrupt, store bumps stores + quota enforcement), bracketing
-  // each host-level stage for the observer. The payload bytes are
-  // byte-identical to the plain overload: stages only wrap the calls.
+  // load bumps hit/miss/corrupt, store bumps stores + quota enforcement;
+  // the stage hooks only bracket those calls, so the payload bytes do not
+  // depend on the observer.
   const auto begin = [&](const char* stage) {
-    if (observer->stage_enter) observer->stage_enter(stage);
+    if (observer != nullptr && observer->stage_enter) {
+      observer->stage_enter(stage);
+    }
   };
   const auto end = [&](const char* stage) {
-    if (observer->stage_exit) observer->stage_exit(stage);
+    if (observer != nullptr && observer->stage_exit) {
+      observer->stage_exit(stage);
+    }
   };
   const std::uint64_t key = DiskRunCache::run_key(profile.name, cfg);
   std::string payload;

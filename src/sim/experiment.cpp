@@ -1,9 +1,6 @@
 #include "sim/experiment.hpp"
 
-#include <memory>
-
 #include "common/assert.hpp"
-#include "sim/checkpoint.hpp"
 #include "workloads/suite.hpp"
 
 namespace ptb {
@@ -34,8 +31,6 @@ AuditLevel g_default_audit_level = AuditLevel::kOff;
 std::uint32_t g_default_sim_threads = 1;
 Cycle g_default_sample_detail = 0;
 Cycle g_default_sample_period = 0;
-std::string g_warm_checkpoint_dir;
-std::unique_ptr<DiskRunCache> g_warm_checkpoint_cache;
 }  // namespace
 
 void set_default_audit_level(AuditLevel level) {
@@ -57,22 +52,6 @@ void set_default_sample_windows(Cycle detail, Cycle period) {
 
 Cycle default_sample_detail() { return g_default_sample_detail; }
 Cycle default_sample_period() { return g_default_sample_period; }
-
-void set_default_warm_checkpoint_dir(std::string dir) {
-  g_warm_checkpoint_dir = std::move(dir);
-  g_warm_checkpoint_cache =
-      g_warm_checkpoint_dir.empty()
-          ? nullptr
-          : std::make_unique<DiskRunCache>(g_warm_checkpoint_dir);
-}
-
-const std::string& default_warm_checkpoint_dir() {
-  return g_warm_checkpoint_dir;
-}
-
-DiskRunCache* default_warm_checkpoint_cache() {
-  return g_warm_checkpoint_cache.get();
-}
 
 SimConfig make_sim_config(std::uint32_t cores, const TechniqueSpec& tech,
                           std::uint64_t seed) {
@@ -122,45 +101,6 @@ Normalized normalize(const RunResult& base, const RunResult& r,
 
 RunResult run_one(const WorkloadProfile& profile, const SimConfig& cfg,
                   const RunOptions& opts) {
-  DiskRunCache* warm = g_warm_checkpoint_cache.get();
-  if (warm != nullptr && cfg.functional_warmup) {
-    // Warm-checkpoint fast path: the cycle-0 post-warmup image is keyed by
-    // (machine, seed, benchmark) only, so one image serves every
-    // technique/budget point of a sweep — and, through ptb-serve's cache
-    // directory, every later daemon process too.
-    const std::uint64_t fp = checkpoint_fingerprint(cfg, profile.name, 0);
-    // The warm-restore attempt is a host-level stage the serve plane
-    // traces (RunObserver): the span covers the image load plus the state
-    // restore, with a hit only when both succeed. Observation only — the
-    // restored run is byte-identical with or without an observer.
-    const RunObserver* obs = opts.observer;
-    if (obs != nullptr && obs->stage_enter) obs->stage_enter("warm_restore");
-    std::string frame;
-    if (warm->load_warm_checkpoint(fp, frame)) {
-      CmpSimulator sim(cfg, profile);
-      // A frame that passed the disk-level checks can still be stale
-      // (e.g. the machine config changed): fall through to a fresh
-      // simulator below — a failed restore leaves `sim` unusable.
-      if (sim.restore_checkpoint(frame)) {
-        if (obs != nullptr && obs->stage_exit) obs->stage_exit("warm_restore");
-        return sim.run(opts);
-      }
-    }
-    if (obs != nullptr && obs->stage_exit) obs->stage_exit("warm_restore");
-    CmpSimulator sim(cfg, profile);
-    if (opts.checkpoint_out == nullptr) {
-      // Capture the warm point on the way through and publish it.
-      std::string warm_frame;
-      RunOptions capture = opts;
-      capture.checkpoint_at = 0;
-      capture.checkpoint_out = &warm_frame;
-      RunResult r = sim.run(capture);
-      if (!warm_frame.empty()) warm->store_warm_checkpoint(fp, warm_frame);
-      return r;
-    }
-    // The caller is doing its own checkpointing: stay out of the way.
-    return sim.run(opts);
-  }
   CmpSimulator sim(cfg, profile);
   return sim.run(opts);
 }

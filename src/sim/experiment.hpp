@@ -79,23 +79,6 @@ void set_default_sample_windows(Cycle detail, Cycle period);
 Cycle default_sample_detail();
 Cycle default_sample_period();
 
-/// Process-wide warm-checkpoint directory (default "" = disabled). When
-/// set, run_one() answers the functional-warmup phase from a cached
-/// cycle-0 checkpoint image (ckpt-<fingerprint>.ptbc, managed by a
-/// DiskRunCache on this directory): the first run of each
-/// (machine, seed, benchmark) identity captures and publishes the warmed
-/// image, and every later run — any technique/budget of that identity —
-/// restores it instead of re-warming. The bench binaries set it from
-/// --warm-checkpoint-dir; ptb-serve points it at its run-cache directory
-/// so warm images persist across daemon restarts. Not thread-safe: set
-/// before submitting pool work.
-void set_default_warm_checkpoint_dir(std::string dir);
-const std::string& default_warm_checkpoint_dir();
-class DiskRunCache;
-/// The cache instance behind the directory above; null while disabled
-/// (exposed so ptb-serve can publish its warm hit/store counters).
-DiskRunCache* default_warm_checkpoint_cache();
-
 /// Figure-style normalization vs the no-control base case.
 struct Normalized {
   double energy_pct = 0.0;    // 100 * (E - E_base) / E_base
@@ -253,27 +236,12 @@ class DiskRunCache {
   /// Returns false when the directory is not writable.
   bool store(std::uint64_t key, std::string_view payload) const;
 
-  /// Runs `make` on miss/corruption and persists its payload; returns the
-  /// payload either way and reports whether it was a hit.
-  template <typename MakeFn>
-  std::string get_or_compute(std::uint64_t key, bool& hit, MakeFn&& make)
-      const {
-    std::string payload;
-    if (load(key, payload)) {
-      hit = true;
-      return payload;
-    }
-    hit = false;
-    payload = make();
-    store(key, payload);
-    return payload;
-  }
-
   std::string path_for(std::uint64_t key) const;
 
-  /// Size quota in bytes over every entry in the directory (.run
-  /// artifacts and ckpt-*.ptbc warm-checkpoint images alike); 0 (default)
-  /// = unbounded. When a publish pushes the directory total over the
+  /// Size quota in bytes over every file in the directory (.run
+  /// artifacts, plus any ckpt-*.ptbc image written by
+  /// store_warm_checkpoint or left by an older build); 0 (default) =
+  /// unbounded. When a publish pushes the directory total over the
   /// quota, entries are evicted oldest-first (last write time, filename
   /// tie-break for determinism) until the total fits — the just-published
   /// entry included when the quota is smaller than it. Evicted keys read
@@ -326,13 +294,13 @@ std::string cached_run_payload(const DiskRunCache& cache,
                                const WorkloadProfile& profile,
                                const SimConfig& cfg, bool& hit);
 
-/// Observed variant (ISSUE 10): identical semantics, counters and bytes,
-/// but brackets the pipeline's host-level stages through `observer` —
+/// Observed variant: identical semantics, counters and bytes, but
+/// brackets the pipeline's host-level stages through `observer` —
 /// "cache_probe" around the disk lookup, then on a miss "simulate"
-/// (run_one, which nests "warm_restore" when a warm-checkpoint image is
-/// consulted), "serialize" and "cache_publish" — and threads the observer
+/// (run_one), "serialize" and "cache_publish" — and threads the observer
 /// into RunOptions so its progress callback fires from the cycle loop.
-/// A null observer falls back to the plain overload above.
+/// A null observer skips every hook; the plain overload above is this one
+/// with a null observer.
 std::string cached_run_payload(const DiskRunCache& cache,
                                const WorkloadProfile& profile,
                                const SimConfig& cfg, bool& hit,

@@ -2,11 +2,11 @@
 // daemon (src/serve/span.hpp records into it; `ptb-trace serve` renders it).
 //
 // A span is one timed stage of one HTTP request — parse, queue_wait,
-// admission_wait, cache_probe, warm_restore, simulate, serialize,
-// cache_publish — hung under a per-request root span ("request") by parent
-// id. Spans share the trace id minted at HTTP ingress, so a whole request
-// reads as a single tree even though its stages execute on transport and
-// simulation-worker threads alike.
+// admission_wait, cache_probe, simulate, serialize, cache_publish — hung
+// under a per-request root span ("request") by parent id. Spans share the
+// trace id minted at HTTP ingress, so a whole request reads as a single
+// tree even though its stages execute on transport and simulation-worker
+// threads alike.
 //
 // This lives in the trace library (not src/serve) deliberately: the log is
 // a pure data model with the trace subsystem's byte-stable little-endian

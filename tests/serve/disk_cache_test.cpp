@@ -305,7 +305,7 @@ TEST(DiskRunCache, WarmCheckpointRoundTripRejectsCorruptAndForeign) {
   const WorkloadProfile p = fast_profile();
   const SimConfig cfg = fast_config();
 
-  // A genuine cycle-0 warm frame, captured the way run_one captures it.
+  // A genuine cycle-0 warm frame.
   std::string frame;
   RunOptions opts;
   opts.checkpoint_at = 0;
@@ -339,51 +339,6 @@ TEST(DiskRunCache, WarmCheckpointRoundTripRejectsCorruptAndForeign) {
   EXPECT_FALSE(cache.load_warm_checkpoint(fp, got));
   EXPECT_EQ(cache.corrupt(), 2u);
   EXPECT_FALSE(std::filesystem::exists(cache.warm_checkpoint_path(fp)));
-}
-
-TEST(RunOne, WarmCheckpointDirSkipsWarmupByteIdentically) {
-  const WorkloadProfile p = fast_profile();
-  const SimConfig cfg = fast_config();
-  ASSERT_TRUE(cfg.functional_warmup);
-  RunOptions opts;
-  opts.stats = true;
-
-  // Scratch references with no warm cache configured: the base config and
-  // a different technique on the same machine/seed/benchmark.
-  const RunResult cold = run_one(p, cfg, opts);
-  const std::string cold_payload =
-      RunArtifact::from_result(p.name, cfg, cold).to_payload();
-  SimConfig dvfs = cfg;
-  dvfs.technique = TechniqueKind::kDvfs;
-  const RunResult dvfs_cold = run_one(p, dvfs, opts);
-
-  const std::string dir = temp_cache_dir("warmdir");
-  set_default_warm_checkpoint_dir(dir);
-  const DiskRunCache* warm = default_warm_checkpoint_cache();
-  ASSERT_NE(warm, nullptr);
-
-  // First run through the warm path publishes the post-warmup image …
-  const RunResult first = run_one(p, cfg, opts);
-  EXPECT_EQ(warm->warm_stores(), 1u);
-  EXPECT_EQ(RunArtifact::from_result(p.name, cfg, first).to_payload(),
-            cold_payload);
-
-  // … and the second restores it instead of re-warming, byte-identically.
-  const RunResult second = run_one(p, cfg, opts);
-  EXPECT_EQ(warm->warm_hits(), 1u);
-  EXPECT_EQ(RunArtifact::from_result(p.name, cfg, second).to_payload(),
-            cold_payload);
-
-  // A different technique forks off the same warm image (the cycle-0
-  // fingerprint excludes technique and budget) and still reproduces its
-  // own scratch run exactly.
-  const RunResult forked = run_one(p, dvfs, opts);
-  EXPECT_EQ(warm->warm_hits(), 2u);
-  EXPECT_EQ(RunArtifact::from_result(p.name, dvfs, forked).to_payload(),
-            RunArtifact::from_result(p.name, dvfs, dvfs_cold).to_payload());
-
-  set_default_warm_checkpoint_dir("");  // leave no global state behind
-  ASSERT_EQ(default_warm_checkpoint_cache(), nullptr);
 }
 
 }  // namespace

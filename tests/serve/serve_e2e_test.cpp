@@ -353,24 +353,62 @@ TEST(ServeE2E, EventsStreamProgressThenTerminal) {
   server.stop();
 }
 
+// Opens a TCP connection to the daemon on 127.0.0.1; -1 on failure.
+int connect_loopback(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool send_all(int fd, const std::string& bytes) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    sent += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+// Appends one recv() worth of bytes to `out`; false on EOF or error.
+bool recv_some(int fd, std::string& out) {
+  char buf[4096];
+  const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+  if (n <= 0) return false;
+  out.append(buf, static_cast<std::size_t>(n));
+  return true;
+}
+
 TEST(ServeE2E, EventsStreamGetsAbortedOnDrain) {
-  // One worker, two long units: unit 0 is still simulating and unit 1
-  // still queued when the server drains. stop() must fail the queued unit
-  // and emit a terminal "aborted" event so the open stream closes instead
-  // of hanging until the client gives up (the satellite contract).
+  // One worker, two units: unit 0 is still simulating and unit 1 still
+  // queued when the server drains. stop() must fail the queued unit and
+  // emit a terminal "aborted" event so the open stream closes instead of
+  // hanging until the client gives up.
   ServiceOptions opts = test_opts(fresh_cache_dir("aborted"));
   opts.sim_workers = 1;
   opts.host_tokens = 1;
+  opts.progress_every_cycles = 1000;
   Server server(opts, "127.0.0.1", 0, 2);
   std::string err;
   ASSERT_TRUE(server.start(err)) << err;
 
+  // Unit 0 (radix on 16 cores, >100k cycles) runs for hundreds of
+  // milliseconds after its first progress event at cycle 1000; unit 1
+  // waits behind it on the single worker.
   const std::string body =
       "{\"requests\":["
-      "{\"benchmark\":\"fft\",\"config\":{\"num_cores\":2,"
-      "\"max_cycles\":1500000}},"
-      "{\"benchmark\":\"fft\",\"config\":{\"num_cores\":2,"
-      "\"max_cycles\":1600000}}]}";
+      "{\"benchmark\":\"radix\",\"config\":{\"num_cores\":16}},"
+      "{\"benchmark\":\"fft\",\"config\":{\"num_cores\":2}}]}";
   const HttpResponse accepted =
       must_request(server.port(), "POST", "/v1/sweep", body);
   ASSERT_EQ(accepted.status, 202) << accepted.body;
@@ -378,22 +416,32 @@ TEST(ServeE2E, EventsStreamGetsAbortedOnDrain) {
   ASSERT_NE(jobp, nullptr);
   const std::string job = *jobp;
 
-  const std::uint16_t port = server.port();
-  std::string stream_body;
-  std::thread streamer([&] {
-    HttpResponse resp;
-    std::string serr;
-    if (http_request("127.0.0.1", port, "GET", "/v1/jobs/" + job + "/events",
-                     "", {}, resp, serr)) {
-      stream_body = resp.body;
-    }
-  });
-  // Let the stream attach and unit 0 start; unit 1 (1.6M cycles behind a
-  // single worker) cannot have been picked up yet.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const int fd = connect_loopback(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(send_all(fd, "GET /v1/jobs/" + job +
+                               "/events HTTP/1.1\r\n"
+                               "Host: 127.0.0.1\r\n"
+                               "Connection: close\r\n\r\n"));
+  // Drain only once unit 0's first progress event is on the wire: unit 0
+  // is then running and unit 1 queued, whatever the host's speed.
+  std::string raw;
+  while (raw.find("event: progress") == std::string::npos &&
+         recv_some(fd, raw)) {
+  }
+  const bool saw_progress = raw.find("event: progress") != std::string::npos;
   server.stop();  // finishes unit 0, fails unit 1, aborts open feeds
-  streamer.join();
+  while (recv_some(fd, raw)) {
+  }
+  ::close(fd);
+  ASSERT_TRUE(saw_progress) << raw;
+  EXPECT_NE(raw.find("\"unit\":0,\"cycle\":"), std::string::npos) << raw;
 
+  const std::size_t head_end = raw.find("\r\n\r\n");
+  ASSERT_NE(head_end, std::string::npos) << raw;
+  std::string stream_body;
+  ASSERT_TRUE(http_dechunk(std::string_view(raw).substr(head_end + 4),
+                           stream_body, err))
+      << err;
   EXPECT_NE(stream_body.find("event: aborted"), std::string::npos)
       << stream_body;
   EXPECT_NE(stream_body.find("\"state\":\"aborted\""), std::string::npos);
@@ -560,29 +608,12 @@ TEST(ServeE2E, AccessLogWritesOneJsonLinePerRequest) {
 // express (here: a Content-Length the server must refuse to buffer).
 // Sends `bytes`, reads to EOF, returns everything the server answered.
 std::string raw_request(std::uint16_t port, const std::string& bytes) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = connect_loopback(port);
   if (fd < 0) return "";
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    return "";
-  }
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n =
-        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) break;
-    sent += static_cast<std::size_t>(n);
-  }
+  // Read whatever the server answered even if it closed mid-send.
+  (void)send_all(fd, bytes);
   std::string out;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-    out.append(buf, static_cast<std::size_t>(n));
+  while (recv_some(fd, out)) {
   }
   ::close(fd);
   return out;

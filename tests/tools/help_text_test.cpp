@@ -132,7 +132,7 @@ TEST(HelpText, GoldenShape) {
   const std::string serve = rendered(ptb::tools::kServeUsage);
   EXPECT_EQ(lines_of(trace).size(), 16u);
   EXPECT_EQ(lines_of(stats).size(), 14u);
-  EXPECT_EQ(lines_of(serve).size(), 33u);
+  EXPECT_EQ(lines_of(serve).size(), 31u);
 }
 
 }  // namespace

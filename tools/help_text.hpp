@@ -102,12 +102,9 @@ inline constexpr char kServeUsage[] =
     "for\n"
     "Perfetto), GET /metrics (Prometheus), GET /healthz.\n"
     "Repeat requests are answered from the cache byte-identically; corrupt\n"
-    "cache entries are rejected and re-simulated, never served. Simulations\n"
-    "restore a warm-checkpoint image from the cache dir instead of "
-    "replaying\n"
-    "functional warmup whenever one exists. SIGINT/SIGTERM drain "
-    "gracefully:\n"
-    "running simulations finish, queued ones fail.\n"
+    "cache entries are rejected and re-simulated, never served. "
+    "SIGINT/SIGTERM\n"
+    "drain gracefully: running simulations finish, queued ones fail.\n"
     "exit status: 0 clean shutdown, 1 startup failure, 2 usage.\n";
 
 }  // namespace ptb::tools
