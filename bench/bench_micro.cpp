@@ -2,7 +2,6 @@
 // throughput, PTHT access, k-means grouping, mesh routing, balancer cycle.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -170,12 +169,10 @@ BENCHMARK(BM_SimulatorStats)->Arg(0)->Arg(1)->Arg(2)
 
 }  // namespace
 
-// Accept the shared bench CLI (--jobs / --sim-threads / --json) so drivers
-// can treat every bench binary uniformly: the microbenchmarks are
-// single-process timing loops, so --jobs is accepted and ignored,
-// --sim-threads shards the cores inside every timed simulation (the
-// intra-run scaling knob BM_SimulatorThroughput measures), and --json maps
-// onto google-benchmark's native JSON reporter.
+// Accept the shared bench CLI (--jobs / --json) so drivers can treat every
+// bench binary uniformly: the microbenchmarks are single-process timing
+// loops, so --jobs is accepted and ignored, and --json maps onto
+// google-benchmark's native JSON reporter.
 int main(int argc, char** argv) {
   std::vector<std::string> args;
   args.emplace_back(argc > 0 ? argv[0] : "bench_micro");
@@ -185,12 +182,6 @@ int main(int argc, char** argv) {
       ++i;  // value consumed and ignored (timing loops are serial)
     } else if (arg.rfind("--jobs=", 0) == 0) {
       // ignored
-    } else if (arg == "--sim-threads" && i + 1 < argc) {
-      ptb::set_default_sim_threads(static_cast<std::uint32_t>(
-          std::strtoul(argv[++i], nullptr, 10)));
-    } else if (arg.rfind("--sim-threads=", 0) == 0) {
-      ptb::set_default_sim_threads(static_cast<std::uint32_t>(
-          std::strtoul(arg.c_str() + 14, nullptr, 10)));
     } else if (arg == "--json" && i + 1 < argc) {
       args.push_back(std::string("--benchmark_out=") + argv[++i]);
       args.emplace_back("--benchmark_out_format=json");

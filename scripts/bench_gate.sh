@@ -6,14 +6,9 @@
 #
 # Usage: scripts/bench_gate.sh [build-dir]   (default: build-release)
 #
-# Also checks intra-run scaling: the same benchmark at --sim-threads 4 must
-# beat the serial run by PTB_BENCH_SCALE_MIN (default 1.5x). Skipped on
-# hosts with < 4 hardware threads.
-#
 # Knobs:
 #   PTB_BENCH_GATE=off        skip entirely (noisy/shared runners)
 #   PTB_BENCH_GATE_FRAC=0.30  allow a larger regression fraction
-#   PTB_BENCH_SCALE_MIN=1.2   relax the --sim-threads 4 speedup floor
 #
 # The baseline is a wall-clock snapshot from one machine, so this is a
 # smoke gate against order-of-magnitude regressions (an accidental debug
@@ -70,45 +65,4 @@ awk -v base="$base_rate" -v new="$new_rate" -v frac="$frac" 'BEGIN {
     exit 1
   }
   print "bench gate: OK"
-}'
-
-# --- intra-run scaling check (--sim-threads) ---------------------------------
-# Re-times the same benchmark with the modeled cores sharded across 4 host
-# threads and requires a real speedup over the serial run (floor
-# PTB_BENCH_SCALE_MIN, default 1.5x — deliberately below the ~3x a healthy
-# 4-thread shard shows, so scheduler noise does not flake the gate; see
-# EXPERIMENTS.md "Intra-run scaling" for measured numbers). Skipped when
-# the host has fewer than 4 hardware threads: sharding cannot beat serial
-# without CPUs to run the shards on, so a pass/fail there would measure the
-# host, not the code.
-hw_threads="$(nproc 2>/dev/null || echo 1)"
-scale_min="${PTB_BENCH_SCALE_MIN:-1.5}"
-if [[ "$hw_threads" -lt 4 ]]; then
-  echo "bench gate: intra-run scaling check skipped (host has $hw_threads" \
-       "hardware thread(s); need >= 4 — see EXPERIMENTS.md)"
-  exit 0
-fi
-
-out="$(mktemp)"
-"$bench" --sim-threads 4 --benchmark_filter="$filter" \
-  --benchmark_repetitions=3 --benchmark_report_aggregates_only=false \
-  > "$out" 2>/dev/null
-sharded_rate="$(extract_rate "$out" | sort -g | tail -1)"
-rm -f "$out"
-[[ -n "$sharded_rate" ]] || {
-  echo "bench gate: no --sim-threads 4 benchmark output" >&2; exit 1
-}
-
-awk -v serial="$new_rate" -v sharded="$sharded_rate" -v min="$scale_min" \
-  'BEGIN {
-  speedup = sharded / serial
-  printf "bench gate: --sim-threads 4 %.3fM/s vs serial %.3fM/s " \
-         "(%.2fx, floor %.2fx)\n", sharded, serial, speedup, min
-  if (speedup < min) {
-    printf "bench gate: FAIL — intra-run sharding no longer scales; a " \
-           "serialization was likely added to the parallel region of the " \
-           "cycle loop (see DESIGN.md threading model)\n"
-    exit 1
-  }
-  print "bench gate: scaling OK"
 }'

@@ -11,8 +11,8 @@
 #      a compile database are available (skipped with a warning otherwise —
 #      the GCC-only container still gets the determinism checks);
 #   4. ptb-lint (tools/ptb_lint.cpp), the token-level contract checkers the
-#      greps above cannot express (transitive phase purity, fingerprint
-#      coverage, cycle-loop FP reductions); runs from the build tree and
+#      greps above cannot express (fingerprint coverage, cycle-loop FP
+#      reductions); runs from the build tree and
 #      is skipped with a warning when the binary has not been built.
 #
 # Usage: scripts/lint.sh [build-dir]
@@ -138,9 +138,9 @@ fi
 
 # --- 4. ptb-lint: the token-level contract checkers --------------------------
 
-# The checks grep cannot express: transitive phase purity against the
-# DESIGN.md phase diagram, SimConfig fingerprint coverage, cycle-loop FP
-# reductions, token-exact wall-clock/unordered-iteration findings. The
+# The checks grep cannot express: SimConfig fingerprint coverage,
+# cycle-loop FP reductions, token-exact wall-clock/unordered-iteration
+# findings. The
 # binary is dependency-free (tools/lint/), so "not built yet" is the only
 # skip reason — CI builds it and treats findings as errors.
 ptb_lint="${PTB_LINT_BIN:-$build_dir/tools/ptb-lint}"

@@ -349,15 +349,6 @@ void InvariantAuditor::check_core(Cycle now, CoreId i, const Core& core) {
                  fus.used(cls), op_class_name(cls), fus.limit(cls));
     }
   }
-  // Sharded cycle loop: the sequential memory point must have replayed
-  // every access this core parked during the parallel phases.
-  if (!core.deferred_drained()) {
-    violationf(AuditClass::kPipeline, now,
-               "core %u reached the audit point with undrained deferred "
-               "memory accesses",
-               i);
-  }
-
   const CoreSnap& prev = core_snap_[i];
   if (prev.valid) {
     if (cur.head_seq < prev.head_seq || cur.committed < prev.committed ||
@@ -504,21 +495,6 @@ void InvariantAuditor::check_accounting(Cycle now,
   acct_valid_ = true;
   prev_energy_ = energy;
   prev_aopb_ = aopb;
-}
-
-void InvariantAuditor::check_shard_merge(Cycle now,
-                                         const std::uint8_t* finished,
-                                         std::uint32_t n,
-                                         std::uint32_t finished_count) {
-  ++checks_;
-  std::uint32_t recount = 0;
-  for (std::uint32_t i = 0; i < n; ++i) recount += finished[i] != 0 ? 1 : 0;
-  if (recount != finished_count) {
-    violationf(AuditClass::kAccounting, now,
-               "sequential-point finished count %u disagrees with the "
-               "per-core flags (%u of %u set)",
-               finished_count, recount, n);
-  }
 }
 
 }  // namespace ptb

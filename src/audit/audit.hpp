@@ -137,14 +137,6 @@ class InvariantAuditor {
   void check_accounting(Cycle now, const EnergyAccounting& acct,
                         double cycle_power);
 
-  /// Sharded-cycle-loop merge consistency (sim/shard_pool.hpp): the
-  /// sequential point's finished-core count must equal the number of
-  /// per-core finished flags the shards set. (The companion per-core check —
-  /// every deferred memory access drained by the replay — lives in
-  /// check_core so it also covers single-core call sites.)
-  void check_shard_merge(Cycle now, const std::uint8_t* finished,
-                         std::uint32_t n, std::uint32_t finished_count);
-
   // --- results ---------------------------------------------------------
   const AuditReport& report() const { return report_; }
   bool clean() const { return report_.clean(); }

@@ -1,5 +1,5 @@
 // Clang Thread Safety Analysis vocabulary for the concurrency layer, plus
-// the two primitives the annotations need to bite on:
+// the primitive the annotations need to bite on:
 //
 //   - ptb::Mutex / ptb::MutexLock: std::mutex with a capability identity.
 //     libstdc++'s std::mutex carries no capability attributes, so
@@ -9,23 +9,6 @@
 //     every PTB_GUARDED_BY member is only touched under its mutex. The
 //     wrappers compile to the exact same code (the annotations are
 //     attributes, not behavior).
-//
-//   - ptb::ThreadRole / ptb::ScopedThreadRole: a *role capability* (the
-//     Clang TSA "role" idiom) for contracts that are about which phase of
-//     the phase-split cycle loop is executing, not about a lock. The
-//     determinism contract (DESIGN.md "Threading model & determinism
-//     contract") says some functions — trace stage_flush, deferred-memory
-//     replay, stats registration — may only run at a cycle's *sequential
-//     point*, on the orchestrating thread. Holding g_sequential_point is
-//     the compile-time form of that sentence: annotate the function
-//     PTB_REQUIRES(g_sequential_point) and only code that acquired a
-//     ScopedThreadRole (the cycle loop's sequential phases, or a test that
-//     deliberately plays the orchestrator) can call it. A lambda body is
-//     analyzed as its own function, so code inside the parallel-region
-//     shard job does NOT inherit the role from the enclosing run() — a
-//     stage_flush() call from the shard job is a compile error under
-//     clang, which is exactly the bug class TSan needs a lucky schedule to
-//     catch. Roles carry no runtime state; acquiring one costs nothing.
 //
 // On GCC (this repo's primary toolchain) every macro expands to nothing
 // and the wrappers are plain std::mutex pass-throughs; the analysis runs
@@ -43,7 +26,7 @@
 #define PTB_THREAD_ANNOTATION(x)  // no-op on GCC/MSVC
 #endif
 
-// A type that acts as a capability (a mutex, or a role).
+// A type that acts as a capability (a mutex).
 #define PTB_CAPABILITY(x) PTB_THREAD_ANNOTATION(capability(x))
 
 // An RAII type that acquires a capability in its constructor and releases
@@ -120,46 +103,5 @@ class PTB_SCOPED_CAPABILITY MutexLock {
  private:
   Mutex& mu_;
 };
-
-/// A zero-size role capability (see header comment). Declare one inline
-/// global per role; functions restricted to the role take
-/// PTB_REQUIRES(role) and the code that legitimately *is* that role
-/// acquires a ScopedThreadRole.
-class PTB_CAPABILITY("role") ThreadRole {
- public:
-  constexpr ThreadRole() = default;
-  ThreadRole(const ThreadRole&) = delete;
-  ThreadRole& operator=(const ThreadRole&) = delete;
-
-  // Roles are assertions, not locks: "acquiring" only informs the
-  // analysis. Multiple threads may hold distinct logical instances of the
-  // same role object (each CmpSimulator::run() is the sequential point of
-  // *its own* cycle loop); the analysis is per-function, so this is sound.
-  void acquire() PTB_ACQUIRE() {}
-  void release() PTB_RELEASE() {}
-};
-
-/// RAII role acquisition (no runtime effect).
-class PTB_SCOPED_CAPABILITY ScopedThreadRole {
- public:
-  explicit ScopedThreadRole(ThreadRole& role) PTB_ACQUIRE(role)
-      : role_(role) {
-    role_.acquire();
-  }
-  ~ScopedThreadRole() PTB_RELEASE() { role_.release(); }
-
-  ScopedThreadRole(const ScopedThreadRole&) = delete;
-  ScopedThreadRole& operator=(const ScopedThreadRole&) = delete;
-
- private:
-  ThreadRole& role_;
-};
-
-/// The sequential-point role of the phase-split cycle loop: held by the
-/// orchestrating thread of a CmpSimulator::run() outside the parallel
-/// shard region (DESIGN.md phase diagram). Functions that mutate
-/// barrier-synchronized state — trace stage flush, stats registration,
-/// sample capture — require it.
-inline ThreadRole g_sequential_point;
 
 }  // namespace ptb

@@ -21,7 +21,6 @@
 #include "common/assert.hpp"
 #include "common/bytes.hpp"
 #include "common/config.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/types.hpp"
 
 namespace ptb {
@@ -32,11 +31,7 @@ class StatsRegistry;
 /// The canonical reduction order for per-core power/budget totals: a serial
 /// left-to-right sum over core order. FP addition is not associative, so
 /// every consumer of a CMP-wide total (the global over-budget signal, the
-/// balancer's aggregation, energy accounting) must use this one order — in
-/// particular the sharded cycle loop (sim/shard_pool.hpp) computes shard
-/// results in parallel but always reduces them through this helper on the
-/// main thread, which is what keeps results bit-identical across
-/// --sim-threads values.
+/// balancer's aggregation, energy accounting) must use this one order.
 inline double deterministic_total(const double* v, std::uint32_t n) {
   double sum = 0.0;
   for (std::uint32_t i = 0; i < n; ++i) sum += v[i];
@@ -119,8 +114,7 @@ class PtbLoadBalancer {
 
   /// Registers the token counters, event counters and wire parameters under
   /// `prefix` (src/stats).
-  void register_stats(StatsRegistry& reg, const std::string& prefix)
-      const PTB_REQUIRES(g_sequential_point);
+  void register_stats(StatsRegistry& reg, const std::string& prefix) const;
 
   // Checkpoint support: in-flight wire state (slot-indexed rings —
   // positions are pure functions of the cycle number, which the checkpoint

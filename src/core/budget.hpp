@@ -8,7 +8,6 @@
 #include <string>
 
 #include "common/config.hpp"
-#include "common/thread_annotations.hpp"
 #include "power/power_model.hpp"
 
 namespace ptb {
@@ -32,8 +31,7 @@ class BudgetManager {
   double local_budget() const { return global_ / num_cores_; }
 
   /// Registers the budget/peak gauges under `prefix` (src/stats).
-  void register_stats(StatsRegistry& reg, const std::string& prefix)
-      const PTB_REQUIRES(g_sequential_point);
+  void register_stats(StatsRegistry& reg, const std::string& prefix) const;
 
  private:
   double peak_core_;

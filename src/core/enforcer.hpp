@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/config.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/types.hpp"
 #include "core/two_level.hpp"
 
@@ -36,8 +35,7 @@ class PowerEnforcer {
 
   /// Registers the bound controller's stats under `prefix` (src/stats);
   /// no-op for techniques that never enforce (see active()).
-  void register_stats(StatsRegistry& reg, const std::string& prefix)
-      const PTB_REQUIRES(g_sequential_point);
+  void register_stats(StatsRegistry& reg, const std::string& prefix) const;
 
   /// Attach/detach the event tracer (src/trace); forwards to the 2-level
   /// controller (DVFS transitions + microarch throttle-level changes).

@@ -13,7 +13,6 @@
 
 #include "common/bytes.hpp"
 #include "common/config.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/types.hpp"
 #include "dvfs/dvfs.hpp"
 
@@ -58,8 +57,7 @@ class TwoLevelController {
 
   /// Registers level residency, the current throttle level and the DVFS
   /// controller's stats under `prefix` (src/stats).
-  void register_stats(StatsRegistry& reg, const std::string& prefix)
-      const PTB_REQUIRES(g_sequential_point);
+  void register_stats(StatsRegistry& reg, const std::string& prefix) const;
 
   // Checkpoint support: DVFS controller + throttle level + residency.
   void save_state(ByteWriter& w) const {

@@ -43,11 +43,6 @@ bool Core::deps_ready(std::uint64_t seq, const MicroOp& op) const {
 
 void Core::deliver_value(const MicroOp& op) {
   std::uint64_t value = 0;
-  // Guarded: SyncState is shared, but a core with a sync op in flight is
-  // always gated in the sequential pre-pass (sync_pending() check in
-  // CmpSimulator::run), so the sync arms below never execute on a shard
-  // worker; the kNone arm is the only parallel-phase path through here.
-  // ptb-lint: allow-begin(phase-purity)
   switch (op.sync) {
     case SyncRole::kLockTestLoad:
       value = sync_.read_lock(op.sync_id);
@@ -67,7 +62,6 @@ void Core::deliver_value(const MicroOp& op) {
     case SyncRole::kNone:
       break;  // plain blocking load: value is irrelevant to the generator
   }
-  // ptb-lint: allow-end
   program_.on_value(op, value);
 }
 
@@ -77,10 +71,7 @@ void Core::process_completions(Cycle now) {
     completions_.pop();
     RobEntry& e = entry(seq);
     e.completed = true;
-    if (e.op.blocks_generation) {
-      if (e.op.sync != SyncRole::kNone) --sync_inflight_;
-      deliver_value(e.op);
-    }
+    if (e.op.blocks_generation) deliver_value(e.op);
     if (waiting_branch_resolve_ && seq == mispredict_seq_) {
       // The front end refills after resolution (14-stage pipeline).
       waiting_branch_resolve_ = false;
@@ -144,22 +135,7 @@ void Core::do_issue(Cycle now) {
       // proceeds in the background (its protocol work is already timed).
       const bool plain_store =
           (e.op.cls == OpClass::kStore && e.op.sync == SyncRole::kNone);
-      if (mem_defer_ != nullptr) {
-        // Parallel phase: park the access. The sequential memory point
-        // (resolve_deferred) replays the queue in this order and assigns
-        // complete_at; nothing reads complete_at before then (deps_ready
-        // and commit look at `completed`, set strictly later).
-        mem_defer_->push_back({e.op.addr, seq, type, plain_store});
-        e.issued = true;
-        e.complete_at = kNeverCycle;
-        ++issued;
-        continue;
-      }
-      // +1 cycle of address generation before the cache access. Guarded:
-      // in the sharded cycle loop mem_defer_ is always set (the branch
-      // above parks the access), so this immediate path only runs from the
-      // serial Core::tick API — never on a shard worker.
-      // ptb-lint: allow(phase-purity)
+      // +1 cycle of address generation before the cache access.
       const MemAccessResult r = mem_.access(id_, type, e.op.addr, now + 1);
       complete_at = plain_store ? now + 1 : r.done;
     } else {
@@ -223,32 +199,13 @@ void Core::do_fetch(Cycle now) {
     // fill returns.
     if (!icache_checked) {
       icache_checked = true;
-      if (mem_defer_ != nullptr) {
-        // Parallel phase: probe only this core's own L1I (shard-safe —
-        // no other core writes it mid-phase); a miss is parked and timed
-        // at the sequential memory point, which also sets
-        // fetch_blocked_until_.
-        // ptb-lint: allow(phase-purity)
-        if (!mem_.probe_ifetch(id_, op.pc)) {
-          pending_op_ = op;
-          has_pending_op_ = true;
-          mem_defer_->push_back({op.pc, 0, MemAccessType::kIFetch, false});
-          break;
-        }
-        ++deferred_ifetch_hits_;
-      } else {
-        // Guarded like the do_issue immediate path: mem_defer_ is null
-        // only under the serial Core::tick API.
-        // ptb-lint: allow-begin(phase-purity)
-        const MemAccessResult r =
-            mem_.access(id_, MemAccessType::kIFetch, op.pc, now);
-        // ptb-lint: allow-end
-        if (!r.l1_hit) {
-          pending_op_ = op;
-          has_pending_op_ = true;
-          fetch_blocked_until_ = r.done;
-          break;
-        }
+      const MemAccessResult r =
+          mem_.access(id_, MemAccessType::kIFetch, op.pc, now);
+      if (!r.l1_hit) {
+        pending_op_ = op;
+        has_pending_op_ = true;
+        fetch_blocked_until_ = r.done;
+        break;
       }
     }
 
@@ -264,10 +221,6 @@ void Core::do_fetch(Cycle now) {
     if (op.is_memory()) ++lsq_count_;
     ++fetched;
     ++dispatched;
-    // A generation-blocking sync op's completion will touch shared
-    // SyncState; flag it so the sharded loop runs this core's commit phase
-    // at the sequential point until it delivers.
-    if (op.blocks_generation && op.sync != SyncRole::kNone) ++sync_inflight_;
 
     const BaseCost& bc = base_cost(op.cls, op.pc);
     fetch_exact_ += bc.exact;
@@ -334,53 +287,19 @@ void Core::register_stats(StatsRegistry& reg,
   ptht_.register_stats(reg, prefix + ".ptht");
 }
 
-void Core::tick_commit_phase(Cycle now) {
+void Core::tick(Cycle now) {
   ++ticks;
   fetch_exact_ = 0.0;
   fetch_est_ = 0.0;
   commit_exact_ = 0.0;
-  tick_rob_before_ = rob_count_;
+  const std::uint32_t rob_before = rob_count_;
 
   process_completions(now);
   do_commit(now);
-}
-
-void Core::tick_fetch_phase(Cycle now) {
   do_issue(now);
   do_fetch(now);
 
-  idle_ = (tick_rob_before_ == 0 && rob_count_ == 0);
-}
-
-void Core::tick(Cycle now) {
-  tick_commit_phase(now);
-  tick_fetch_phase(now);
-}
-
-void Core::resolve_deferred(Cycle now) {
-  if (mem_defer_ == nullptr) return;
-  if (deferred_ifetch_hits_ != 0) {
-    // Hits probed in the parallel phase skipped access(); fold them into
-    // the aggregate fetch counter it would have bumped.
-    mem_.ifetches += deferred_ifetch_hits_;
-    deferred_ifetch_hits_ = 0;
-  }
-  for (const DeferredMemReq& req : *mem_defer_) {
-    if (req.type == MemAccessType::kIFetch) {
-      // The probe missed this core's L1I and no other core can fill it, so
-      // the replay takes the same miss path the serial loop would have.
-      const MemAccessResult r =
-          mem_.access(id_, MemAccessType::kIFetch, req.addr, now);
-      fetch_blocked_until_ = r.done;
-    } else {
-      // +1 cycle of address generation, as in the immediate path.
-      const MemAccessResult r = mem_.access(id_, req.type, req.addr, now + 1);
-      const Cycle complete_at = req.plain_store ? now + 1 : r.done;
-      entry(req.seq).complete_at = complete_at;
-      completions_.emplace(complete_at, req.seq);
-    }
-  }
-  mem_defer_->clear();
+  idle_ = (rob_before == 0 && rob_count_ == 0);
 }
 
 void Core::save_state(ByteWriter& w) const {
@@ -418,7 +337,6 @@ void Core::save_state(ByteWriter& w) const {
   w.u64(mispredict_seq_);
   w.u32(fetch_limit_);
   w.u64(issue_cursor_);
-  w.u32(sync_inflight_);
   w.u64(committed);
   w.u64(fetched);
   w.u64(flushes);
@@ -472,7 +390,6 @@ void Core::load_state(ByteReader& r) {
   mispredict_seq_ = r.u64();
   fetch_limit_ = r.u32();
   issue_cursor_ = r.u64();
-  sync_inflight_ = r.u32();
   committed = r.u64();
   fetched = r.u64();
   flushes = r.u64();

@@ -13,7 +13,6 @@
 
 #include "common/bytes.hpp"
 #include "common/config.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/types.hpp"
 
 namespace ptb {
@@ -69,8 +68,7 @@ class DvfsController {
 
   /// Registers the transition counter and current-mode gauge under `prefix`
   /// (src/stats).
-  void register_stats(StatsRegistry& reg, const std::string& prefix)
-      const PTB_REQUIRES(g_sequential_point);
+  void register_stats(StatsRegistry& reg, const std::string& prefix) const;
 
   // Checkpoint support.
   void save_state(ByteWriter& w) const {

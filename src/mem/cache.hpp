@@ -9,7 +9,6 @@
 
 #include "common/bytes.hpp"
 #include "common/config.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/types.hpp"
 
 namespace ptb {
@@ -82,8 +81,7 @@ class Cache {
   std::uint64_t evictions = 0;
 
   /// Registers hit/miss/eviction counters under `prefix` (src/stats).
-  void register_stats(StatsRegistry& reg, const std::string& prefix)
-      const PTB_REQUIRES(g_sequential_point);
+  void register_stats(StatsRegistry& reg, const std::string& prefix) const;
 
   // Checkpoint support: every line (fields individually — the struct has
   // padding), the LRU clock and the counters. Geometry is configuration and

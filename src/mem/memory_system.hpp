@@ -19,7 +19,6 @@
 
 #include "common/bytes.hpp"
 #include "common/config.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/types.hpp"
 #include "mem/cache.hpp"
 #include "mem/directory.hpp"
@@ -45,22 +44,6 @@ class MemorySystem {
 
   /// Performs one access for core `c` starting no earlier than `now`.
   MemAccessResult access(CoreId c, MemAccessType type, Addr addr, Cycle now);
-
-  /// Hit-probe of core `c`'s own L1I for the sharded cycle loop's parallel
-  /// fetch phase: touches only that L1I (hit counter + LRU, exactly what
-  /// the hit path of access() does) and no shared structure, so distinct
-  /// cores may probe concurrently. On a hit the caller counts the fetch
-  /// (the aggregate `ifetches` counter is merged at the sequential point);
-  /// on a miss the caller defers the access and replays it through
-  /// access() at the sequential point, which then takes the full miss path.
-  bool probe_ifetch(CoreId c, Addr pc) {
-    Cache& l1 = l1i_[c];
-    if (l1.find(pc) != nullptr) {
-      ++l1.hits;
-      return true;
-    }
-    return false;
-  }
 
   Cache& l1i(CoreId c) { return l1i_[c]; }
   Cache& l1d(CoreId c) { return l1d_[c]; }
@@ -89,8 +72,7 @@ class MemorySystem {
 
   /// Registers aggregate access counters under `prefix` plus every L1's
   /// hit/miss/eviction counters under `prefix`.l1i.N / .l1d.N (src/stats).
-  void register_stats(StatsRegistry& reg, const std::string& prefix)
-      const PTB_REQUIRES(g_sequential_point);
+  void register_stats(StatsRegistry& reg, const std::string& prefix) const;
 
   // Checkpoint support. line_busy_ is an unordered_map — it is serialized
   // in sorted-key order so equal logical state always produces equal bytes

@@ -14,7 +14,6 @@
 
 #include "common/bytes.hpp"
 #include "common/config.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/types.hpp"
 
 namespace ptb {
@@ -47,8 +46,7 @@ class Mesh {
   std::uint64_t drain_flit_hops();
 
   /// Registers message/flit-hop counters under `prefix` (src/stats).
-  void register_stats(StatsRegistry& reg, const std::string& prefix)
-      const PTB_REQUIRES(g_sequential_point);
+  void register_stats(StatsRegistry& reg, const std::string& prefix) const;
 
   // Checkpoint support: link reservations + counters.
   void save_state(ByteWriter& w) const {

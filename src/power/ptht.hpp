@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/bytes.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/types.hpp"
 
 namespace ptb {
@@ -83,8 +82,7 @@ class Ptht {
   }
 
   /// Registers this table's counters under `prefix` (src/stats).
-  void register_stats(StatsRegistry& reg, const std::string& prefix)
-      const PTB_REQUIRES(g_sequential_point);
+  void register_stats(StatsRegistry& reg, const std::string& prefix) const;
 
   // Statistics.
   mutable std::uint64_t lookups = 0;

@@ -10,7 +10,6 @@
 
 #include "common/config.hpp"
 #include "common/stats.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/types.hpp"
 
 namespace ptb {
@@ -32,8 +31,7 @@ class ThermalModel {
 
   /// Registers per-core temperature gauges (current + run mean/stddev)
   /// under `prefix`.N (src/stats).
-  void register_stats(StatsRegistry& reg, const std::string& prefix)
-      const PTB_REQUIRES(g_sequential_point);
+  void register_stats(StatsRegistry& reg, const std::string& prefix) const;
 
   // Checkpoint support: node temperatures + their history stats.
   void save_state(ByteWriter& w) const {

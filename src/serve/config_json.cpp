@@ -365,7 +365,7 @@ bool apply_sim_config_json(const json::Value& doc, SimConfig& cfg,
     } else if (k == "functional_warmup") {
       if (!as_b(v, cfg.functional_warmup))
         return bad(err, "config", k, "expected a boolean");
-    } else if (k == "audit_level" || k == "sim_threads" || k == "trace") {
+    } else if (k == "audit_level" || k == "trace") {
       return bad(err, "config", k,
                  "observe-only knob, not addressable over the wire");
     } else {

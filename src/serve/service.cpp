@@ -29,8 +29,9 @@ constexpr std::size_t kMaxJobEvents = 256;
 
 // The host-stage taxonomy: every span name the service can emit below the
 // per-request root, and the set of per-stage latency histograms
-// pre-registered on the daemon's registry (registration must happen at the
-// constructor's sequential point, so lazy per-name registration is out).
+// pre-registered on the daemon's registry (registration happens in the
+// constructor, before any worker runs, so lazy per-name registration is
+// out).
 constexpr const char* kStageNames[] = {
     "parse",    "queue_wait", "admission_wait", "cache_probe",
     "simulate", "serialize",  "cache_publish",
@@ -83,10 +84,7 @@ Service::Service(ServiceOptions opts)
 Service::~Service() { stop(); }
 
 void Service::register_metrics() {
-  // Registration binds pull lambdas; the StatsRegistry contract requires
-  // the sequential-point role (this constructor is the daemon's sequential
-  // point — no worker exists yet).
-  ScopedThreadRole role(g_sequential_point);
+  // Registration binds pull lambdas; this runs before any worker exists.
   registry_.counter_fn("serve.http.requests",
                        "HTTP requests completed (all statuses)",
                        [this] { return double(http_requests_.load()); });

@@ -4,14 +4,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <string>
 
 #include "common/assert.hpp"
-#include "common/thread_annotations.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/reporting.hpp"
-#include "sim/shard_pool.hpp"
 #include "stats/dump.hpp"
 #include "stats/stats.hpp"
 
@@ -35,9 +32,9 @@ constexpr double kSpinGateThresholdFrac = 0.55;
 constexpr Cycle kSelfProfilePeriod = 64;
 
 struct SelfProfile {
-  double tick_s = 0.0;     // phase 1: pre-pass + parallel region
-                           // (tick phases, power model, smoothing)
-  double power_s = 0.0;    // phases 1b-2: sequential merge + global signal
+  double tick_s = 0.0;     // phase 1: core ticks (memory accesses
+                           // included), power model, smoothing
+  double power_s = 0.0;    // phase 2: reductions, NoC drain, global signal
   double control_s = 0.0;  // phases 3-3b: balancing + enforcement + gating
   double account_s = 0.0;  // phases 4-5: accounting, audit, sample
   std::uint64_t timed_cycles = 0;
@@ -88,10 +85,6 @@ void CycleFrame::reset(std::uint32_t n, double local_budget) {
   vdd.assign(n, 1.0);
   est_power.assign(n, 0.0);
   act_power.assign(n, 0.0);
-  seq_gated.assign(n, 0);
-  // Keep each queue's capacity across runs; only the contents reset.
-  mem_defer.resize(n);
-  for (auto& q : mem_defer) q.clear();
 }
 
 CmpSimulator::CmpSimulator(const SimConfig& cfg,
@@ -308,15 +301,6 @@ bool CmpSimulator::restore_checkpoint(std::string_view bytes,
 RunResult CmpSimulator::run(const RunOptions& opts) {
   const std::uint32_t n = cfg_.num_cores;
 
-  // This thread orchestrates the phase-split cycle loop: it *is* the
-  // sequential point whenever control is outside ShardPool::run. Holding
-  // the role lets it call the sequential-point-only API (stats
-  // registration, trace staging, deferred-memory replay); the shard_job /
-  // gate_and_commit lambdas below are analyzed as separate functions by
-  // clang -Wthread-safety and do NOT inherit it, so parallel-region code
-  // calling that API is a compile error, not a TSan roll of the dice.
-  ScopedThreadRole seq_point(g_sequential_point);
-
   // Event tracing (src/trace): allocated only for traced runs; every
   // collaborator holds a raw pointer (null = one-branch no-op per emit
   // site, the audit-hook pattern). Detached again before returning so the
@@ -466,7 +450,7 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
                  "scaled)",
                  [&prof] { return prof.tick_s; }, 6, /*is_volatile=*/true);
     reg.gauge_fn("sim.self.power_seconds",
-                 "wall-clock spent in the sequential merge (sampled, scaled)",
+                 "wall-clock spent in CMP-wide reductions (sampled, scaled)",
                  [&prof] { return prof.power_s; }, 6, /*is_volatile=*/true);
     reg.gauge_fn("sim.self.control_seconds",
                  "wall-clock spent in balancing/enforcement (sampled, "
@@ -486,9 +470,8 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
 
   // --- checkpoint capture (sim/checkpoint.hpp) ---
   // Runs at the top of a cycle-loop body: the strongest quiescent point —
-  // the previous cycle's sequential phases completed, the deferral queues
-  // are drained and the trace staging slots are flushed, so every byte of
-  // live state is reachable through the components and the locals above.
+  // the previous cycle completed, so every byte of live state is reachable
+  // through the components and the locals above.
   const auto capture_checkpoint = [&]() -> std::string {
     CheckpointHeader h;
     h.checkpoint_fp = checkpoint_fingerprint(cfg_, profile_.name, now);
@@ -632,170 +615,6 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
     return t1;
   };
 
-  // --- sharded cycle loop setup (sim/shard_pool.hpp) ---
-  // Cores are split into `shards` contiguous ranges, one per host worker;
-  // per-core work (gate, tick phases, power model, smoothing, thermal and
-  // spin attribution) runs shard-parallel, and everything that touches
-  // shared or ordered state runs at a sequential point on this thread.
-  // sim_threads == 1 runs the very same phased code inline (no workers),
-  // which is what makes results structurally identical across thread
-  // counts: thread count never selects a different code path, only how the
-  // per-core loops are partitioned.
-  const std::uint32_t shards = std::min<std::uint32_t>(
-      std::max<std::uint32_t>(1, cfg_.sim_threads), n);
-  ShardPool pool(shards, opts.shard_jitter_ns);
-  if (tracer) tracer->enable_staging(n);
-  for (CoreId i = 0; i < n; ++i) {
-    cores_[i]->set_mem_defer(&f.mem_defer[i]);
-  }
-  // The thrifty/meeting-point controllers gate cores off cross-core state
-  // that moves mid-pre-pass (thrifty reads the global barrier-episode count
-  // earlier cores' completion deliveries bump in the same cycle), so under
-  // those techniques every core's gate+commit runs in the sequential
-  // pre-pass, in core order — the serial interleaving. Otherwise only cores
-  // with a sync op in flight (whose completion touches shared SyncState)
-  // are pre-passed.
-  const bool seq_gate_all = thrifty_ != nullptr || meeting_ != nullptr;
-
-  // Gate + commit phase for core i: decides whether the core ticks this
-  // cycle (frequency scaling, DVFS stalls, sleep states) and, if so, runs
-  // completion delivery + retirement. Callable from the pre-pass (main
-  // thread) or, for cores with no shared-state hazard, from the shard that
-  // owns core i — so it is held to the parallel-region contract
-  // (phase-purity checker); the justified exceptions are marked inline.
-  // ptb-lint: parallel-region-begin(gate_and_commit)
-  const auto gate_and_commit = [&](CoreId i) {
-    Core& core = *cores_[i];
-
-    // Baseline controllers (prior art; Section II.C).
-    bool asleep = false;
-    double freq_ratio = 1.0;
-    double vdd_ratio = 1.0;
-    bool stalled = false;
-    if (enforcers_active) {
-      const PowerEnforcer& enf = *enforcers_[i];
-      freq_ratio = enf.freq_ratio();
-      vdd_ratio = enf.vdd_ratio();
-      stalled = enf.stalled(now);
-    }
-    // Guarded: when thrifty_/meeting_ exist, seq_gate_all pre-passes every
-    // core on the main thread (see above), so these arms never run on a
-    // shard worker — the barrier-synchronized controllers and the global
-    // sync_ counters are only read at the serial interleaving.
-    // ptb-lint: allow-begin(phase-purity)
-    if (thrifty_ && !f.finished[i]) {
-      asleep = thrifty_->tick(i, now, trackers_[i].state(),
-                              sync_->barrier_episodes,
-                              core.rob_occupancy() == 0);
-    }
-    if (meeting_ && !f.finished[i]) {
-      meeting_->tick(i, now, trackers_[i].state());
-      const DvfsMode& m = kDvfsModes[meeting_->mode_for(i)];
-      freq_ratio = m.freq_ratio;
-      vdd_ratio = m.vdd_ratio;
-    }
-    // ptb-lint: allow-end
-
-    bool active = false;
-    if (!f.finished[i] && !stalled && !asleep) {
-      f.freq_acc[i] += freq_ratio;
-      if (f.freq_acc[i] >= 1.0) {
-        f.freq_acc[i] -= 1.0;
-        active = true;
-      }
-    }
-    f.active[i] = active ? 1 : 0;
-    f.vdd[i] = vdd_ratio;
-    if (active) core.tick_commit_phase(now);
-  };
-  // ptb-lint: parallel-region-end(gate_and_commit)
-
-  // The parallel region of one cycle, for shard s: remaining gate+commit
-  // phases, the fetch phases (memory accesses parked per core), the
-  // activity snapshot, the shard's slice of the batched power model, EMA
-  // smoothing, spin attribution and the thermal step. Everything touched
-  // here is either core-private or a disjoint slice of the CycleFrame;
-  // cross-shard visibility is established by the pool's epoch barriers.
-  // ptb-lint: parallel-region-begin(shard_job)
-  const std::function<void(std::uint32_t)> shard_job =
-      [&](std::uint32_t s) {
-        const CoreId begin =
-            static_cast<CoreId>(static_cast<std::uint64_t>(s) * n / shards);
-        const CoreId end = static_cast<CoreId>(
-            (static_cast<std::uint64_t>(s) + 1) * n / shards);
-        for (CoreId i = begin; i < end; ++i) {
-          Core& core = *cores_[i];
-          if (!f.seq_gated[i]) gate_and_commit(i);
-          if (f.active[i] != 0) core.tick_fetch_phase(now);
-
-          if (cycle_detailed) {
-            f.gated[i] = (f.active[i] == 0 || core.idle()) ? 1 : 0;
-            // Actual power: exact base tokens of the instructions entering
-            // the pipeline this cycle plus the (small) ROB residency
-            // component. Front-end attribution makes the fetch-throttling
-            // techniques act on the power curve within a few cycles, as in
-            // the paper.
-            f.rob_occ[i] = core.rob_occupancy();
-            f.fetch_exact[i] =
-                f.active[i] != 0 ? core.fetch_tokens_exact() : 0.0;
-            // Control estimate: PTHT tokens of the instructions being
-            // fetched (residency folded into the stored values, III.B).
-            f.fetch_est[i] =
-                f.active[i] != 0 ? core.fetch_tokens_estimated() : 0.0;
-          }
-
-          if (!f.finished[i] && core.finished()) {
-            f.finished[i] = 1;
-            core.finish_cycle = now;
-            res.cores[i].finish_cycle = now;
-          }
-        }
-        // Fast-forward cycles skip the whole power plane: model, EMAs,
-        // spin/thermal attribution. The duty-cycle extrapolation at the
-        // end of run() scales the energy results back up.
-        if (!cycle_detailed) return;
-
-        // Shard slice of the batched power model + smoothing.
-        const std::uint32_t cnt = end - begin;
-        const CoreActivityBatch batch{
-            f.fetch_exact.data() + begin, f.fetch_est.data() + begin,
-            f.rob_occ.data() + begin,     f.active.data() + begin,
-            f.gated.data() + begin,       f.vdd.data() + begin};
-        core_cycle_power_batch(
-            cfg_.power, batch, cnt, wire_overhead, f.act_power.data() + begin,
-            est_needed ? f.est_power.data() + begin : nullptr);
-        for (CoreId i = begin; i < end; ++i) {
-          f.act_ema[i] += kEmaAlpha * (f.act_power[i] - f.act_ema[i]);
-          f.act_power[i] = f.act_ema[i];
-        }
-        if (est_needed) {
-          for (CoreId i = begin; i < end; ++i) {
-            f.est_ema[i] += kEmaAlpha * (f.est_power[i] - f.est_ema[i]);
-            f.est_power[i] = f.est_ema[i];
-          }
-        }
-        // Per-core accounting that only reads this core's smoothed power:
-        // value-identical to running it in the sequential phase 4, but it
-        // rides the parallel region for free.
-        for (CoreId i = begin; i < end; ++i) {
-          trackers_[i].attribute_cycle(f.act_power[i]);
-          f.thermal_acc[i] += f.act_power[i];
-          if (opts.record_core_traces) {
-            res.core_power_traces[i].add(static_cast<double>(now),
-                                         f.act_power[i]);
-          }
-        }
-        if ((now + 1) % kThermalStep == 0) {
-          for (CoreId i = begin; i < end; ++i) {
-            thermal_.step(
-                i, f.thermal_acc[i] / static_cast<double>(kThermalStep),
-                static_cast<double>(kThermalStep));
-            f.thermal_acc[i] = 0.0;
-          }
-        }
-      };
-  // ptb-lint: parallel-region-end(shard_job)
-
   const bool progress_on = opts.observer != nullptr &&
                            opts.observer->progress != nullptr &&
                            opts.observer->progress_every > 0;
@@ -815,12 +634,7 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
     if (cycle_detailed) ++detailed_cycles;
 
     // Stamp the cycle once; emit sites then need no cycle parameter.
-    // Per-core emits from here to stage_flush() land in per-core staging
-    // slots, reproducing the serial core-major emission order.
-    if (tracer) {
-      tracer->begin_cycle(now);
-      tracer->stage_begin();
-    }
+    if (tracer) tracer->begin_cycle(now);
 
     const bool prof_cycle = stats_on && now % kSelfProfilePeriod == 0;
     ProfClock::time_point pt{};
@@ -829,37 +643,113 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
       pt = ProfClock::now();
     }
 
-    // --- 1. sequential pre-pass + parallel region: core tick phases,
-    //        activity frame, shard-sliced power model ---
-    if (seq_gate_all) {
-      for (CoreId i = 0; i < n; ++i) {
-        f.seq_gated[i] = 1;
-        gate_and_commit(i);
+    // --- 1. cores tick in index order: gate (frequency scaling, DVFS
+    //        stalls, sleep states), tick, activity snapshot ---
+    for (CoreId i = 0; i < n; ++i) {
+      Core& core = *cores_[i];
+
+      // Baseline controllers (prior art; Section II.C).
+      bool asleep = false;
+      double freq_ratio = 1.0;
+      double vdd_ratio = 1.0;
+      bool stalled = false;
+      if (enforcers_active) {
+        const PowerEnforcer& enf = *enforcers_[i];
+        freq_ratio = enf.freq_ratio();
+        vdd_ratio = enf.vdd_ratio();
+        stalled = enf.stalled(now);
       }
-    } else {
-      for (CoreId i = 0; i < n; ++i) {
-        f.seq_gated[i] = cores_[i]->sync_pending() ? 1 : 0;
-        if (f.seq_gated[i] != 0) gate_and_commit(i);
+      if (thrifty_ && !f.finished[i]) {
+        asleep = thrifty_->tick(i, now, trackers_[i].state(),
+                                sync_->barrier_episodes,
+                                core.rob_occupancy() == 0);
+      }
+      if (meeting_ && !f.finished[i]) {
+        meeting_->tick(i, now, trackers_[i].state());
+        const DvfsMode& m = kDvfsModes[meeting_->mode_for(i)];
+        freq_ratio = m.freq_ratio;
+        vdd_ratio = m.vdd_ratio;
+      }
+
+      bool active = false;
+      if (!f.finished[i] && !stalled && !asleep) {
+        f.freq_acc[i] += freq_ratio;
+        if (f.freq_acc[i] >= 1.0) {
+          f.freq_acc[i] -= 1.0;
+          active = true;
+        }
+      }
+      f.active[i] = active ? 1 : 0;
+      f.vdd[i] = vdd_ratio;
+      if (active) core.tick(now);
+
+      if (cycle_detailed) {
+        f.gated[i] = (!active || core.idle()) ? 1 : 0;
+        // Actual power: exact base tokens of the instructions entering the
+        // pipeline this cycle plus the (small) ROB residency component.
+        // Front-end attribution makes the fetch-throttling techniques act
+        // on the power curve within a few cycles, as in the paper.
+        f.rob_occ[i] = core.rob_occupancy();
+        f.fetch_exact[i] = active ? core.fetch_tokens_exact() : 0.0;
+        // Control estimate: PTHT tokens of the instructions being fetched
+        // (residency folded into the stored values, III.B).
+        f.fetch_est[i] = active ? core.fetch_tokens_estimated() : 0.0;
+      }
+
+      if (!f.finished[i] && core.finished()) {
+        f.finished[i] = 1;
+        ++finished_count;
+        core.finish_cycle = now;
+        res.cores[i].finish_cycle = now;
       }
     }
-    pool.run(shard_job);
+
+    // Fast-forward cycles skip the whole power plane: model, EMAs,
+    // spin/thermal attribution. The duty-cycle extrapolation at the end of
+    // run() scales the energy results back up.
+    if (cycle_detailed) {
+      // Batched power model + smoothing over all cores.
+      const CoreActivityBatch batch{f.fetch_exact.data(), f.fetch_est.data(),
+                                    f.rob_occ.data(),     f.active.data(),
+                                    f.gated.data(),       f.vdd.data()};
+      core_cycle_power_batch(cfg_.power, batch, n, wire_overhead,
+                             f.act_power.data(),
+                             est_needed ? f.est_power.data() : nullptr);
+      for (CoreId i = 0; i < n; ++i) {
+        f.act_ema[i] += kEmaAlpha * (f.act_power[i] - f.act_ema[i]);
+        f.act_power[i] = f.act_ema[i];
+      }
+      if (est_needed) {
+        for (CoreId i = 0; i < n; ++i) {
+          f.est_ema[i] += kEmaAlpha * (f.est_power[i] - f.est_ema[i]);
+          f.est_power[i] = f.est_ema[i];
+        }
+      }
+      // Per-core accounting that only reads this core's smoothed power.
+      for (CoreId i = 0; i < n; ++i) {
+        trackers_[i].attribute_cycle(f.act_power[i]);
+        f.thermal_acc[i] += f.act_power[i];
+        if (opts.record_core_traces) {
+          res.core_power_traces[i].add(static_cast<double>(now),
+                                       f.act_power[i]);
+        }
+      }
+      if ((now + 1) % kThermalStep == 0) {
+        for (CoreId i = 0; i < n; ++i) {
+          thermal_.step(i,
+                        f.thermal_acc[i] / static_cast<double>(kThermalStep),
+                        static_cast<double>(kThermalStep));
+          f.thermal_acc[i] = 0.0;
+        }
+      }
+    }
 
     if (prof_cycle) pt = prof_lap(pt, prof.tick_s);
 
-    // --- 1b. sequential point: trace flush, memory replay, merges ---
-    if (tracer) tracer->stage_flush();
-    // Replay every parked memory access in (core, program) order — exactly
-    // the order the serial loop issues them — so cache/directory/NoC state
-    // evolves identically at any shard count.
-    for (CoreId i = 0; i < n; ++i) cores_[i]->resolve_deferred(now);
-    finished_count = 0;
-    for (CoreId i = 0; i < n; ++i) {
-      finished_count += f.finished[i] != 0 ? 1u : 0u;
-    }
-    // Progress callback (RunObserver): fires at the sequential point in
-    // both detailed and fast-forward cycles so a sampled run still
-    // reports. Read-only over deterministic state — emitting progress can
-    // never change a result byte.
+    // Progress callback (RunObserver): fires in both detailed and
+    // fast-forward cycles so a sampled run still reports. Read-only over
+    // deterministic state — emitting progress can never change a result
+    // byte.
     if (progress_on && (now + 1) % opts.observer->progress_every == 0) {
       RunProgress p;
       p.cycle = now + 1;
@@ -876,8 +766,8 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
     // Fast-forward cycles end here: the architectural planes above ran
     // exactly; the power/control/accounting phases below are skipped with
     // control state (enforcement ratios, balancer wires, EMAs) frozen.
-    // The flit hops this cycle's replayed accesses routed are drained and
-    // discarded so they don't leak into the next detailed cycle's energy.
+    // The flit hops this cycle's accesses routed are drained and discarded
+    // so they don't leak into the next detailed cycle's energy.
     if (!cycle_detailed) {
       (void)mesh_->drain_flit_hops();
       continue;
@@ -887,7 +777,7 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
     const double total_est =
         est_needed ? deterministic_total(f.est_power.data(), n) : 0.0;
     // NoC activity energy (uncore); the flit hops drained here are the ones
-    // this cycle's replayed accesses routed.
+    // this cycle's memory accesses routed.
     total_act += static_cast<double>(mesh_->drain_flit_hops()) *
                  kNocTokensPerFlitHop;
 
@@ -959,7 +849,7 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
     if (prof_cycle) pt = prof_lap(pt, prof.control_s);
 
     // --- 4. accounting (the per-core spin/thermal attribution already ran
-    //        in the parallel region; only CMP-level totals remain) ---
+    //        in phase 1; only CMP-level totals remain) ---
     acct.record_cycle(total_act);
     if (power_hist) power_hist->add(total_act);
     if (opts.record_cmp_trace) {
@@ -970,8 +860,7 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
     //        under sampling: the accounting cross-checks assume every
     //        cycle is recorded. ---
     if (auditor_ && !sampling) {
-      audit_cycle(now, acct, total_act, f.eff_budget.data(),
-                  f.finished.data(), finished_count);
+      audit_cycle(now, acct, total_act, f.eff_budget.data());
     }
 
     if (samples && (now + 1) % opts.stats_sample_every == 0) {
@@ -979,10 +868,6 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
     }
     if (prof_cycle) prof_lap(pt, prof.account_s);
   }
-
-  // Detach the deferral queues: a direct Core::tick() on this simulator
-  // (tests, introspection) must take the classic immediate path again.
-  for (CoreId i = 0; i < n; ++i) cores_[i]->set_mem_defer(nullptr);
 
   if (auditor_ && !sampling) {
     // The periodic scan can miss the tail of the run; always close with a
@@ -1062,9 +947,7 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
 }
 
 void CmpSimulator::audit_cycle(Cycle now, const EnergyAccounting& acct,
-                               double total_act, const double* eff_budget,
-                               const std::uint8_t* finished,
-                               std::uint32_t finished_count) {
+                               double total_act, const double* eff_budget) {
   InvariantAuditor& aud = *auditor_;
   if (balancer_) {
     aud.check_balancer(now, *balancer_, eff_budget, cfg_.num_cores);
@@ -1080,7 +963,6 @@ void CmpSimulator::audit_cycle(Cycle now, const EnergyAccounting& acct,
     aud.check_enforcer(now, i, *enforcers_[i], *cores_[i]);
   }
   aud.check_accounting(now, acct, total_act);
-  aud.check_shard_merge(now, finished, cfg_.num_cores, finished_count);
   if (aud.coherence_scan_due(now)) aud.check_coherence(now, *mem_);
   // Fail fast: a violated invariant poisons every later cycle, so abort at
   // the first dirty cycle with the full per-class digest.

@@ -12,12 +12,9 @@
 //      (possibly PTB-augmented) local budget;
 //   5. energy, AoPB, spin attribution and temperature are accounted.
 //
-// Steps 1-2 are per-core and run sharded across host worker threads when
-// SimConfig::sim_threads > 1 (sim/shard_pool.hpp); steps 3-5 plus memory-
-// access replay, trace flushing and the invariant audit run at a sequential
-// point on the main thread every cycle. Results are bit-identical at every
-// --sim-threads value; DESIGN.md ("Threading model & determinism contract")
-// documents why.
+// One run is one serial loop on the calling thread; parallelism lives a
+// level up, across independent runs (sim/run_pool.hpp). DESIGN.md
+// ("Threading model & determinism contract") lists the per-cycle phases.
 #pragma once
 
 #include <cstdint>
@@ -111,8 +108,8 @@ struct RunResult {
 };
 
 /// Periodic progress snapshot of a running simulation (RunObserver below).
-/// Everything here is read from the run's own deterministic state at the
-/// cycle loop's sequential point; producing it never changes a result.
+/// Everything here is read from the run's own deterministic state once per
+/// cycle; producing it never changes a result.
 struct RunProgress {
   Cycle cycle = 0;        // cycles completed so far
   Cycle max_cycles = 0;   // the run's cycle budget
@@ -131,8 +128,6 @@ struct RunProgress {
 /// publish in cached_run_payload). Hooks observe only — a null observer
 /// (the default) costs one pointer test and results are byte-identical
 /// either way (tests/serve proves it).
-/// (Named enter/exit, not begin/end: `stage_begin` is EventTrace's
-/// sequential-point API and ptb-lint polices that token by name.)
 struct RunObserver {
   std::function<void(std::string_view stage)> stage_enter;
   std::function<void(std::string_view stage)> stage_exit;
@@ -157,11 +152,6 @@ struct RunOptions {
   /// all deterministic scalar stats are appended to a columnar buffer
   /// carried in the dump. Non-zero implies `stats`.
   Cycle stats_sample_every = 0;
-  /// Test-only: upper bound (ns) on a deterministic pseudo-random sleep
-  /// each shard worker takes before running its shard of a cycle
-  /// (sim/shard_pool.hpp). The TSan stress tests use it to shake epoch
-  /// timing; it perturbs wall-clock only — results stay bit-identical.
-  std::uint32_t shard_jitter_ns = 0;
   /// Cycle at which run() serializes a full-state checkpoint frame
   /// (sim/checkpoint.hpp) into `*checkpoint_out` (kNeverCycle = never).
   /// The capture happens at the top of that cycle's loop body — before the
@@ -202,11 +192,6 @@ struct CycleFrame {
   // Batched power-model outputs (overwritten in place by the EMA).
   std::vector<double> est_power;
   std::vector<double> act_power;
-  // Sharded-loop state: which cores had gate+commit run in the sequential
-  // pre-pass, and the per-core queues of memory accesses parked by the
-  // parallel phases for replay at the sequential memory point.
-  std::vector<std::uint8_t> seq_gated;
-  std::vector<std::vector<DeferredMemReq>> mem_defer;
 
   void reset(std::uint32_t n, double local_budget);
 };
@@ -247,12 +232,9 @@ class CmpSimulator {
 
  private:
   /// One end-of-cycle audit pass (only called when auditor_ is non-null);
-  /// aborts via PTB_ASSERTF on the first violated invariant. Runs at the
-  /// cycle's sequential point, so it also cross-checks the shard merge
-  /// (finished-core recount, drained deferral queues).
+  /// aborts via PTB_ASSERTF on the first violated invariant.
   void audit_cycle(Cycle now, const EnergyAccounting& acct, double total_act,
-                   const double* eff_budget, const std::uint8_t* finished,
-                   std::uint32_t finished_count);
+                   const double* eff_budget);
   // Both are copied: a simulator must outlive any temporary it was
   // constructed from.
   SimConfig cfg_;

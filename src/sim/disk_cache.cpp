@@ -2,8 +2,8 @@
 // BaseRunCache): the persistent, content-addressed run cache behind the
 // ptb-serve daemon.
 //
-// On-disk format, in the trace subsystem's explicit-little-endian,
-// corrupt-rejecting idiom (src/trace/trace.cpp): a 24-byte frame header
+// On-disk format, written with the shared little-endian codec
+// (common/bytes.hpp) in its corrupt-rejecting idiom: a 24-byte frame header
 // [magic "PTBR" | u32 format version | u64 payload length | u64 run key]
 // followed by the RunArtifact JSON payload bytes. Every field is checked on
 // read — wrong magic, foreign version, short/long payload or a key that
@@ -13,7 +13,6 @@
 // the slot. Writes go to a unique temp file in the same directory and
 // rename() into place, so readers only ever see complete entries.
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string>
 
@@ -23,6 +22,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/bytes.hpp"
 #include "common/format.hpp"
 #include "common/json.hpp"
 #include "sim/checkpoint.hpp"
@@ -37,31 +37,6 @@ namespace {
 
 constexpr char kMagic[4] = {'P', 'T', 'B', 'R'};
 constexpr std::uint32_t kFrameVersion = 1;
-constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8;
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-std::uint32_t get_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i)
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  return v;
-}
-
-std::uint64_t get_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i)
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  return v;
-}
 
 std::string hex16(std::uint64_t v) {
   char buf[20];
@@ -250,35 +225,31 @@ bool DiskRunCache::load(std::uint64_t key, std::string& payload) const {
     std::filesystem::remove(path, ec);  // heal the slot on the next store
     return false;
   };
-  if (raw.size() < kHeaderBytes ||
-      std::memcmp(raw.data(), kMagic, sizeof(kMagic)) != 0) {
+  ByteReader r(raw);
+  if (r.raw(sizeof(kMagic)) != std::string_view(kMagic, sizeof(kMagic)) ||
+      r.u32() != kFrameVersion) {
     return corrupt();
   }
-  if (get_u32(raw.data() + 4) != kFrameVersion) return corrupt();
-  const std::uint64_t len = get_u64(raw.data() + 8);
-  if (get_u64(raw.data() + 16) != key) return corrupt();
-  if (raw.size() != kHeaderBytes + len) return corrupt();
+  const std::uint64_t len = r.u64();
+  if (r.u64() != key || !r.ok() || r.remaining() != len) return corrupt();
   // The payload must still be a valid schema-v1 artifact for this very
   // key — framing alone cannot catch a payload-level bit flip.
+  const std::string_view body = r.raw(r.remaining());
   RunArtifact a;
-  if (!RunArtifact::parse(
-          std::string_view(raw).substr(kHeaderBytes), a) ||
-      a.key != key) {
-    return corrupt();
-  }
-  payload = raw.substr(kHeaderBytes);
+  if (!RunArtifact::parse(body, a) || a.key != key) return corrupt();
+  payload = std::string(body);
   hits_.fetch_add(1);
   return true;
 }
 
 bool DiskRunCache::store(std::uint64_t key, std::string_view payload) const {
-  std::string framed;
-  framed.reserve(kHeaderBytes + payload.size());
-  framed.append(kMagic, sizeof(kMagic));
-  put_u32(framed, kFrameVersion);
-  put_u64(framed, payload.size());
-  put_u64(framed, key);
-  framed.append(payload.data(), payload.size());
+  ByteWriter w;
+  w.raw(kMagic, sizeof(kMagic));
+  w.u32(kFrameVersion);
+  w.u64(payload.size());
+  w.u64(key);
+  w.raw(payload.data(), payload.size());
+  const std::string framed = w.take();
 
   // Unique temp name per (process, store): concurrent writers of the same
   // key never clobber each other's partial file, and rename() makes the

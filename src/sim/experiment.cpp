@@ -28,7 +28,6 @@ TechniqueSpec base_technique() {
 
 namespace {
 AuditLevel g_default_audit_level = AuditLevel::kOff;
-std::uint32_t g_default_sim_threads = 1;
 Cycle g_default_sample_detail = 0;
 Cycle g_default_sample_period = 0;
 }  // namespace
@@ -38,12 +37,6 @@ void set_default_audit_level(AuditLevel level) {
 }
 
 AuditLevel default_audit_level() { return g_default_audit_level; }
-
-void set_default_sim_threads(std::uint32_t threads) {
-  g_default_sim_threads = threads == 0 ? 1 : threads;
-}
-
-std::uint32_t default_sim_threads() { return g_default_sim_threads; }
 
 void set_default_sample_windows(Cycle detail, Cycle period) {
   g_default_sample_detail = detail;
@@ -63,7 +56,6 @@ SimConfig make_sim_config(std::uint32_t cores, const TechniqueSpec& tech,
   cfg.ptb.policy = tech.policy;
   cfg.ptb.relax_threshold = tech.relax;
   cfg.audit_level = g_default_audit_level;
-  cfg.sim_threads = g_default_sim_threads;
   cfg.sample_detail = g_default_sample_detail;
   cfg.sample_period = g_default_sample_period;
   return cfg;

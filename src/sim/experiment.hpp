@@ -48,7 +48,7 @@ std::vector<TechniqueSpec> naive_techniques();
 TechniqueSpec base_technique();
 
 /// Build a full simulator config for one run. Pure apart from the process-
-/// wide default audit level and sim-thread count below.
+/// wide defaults below (audit level, sample windows).
 SimConfig make_sim_config(std::uint32_t cores, const TechniqueSpec& tech,
                           std::uint64_t seed = 1);
 
@@ -60,18 +60,9 @@ SimConfig make_sim_config(std::uint32_t cores, const TechniqueSpec& tech,
 void set_default_audit_level(AuditLevel level);
 AuditLevel default_audit_level();
 
-/// Process-wide intra-run thread count stamped into every config
-/// make_sim_config builds (default 1 = serial). The bench binaries set it
-/// from --sim-threads; results are byte-identical for every value (see
-/// sim/shard_pool.hpp), so — like the audit level — this is a wall-clock
-/// knob, not an experiment parameter. Not thread-safe: set it before
-/// submitting work to a RunPool. 0 is normalized to 1.
-void set_default_sim_threads(std::uint32_t threads);
-std::uint32_t default_sim_threads();
-
 /// Process-wide sampled-simulation windows stamped into every config
 /// make_sim_config builds (default 0/0 = every cycle detailed; see
-/// SimConfig::sample_detail/sample_period). Unlike the knobs above this IS
+/// SimConfig::sample_detail/sample_period). Unlike the audit level this IS
 /// an experiment parameter — sampling approximates results and folds into
 /// the config fingerprint. The bench binaries set it from
 /// --sample-windows. Not thread-safe: set before submitting pool work.
@@ -221,7 +212,7 @@ class DiskRunCache {
   /// Content address of one run: FNV-1a over the artifact schema version,
   /// config_fingerprint(cfg) and the benchmark name. Everything that can
   /// change a result byte is inside config_fingerprint; observe-only
-  /// knobs (audit/trace/sim_threads) stay out, so a request answered
+  /// knobs (audit/trace) stay out, so a request answered
   /// from cache is indistinguishable from a re-run.
   static std::uint64_t run_key(std::string_view benchmark,
                                const SimConfig& cfg);

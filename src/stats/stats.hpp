@@ -30,7 +30,6 @@
 
 #include "common/bytes.hpp"
 #include "common/stats.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/types.hpp"
 
 namespace ptb {
@@ -96,35 +95,27 @@ class StatsRegistry {
   // --- registration -----------------------------------------------------
   // Bound sources must outlive the registry (they are read at sample /
   // dump time). Duplicate or empty names abort via PTB_ASSERT.
-  // Registration binds raw member pointers, so it may only run at a
-  // sequential point of the cycle loop (never from the parallel shard
-  // region) — enforced at compile time by the g_sequential_point role
-  // (common/thread_annotations.hpp) under clang -Wthread-safety.
-  void counter(std::string name, std::string desc, const std::uint64_t* src)
-      PTB_REQUIRES(g_sequential_point);
-  void counter(std::string name, std::string desc, const std::uint32_t* src)
-      PTB_REQUIRES(g_sequential_point);
+  void counter(std::string name, std::string desc, const std::uint64_t* src);
+  void counter(std::string name, std::string desc, const std::uint32_t* src);
   /// Token totals accumulate as doubles; kv_precision pins their flat
   /// key=value rendering (run_summary_kv compatibility).
   void counter(std::string name, std::string desc, const double* src,
-               int kv_precision = 1) PTB_REQUIRES(g_sequential_point);
+               int kv_precision = 1);
   /// Pull-callback counter rendered as an integer (derived event counts).
   void counter_fn(std::string name, std::string desc,
-                  std::function<double()> fn) PTB_REQUIRES(g_sequential_point);
+                  std::function<double()> fn);
   void gauge(std::string name, std::string desc, const double* src,
-             int kv_precision = 3) PTB_REQUIRES(g_sequential_point);
+             int kv_precision = 3);
   void gauge_fn(std::string name, std::string desc,
                 std::function<double()> fn, int kv_precision = 3,
-                bool is_volatile = false) PTB_REQUIRES(g_sequential_point);
+                bool is_volatile = false);
   /// Registry-owned histogram; the returned reference stays valid for the
   /// registry's lifetime (push samples behind your own stats guard).
   Histogram& distribution(std::string name, std::string desc, double lo,
-                          double hi, std::size_t buckets)
-      PTB_REQUIRES(g_sequential_point);
+                          double hi, std::size_t buckets);
   /// Derived metric; evaluate other stats / captured state lazily.
   void formula(std::string name, std::string desc,
-               std::function<double()> fn, int kv_precision = 3)
-      PTB_REQUIRES(g_sequential_point);
+               std::function<double()> fn, int kv_precision = 3);
 
   // --- lookup / iteration ----------------------------------------------
   /// Dotted-path lookup; null when absent.
@@ -136,8 +127,7 @@ class StatsRegistry {
   std::vector<const Stat*> sorted() const;
 
  private:
-  Stat& add(std::string name, std::string desc, StatKind kind)
-      PTB_REQUIRES(g_sequential_point);
+  Stat& add(std::string name, std::string desc, StatKind kind);
 
   std::vector<std::unique_ptr<Stat>> stats_;           // registration order
   std::map<std::string, std::size_t, std::less<>> index_;  // name-sorted
@@ -148,11 +138,10 @@ class StatsRegistry {
 /// Drives RunOptions::stats_sample_every.
 class SampleBuffer {
  public:
-  explicit SampleBuffer(const StatsRegistry& reg)
-      PTB_REQUIRES(g_sequential_point);
+  explicit SampleBuffer(const StatsRegistry& reg);
 
   /// Appends one row: every column's current value at cycle `now`.
-  void sample(Cycle now) PTB_REQUIRES(g_sequential_point);
+  void sample(Cycle now);
 
   std::size_t num_columns() const { return stats_.size(); }
   std::size_t num_samples() const { return cycles_.size(); }

@@ -12,7 +12,6 @@
 #include <string>
 
 #include "common/bytes.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/types.hpp"
 #include "trace/trace.hpp"
 
@@ -93,8 +92,7 @@ class SpinTracker {
 
   /// Registers per-state cycle counters and energy gauges under `prefix`
   /// (src/stats).
-  void register_stats(StatsRegistry& reg, const std::string& prefix)
-      const PTB_REQUIRES(g_sequential_point);
+  void register_stats(StatsRegistry& reg, const std::string& prefix) const;
 
   // Checkpoint support (tracer wiring is per-run, not state).
   void save_state(ByteWriter& w) const {

@@ -1,7 +1,6 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 
 #include "common/assert.hpp"
@@ -12,62 +11,6 @@ namespace {
 
 constexpr char kMagic[8] = {'P', 'T', 'B', 'T', 'R', 'A', 'C', 'E'};
 constexpr std::uint32_t kFormatVersion = 1;
-
-// Explicit little-endian field writers: the serialized form must be
-// byte-stable, so no struct is ever written at once (padding bytes are
-// indeterminate) and the byte order is pinned regardless of host.
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_f64(std::string& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-/// Bounds-checked little-endian readers over a string_view cursor.
-struct Reader {
-  std::string_view bytes;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  bool need(std::size_t n) {
-    if (!ok || bytes.size() - pos < n) ok = false;
-    return ok;
-  }
-  std::uint8_t u8() {
-    if (!need(1)) return 0;
-    return static_cast<std::uint8_t>(bytes[pos++]);
-  }
-  std::uint32_t u32() {
-    if (!need(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(
-               static_cast<std::uint8_t>(bytes[pos++]))
-           << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
-    if (!need(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(
-               static_cast<std::uint8_t>(bytes[pos++]))
-           << (8 * i);
-    return v;
-  }
-  double f64() { return std::bit_cast<double>(u64()); }
-};
 
 }  // namespace
 
@@ -190,37 +133,37 @@ std::vector<TraceEvent> EventTrace::merged() const {
   return all;
 }
 
+// Fields are written individually through the shared little-endian codec
+// (common/bytes.hpp): never a struct at once, so the bytes are stable.
 std::string EventTrace::serialize() const {
-  std::string out;
-  out.append(kMagic, sizeof(kMagic));
-  put_u32(out, kFormatVersion);
-  put_u32(out, kNumTraceCategories);
-  put_u32(out, num_cores);
-  put_u32(out, categories);
-  put_u64(out, end_cycle);
-  put_u32(out, wire_latency);
+  ByteWriter w;
+  w.raw(kMagic, sizeof(kMagic));
+  w.u32(kFormatVersion);
+  w.u32(kNumTraceCategories);
+  w.u32(num_cores);
+  w.u32(categories);
+  w.u64(end_cycle);
+  w.u32(wire_latency);
   for (const auto& log : logs) {
-    put_u64(out, log.emitted);
-    put_u64(out, log.dropped);
-    put_u64(out, log.events.size());
+    w.u64(log.emitted);
+    w.u64(log.dropped);
+    w.u64(log.events.size());
     for (const TraceEvent& e : log.events) {
-      put_u64(out, e.cycle);
-      put_u8(out, static_cast<std::uint8_t>(e.type));
-      put_u32(out, e.core);
-      put_u64(out, e.arg);
-      put_f64(out, e.value);
+      w.u64(e.cycle);
+      w.u8(static_cast<std::uint8_t>(e.type));
+      w.u32(e.core);
+      w.u64(e.arg);
+      w.f64(e.value);
     }
   }
-  return out;
+  return w.take();
 }
 
 bool EventTrace::deserialize(std::string_view bytes, EventTrace& out) {
-  Reader r{bytes};
-  if (!r.need(sizeof(kMagic)) ||
-      bytes.compare(0, sizeof(kMagic), kMagic, sizeof(kMagic)) != 0) {
+  ByteReader r(bytes);
+  if (r.raw(sizeof(kMagic)) != std::string_view(kMagic, sizeof(kMagic))) {
     return false;
   }
-  r.pos = sizeof(kMagic);
   if (r.u32() != kFormatVersion) return false;
   if (r.u32() != kNumTraceCategories) return false;
   EventTrace t;
@@ -233,7 +176,7 @@ bool EventTrace::deserialize(std::string_view bytes, EventTrace& out) {
     log.dropped = r.u64();
     const std::uint64_t n = r.u64();
     // 29 serialized bytes per event; reject before allocating on garbage.
-    if (!r.need(static_cast<std::size_t>(n) * 29)) return false;
+    if (!r.ok() || n > r.remaining() / 29) return false;
     log.events.resize(static_cast<std::size_t>(n));
     for (TraceEvent& e : log.events) {
       e.cycle = r.u64();
@@ -245,7 +188,7 @@ bool EventTrace::deserialize(std::string_view bytes, EventTrace& out) {
       e.value = r.f64();
     }
   }
-  if (!r.ok || r.pos != bytes.size()) return false;
+  if (!r.ok() || !r.empty()) return false;
   out = std::move(t);
   return true;
 }
@@ -306,31 +249,8 @@ void EventTracer::emit(TraceEventType t, std::uint32_t core,
                        std::uint64_t arg, double value) {
   const TraceCategory cat = trace_event_category(t);
   if (!enabled(cat)) return;
-  const TraceEvent e{now_, t, core, arg, value};
-  // Staged region: the emitting core's slot is private to the one shard
-  // ticking that core, so the append is race-free and the later in-order
-  // flush reproduces the serial emission order byte for byte.
-  if (staging_active_ && core < stage_.size()) {
-    stage_[core].push_back(e);
-    return;
-  }
-  push(e);
-}
-
-void EventTracer::push(const TraceEvent& e) {
-  rings_[static_cast<std::size_t>(trace_event_category(e.type))].push(e);
-}
-
-void EventTracer::enable_staging(std::uint32_t num_cores) {
-  stage_.resize(num_cores);
-}
-
-void EventTracer::stage_flush() {
-  staging_active_ = false;
-  for (auto& slot : stage_) {
-    for (const TraceEvent& e : slot) push(e);
-    slot.clear();
-  }
+  rings_[static_cast<std::size_t>(cat)].push(
+      TraceEvent{now_, t, core, arg, value});
 }
 
 EventTrace EventTracer::finish(std::uint32_t num_cores, Cycle end_cycle,

@@ -14,12 +14,7 @@
 //     config fingerprint, exactly like SimConfig::audit_level;
 //   - deterministic: emission order — and hence the serialized trace — is a
 //     pure function of (profile, config, seed), byte-identical at any
-//     --jobs value and at any --sim-threads value (asserted by the hammer
-//     tests). The sharded cycle loop (sim/shard_pool.hpp) keeps that true
-//     with per-core staging buffers: emits from the parallel per-core
-//     phases land in the emitting core's slot and are flushed into the
-//     rings in core order at the cycle's sequential point, reproducing the
-//     serial core-major emission order exactly.
+//     --jobs value (one run is one serial cycle loop).
 //
 // The recorded EventTrace is carried out of the run by RunResult::trace,
 // serialized to a compact binary file, and consumed by the exporters
@@ -33,7 +28,6 @@
 #include <vector>
 
 #include "common/bytes.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/types.hpp"
 
 namespace ptb {
@@ -226,13 +220,8 @@ class TraceRing {
 /// The live recorder one CmpSimulator run drives. The CMP cycle loop calls
 /// begin_cycle(now) once per cycle; instrumented collaborators (balancer,
 /// selector, enforcers, spin trackers, sync state) hold a raw pointer and
-/// emit against the current cycle. One tracer belongs to one simulator;
-/// under a sharded cycle loop (--sim-threads > 1, sim/shard_pool.hpp) the
-/// per-core phases emit concurrently, which the staging API below makes
-/// safe and order-deterministic: between stage_begin() and stage_flush(),
-/// an emit for core c appends to a c-private slot (each core is touched by
-/// exactly one shard), and stage_flush() — called at the cycle's sequential
-/// point — replays the slots into the rings in core order.
+/// emit against the current cycle. One tracer belongs to one simulator
+/// run and is driven from that run's thread only.
 class EventTracer {
  public:
   /// `category_mask` selects what is recorded (bits of TraceCategory);
@@ -247,37 +236,15 @@ class EventTracer {
   }
 
   /// Records one event at the current cycle (no-op for masked categories).
-  /// While staging is active (stage_begin .. stage_flush) an event whose
-  /// `core` is a valid staged core lands in that core's slot instead of the
-  /// ring; kNoCore events always go to the ring directly (they are only
-  /// emitted from sequential phases).
   void emit(TraceEventType t, std::uint32_t core, std::uint64_t arg,
             double value);
-
-  /// One-time setup for the sharded cycle loop: allocates one staging slot
-  /// per core. Without this call the tracer behaves exactly as before.
-  void enable_staging(std::uint32_t num_cores)
-      PTB_REQUIRES(g_sequential_point);
-
-  /// Starts routing per-core emits into the staging slots. Must be called
-  /// before the parallel region of a cycle starts (the region's barrier
-  /// publishes the flag to the workers).
-  void stage_begin() PTB_REQUIRES(g_sequential_point) {
-    staging_active_ = !stage_.empty();
-  }
-
-  /// Replays every staged event into the rings in core order (preserving
-  /// per-core emission order) and turns direct emission back on. Called at
-  /// the cycle's sequential point, after the region's end barrier.
-  void stage_flush() PTB_REQUIRES(g_sequential_point);
 
   /// Detaches the recorded trace, stamping the run metadata.
   EventTrace finish(std::uint32_t num_cores, Cycle end_cycle,
                     std::uint32_t wire_latency);
 
   // Checkpoint support (sim/checkpoint): the per-category rings. Must only
-  // be called at the cycle's sequential point with staging inactive and the
-  // staging slots drained (stage_flush() ran).
+  // be called at a cycle boundary.
   void save_state(ByteWriter& w) const {
     w.u64(now_);
     w.u64(rings_.size());
@@ -293,13 +260,9 @@ class EventTracer {
   }
 
  private:
-  void push(const TraceEvent& e);
-
   std::uint32_t mask_;
   Cycle now_ = 0;
-  bool staging_active_ = false;
   std::vector<TraceRing> rings_;  // one per category
-  std::vector<std::vector<TraceEvent>> stage_;  // one slot per core
 };
 
 }  // namespace ptb

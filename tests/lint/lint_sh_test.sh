@@ -29,7 +29,7 @@ make_tree() {
   rm -rf "$t"
   mkdir -p "$t/src" "$t/bench" "$t/examples"
   cat > "$t/src/clean.cpp" <<'EOF'
-int shard_sum(const int* v, int n) {
+int int_sum(const int* v, int n) {
   int s = 0;
   for (int i = 0; i < n; ++i) s += v[i];
   return s;

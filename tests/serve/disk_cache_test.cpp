@@ -9,6 +9,7 @@
 #include "sim/experiment.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -53,8 +54,10 @@ SimConfig fast_config() {
 
 std::string temp_cache_dir(const char* tag) {
   // TempDir() outlives the process: wipe the slot so a "fresh cache" case
-  // stays fresh on re-runs.
-  const std::string dir = testing::TempDir() + "/ptb_disk_cache_" + tag;
+  // stays fresh on re-runs. The pid keeps concurrent test processes (two
+  // build trees running ctest at once) out of each other's slots.
+  const std::string dir = testing::TempDir() + "/ptb_disk_cache_" + tag +
+                          "_" + std::to_string(::getpid());
   std::filesystem::remove_all(dir);
   return dir;
 }

@@ -189,12 +189,15 @@ TEST(ConfigCodec, RejectsUnknownKeysWithPositionedError) {
   // "num_core" would simulate (and cache!) the wrong machine.
   EXPECT_FALSE(sim_config_from_json("{\"num_core\":8}", cfg, err));
   EXPECT_NE(err.find("num_core"), std::string::npos) << err;
+  // A knob the simulator no longer has is just another unknown key.
+  EXPECT_FALSE(sim_config_from_json("{\"sim_threads\":1}", cfg, err));
+  EXPECT_NE(err.find("unknown key"), std::string::npos) << err;
 }
 
 TEST(ConfigCodec, RejectsObserveOnlyKnobs) {
   SimConfig cfg;
   std::string err;
-  for (const char* knob : {"audit_level", "sim_threads", "trace"}) {
+  for (const char* knob : {"audit_level", "trace"}) {
     const std::string body = std::string("{\"") + knob + "\":1}";
     EXPECT_FALSE(sim_config_from_json(body, cfg, err)) << knob;
     EXPECT_NE(err.find("observe-only"), std::string::npos) << err;

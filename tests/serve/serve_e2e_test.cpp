@@ -56,8 +56,10 @@ ServiceOptions test_opts(const std::string& cache_dir) {
 
 std::string fresh_cache_dir(const char* tag) {
   // TempDir() outlives the process: wipe the slot so a "fresh cache" case
-  // stays fresh on re-runs.
-  const std::string dir = testing::TempDir() + "/ptb_serve_e2e_" + tag;
+  // stays fresh on re-runs. The pid keeps concurrent test processes (two
+  // build trees running ctest at once) out of each other's slots.
+  const std::string dir = testing::TempDir() + "/ptb_serve_e2e_" + tag +
+                          "_" + std::to_string(::getpid());
   std::filesystem::remove_all(dir);
   return dir;
 }
@@ -556,8 +558,8 @@ TEST(ServeE2E, TracingOnOffProducesByteIdenticalArtifacts) {
 }
 
 TEST(ServeE2E, AccessLogWritesOneJsonLinePerRequest) {
-  const std::string log_path =
-      testing::TempDir() + "/ptb_serve_e2e_access.jsonl";
+  const std::string log_path = testing::TempDir() + "/ptb_serve_e2e_access_" +
+                               std::to_string(::getpid()) + ".jsonl";
   std::filesystem::remove(log_path);
   ServiceOptions opts = test_opts(fresh_cache_dir("accesslog"));
   opts.log_file = log_path;

@@ -7,6 +7,7 @@
 #include "serve/span.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstddef>
 #include <string>
@@ -101,7 +102,8 @@ TEST(ServeSpanLog, SaveLoadRoundTripsThroughDisk) {
   log.spans.push_back(span(1, 1, 0, "request", 0.0, 1.0, "GET /healthz"));
   log.spans.push_back(span(1, 2, 1, "parse", 0.0, 0.5));
 
-  const std::string path = testing::TempDir() + "/ptb_serve_span_log.bin";
+  const std::string path = testing::TempDir() + "/ptb_serve_span_log_" +
+                           std::to_string(::getpid()) + ".bin";
   ASSERT_TRUE(log.save(path));
   ServeSpanLog back;
   ASSERT_TRUE(ServeSpanLog::load(path, back));

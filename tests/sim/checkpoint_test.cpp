@@ -9,14 +9,12 @@
 //     mid-run frame additionally pins the full config fingerprint;
 //   - the headline guarantee: a run restored from a mid-run checkpoint
 //     finishes bit-identical — RunResult fields, serialized event-trace
-//     bytes and the deterministic stats dump — to the uninterrupted run,
-//     at every --sim-threads value;
+//     bytes and the deterministic stats dump — to the uninterrupted run;
 //   - warm forking: a cycle-0 post-warmup frame captured under one
 //     technique restores under another and reproduces that technique's
 //     from-scratch results exactly;
-//   - sampled simulation: fast-forward windows preserve completion timing,
-//     stay deterministic across shard counts, and fold into the config
-//     fingerprint.
+//   - sampled simulation: fast-forward windows preserve completion timing
+//     and fold into the config fingerprint.
 #include "sim/checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -55,8 +53,7 @@ TechniqueSpec ptb_spec() {
           0.0};
 }
 
-// Bitwise comparison of every deterministic RunResult field (the
-// sim_threads identity hammer's comparator, reused for restore identity).
+// Bitwise comparison of every deterministic RunResult field.
 void expect_bit_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.benchmark, b.benchmark);
   EXPECT_EQ(a.num_cores, b.num_cores);
@@ -274,11 +271,10 @@ TEST(CheckpointRestore, CorruptFrameRejectedWithDiagnostic) {
 
 // --- restore-vs-continuous exactness ----------------------------------------
 
-// The hammer: capture at C under shard count S1, restore into a fresh
-// simulator running at shard count S2, and require the resumed run to be
-// bit-identical to the uninterrupted run — results, trace bytes, stats
-// dump. Covers the {1,4} x {1,4} grid for both a PTB technique and the
-// thrifty baseline (different sequential-pre-pass shape).
+// The hammer: capture at C, restore into a fresh simulator, and require
+// the resumed run to be bit-identical to the uninterrupted run — results,
+// trace bytes, stats dump. Run for both a PTB technique and the thrifty
+// baseline (which gates cores off cross-core barrier state).
 void restore_hammer(const TechniqueSpec& tech) {
   const WorkloadProfile p = small_profile();
   RunOptions opts;
@@ -286,33 +282,24 @@ void restore_hammer(const TechniqueSpec& tech) {
   opts.stats = true;
   opts.stats_sample_every = 256;
 
-  for (const std::uint32_t capture_threads : {1u, 4u}) {
-    SimConfig cfg = make_sim_config(4, tech);
-    cfg.sim_threads = capture_threads;
-    const RunResult full = CmpSimulator(cfg, p).run(opts);
-    ASSERT_FALSE(full.hit_max_cycles);
-    const Cycle mid = full.cycles / 2;
-    const std::string ckpt = capture_at(p, cfg, mid, opts);
-    ASSERT_FALSE(ckpt.empty());
+  const SimConfig cfg = make_sim_config(4, tech);
+  const RunResult full = CmpSimulator(cfg, p).run(opts);
+  ASSERT_FALSE(full.hit_max_cycles);
+  const Cycle mid = full.cycles / 2;
+  const std::string ckpt = capture_at(p, cfg, mid, opts);
+  ASSERT_FALSE(ckpt.empty());
 
-    for (const std::uint32_t resume_threads : {1u, 4u}) {
-      SCOPED_TRACE(std::to_string(capture_threads) + " threads -> " +
-                   std::to_string(resume_threads));
-      SimConfig rcfg = cfg;
-      rcfg.sim_threads = resume_threads;
-      CmpSimulator sim(rcfg, p);
-      std::string err;
-      ASSERT_TRUE(sim.restore_checkpoint(ckpt, &err)) << err;
-      const RunResult resumed = sim.run(opts);
-      expect_bit_identical(full, resumed);
-      ASSERT_NE(full.trace, nullptr);
-      ASSERT_NE(resumed.trace, nullptr);
-      EXPECT_EQ(full.trace->serialize(), resumed.trace->serialize());
-      ASSERT_NE(resumed.stats, nullptr);
-      EXPECT_EQ(stats_json(full, /*include_volatile=*/false),
-                stats_json(resumed, /*include_volatile=*/false));
-    }
-  }
+  CmpSimulator sim(cfg, p);
+  std::string err;
+  ASSERT_TRUE(sim.restore_checkpoint(ckpt, &err)) << err;
+  const RunResult resumed = sim.run(opts);
+  expect_bit_identical(full, resumed);
+  ASSERT_NE(full.trace, nullptr);
+  ASSERT_NE(resumed.trace, nullptr);
+  EXPECT_EQ(full.trace->serialize(), resumed.trace->serialize());
+  ASSERT_NE(resumed.stats, nullptr);
+  EXPECT_EQ(stats_json(full, /*include_volatile=*/false),
+            stats_json(resumed, /*include_volatile=*/false));
 }
 
 TEST(CheckpointRestore, MidRunResumeBitIdenticalPtb) {
@@ -402,17 +389,6 @@ TEST(SampledSim, PreservesCompletionAndScalesEnergy) {
   // land in the right ballpark (EXPERIMENTS.md quantifies the error).
   EXPECT_GT(sampled.energy, 0.5 * full.energy);
   EXPECT_LT(sampled.energy, 2.0 * full.energy);
-}
-
-TEST(SampledSim, DeterministicAcrossShardCounts) {
-  const WorkloadProfile p = small_profile();
-  SimConfig cfg = make_sim_config(4, ptb_spec());
-  cfg.sample_detail = 250;
-  cfg.sample_period = 1000;
-  SimConfig four = cfg;
-  four.sim_threads = 4;
-  expect_bit_identical(CmpSimulator(cfg, p).run(),
-                       CmpSimulator(four, p).run());
 }
 
 TEST(SampledSim, KnobsFoldIntoConfigFingerprintWhenActive) {

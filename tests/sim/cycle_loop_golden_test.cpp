@@ -1,0 +1,142 @@
+// Byte goldens for the serial cycle loop across controller families. Each
+// controller family orders a different slice of per-cycle work (thrifty and
+// meeting points gate cores off cross-core barrier state, PTB balances at
+// the end of the cycle, clustered PTB aggregates per cluster), so a change
+// to the loop's phase order shows up here as a changed hash long before it
+// reaches a regenerated figure. The constants pin three planes of one
+// lock- and barrier-heavy 4-core run with every observer on:
+//   - the RunResult (the canonical RunArtifact payload),
+//   - the serialized event trace (all categories, emission order included),
+//   - the deterministic stats dump (counters, distributions, samples).
+// A legitimate behaviour change re-records them; the failure message
+// prints the new values.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <ostream>
+#include <string>
+#include <string_view>
+
+#include "sim/cmp.hpp"
+#include "sim/experiment.hpp"
+#include "sim/reporting.hpp"
+#include "trace/trace.hpp"
+#include "workloads/suite.hpp"
+
+namespace ptb {
+namespace {
+
+// Lock- and barrier-heavy so sync completions and the thrifty/meeting
+// gating paths are genuinely exercised, not just the busy fast path.
+WorkloadProfile sync_heavy_profile() {
+  WorkloadProfile p;
+  p.name = "sync_heavy";
+  p.iterations = 3;
+  p.ops_per_iteration = 4000;
+  p.imbalance = 0.25;
+  p.num_locks = 2;
+  p.cs_per_1k_ops = 4.0;
+  p.cs_len_ops = 12;
+  p.hot_lock_frac = 0.5;
+  return p;
+}
+
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "0x%016llxull",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+struct GoldenCase {
+  const char* name;
+  TechniqueSpec tech;
+  std::uint32_t cluster_size;  // 0 = flat PTB balancer
+  std::uint64_t result_hash;
+  std::uint64_t trace_hash;
+  std::uint64_t stats_hash;
+};
+
+// Names the case in test listings and test names.
+void PrintTo(const GoldenCase& g, std::ostream* os) { *os << g.name; }
+
+class CycleLoopGolden : public testing::TestWithParam<GoldenCase> {};
+
+TEST_P(CycleLoopGolden, ResultTraceAndStatsBytes) {
+  const GoldenCase& g = GetParam();
+  const WorkloadProfile p = sync_heavy_profile();
+  SimConfig cfg = make_sim_config(4, g.tech);
+  cfg.ptb.cluster_size = g.cluster_size;
+  cfg.audit_level = AuditLevel::kFull;
+  RunOptions opts;
+  opts.trace_categories = kTraceAll;
+  opts.stats = true;
+  opts.stats_sample_every = 512;
+  RunResult r = CmpSimulator(cfg, p).run(opts);
+  ASSERT_FALSE(r.hit_max_cycles);
+  ASSERT_NE(r.trace, nullptr);
+  ASSERT_NE(r.stats, nullptr);
+  // The workload must really hand locks and barriers around, or the
+  // goldens would only pin the busy fast path.
+  for (const TraceCategory c : {TraceCategory::kSync, TraceCategory::kSpin}) {
+    EXPECT_GT(r.trace->logs[static_cast<std::size_t>(c)].emitted, 0u)
+        << trace_category_name(c);
+  }
+#if PTB_AUDIT_ENABLED
+  EXPECT_GT(r.audit_checks, 0u);
+#endif
+  // The audit-check count measures the auditor, not the simulation: it
+  // moves whenever a check is added or retired, so it stays out of the
+  // hashed bytes. The run above already aborts on any violation.
+  r.audit_checks = 0;
+
+  const std::uint64_t result_hash =
+      fnv1a(RunArtifact::from_result(p.name, cfg, r).to_payload());
+  const std::uint64_t trace_hash = fnv1a(r.trace->serialize());
+  const std::uint64_t stats_hash =
+      fnv1a(stats_json(r, /*include_volatile=*/false));
+  EXPECT_EQ(result_hash, g.result_hash) << "result: " << hex(result_hash);
+  EXPECT_EQ(trace_hash, g.trace_hash) << "trace: " << hex(trace_hash);
+  EXPECT_EQ(stats_hash, g.stats_hash) << "stats: " << hex(stats_hash);
+}
+
+const TechniqueSpec kPtb2LevelDyn{"ptb+2l(dyn)", TechniqueKind::kTwoLevel,
+                                  true, PtbPolicy::kDynamic, 0.0};
+
+INSTANTIATE_TEST_SUITE_P(
+    ControllerFamilies, CycleLoopGolden,
+    testing::Values(
+        GoldenCase{"none",
+                   {"base", TechniqueKind::kNone, false, PtbPolicy::kToAll,
+                    0.0},
+                   0, 0xf9e884a9589f5a2bull, 0xc6c809263ad6cb17ull, 0x8faa5dc328cfb303ull},
+        GoldenCase{"dvfs",
+                   {"dvfs", TechniqueKind::kDvfs, false, PtbPolicy::kToAll,
+                    0.0},
+                   0, 0xbe0a72d24ccdb283ull, 0xc6c809263ad6cb17ull, 0xc9aa49138691473cull},
+        GoldenCase{"ptb_2level_dyn", kPtb2LevelDyn, 0, 0xa38e2072c7b3e95aull,
+                   0x84d5924000f0282dull, 0x90c21fec28d73982ull},
+        GoldenCase{"thrifty",
+                   {"thrifty", TechniqueKind::kThriftyBarrier, false,
+                    PtbPolicy::kToAll, 0.0},
+                   0, 0x677a910edcc338c6ull, 0x5fd833c8816bb43cull, 0x6d941b8a8c14918dull},
+        GoldenCase{"meeting",
+                   {"meeting", TechniqueKind::kMeetingPoints, false,
+                    PtbPolicy::kToAll, 0.0},
+                   0, 0x296a4d54736a82f7ull, 0x0b7fd9fbeb74d597ull, 0x3f697b67c1884544ull},
+        GoldenCase{"clustered_ptb", kPtb2LevelDyn, 2, 0x2dd6d18d9f98fd6eull,
+                   0x378e9551baf0c9f8ull, 0x5361cbe62bb3ba83ull}),
+    testing::PrintToStringParamName());
+
+}  // namespace
+}  // namespace ptb

@@ -22,7 +22,6 @@ namespace {
 // --- registry units ---------------------------------------------------------
 
 TEST(StatsRegistry, DottedPathLookupAndBinding) {
-  ScopedThreadRole seq(g_sequential_point);  // registration API
   StatsRegistry reg;
   std::uint64_t commits = 0;
   double tokens = 0.0;
@@ -50,7 +49,6 @@ TEST(StatsRegistry, DottedPathLookupAndBinding) {
 }
 
 TEST(StatsRegistry, SortedIterationVsRegistrationOrder) {
-  ScopedThreadRole seq(g_sequential_point);  // registration API
   StatsRegistry reg;
   std::uint64_t a = 0, b = 0, c = 0;
   reg.counter("zeta", "", &a);
@@ -68,7 +66,6 @@ TEST(StatsRegistry, SortedIterationVsRegistrationOrder) {
 }
 
 TEST(StatsRegistry, FormulaEvaluatesLazily) {
-  ScopedThreadRole seq(g_sequential_point);  // registration API
   StatsRegistry reg;
   std::uint64_t n = 0;
   double sum = 0.0;
@@ -85,7 +82,6 @@ TEST(StatsRegistry, FormulaEvaluatesLazily) {
 }
 
 TEST(StatsRegistry, DistributionBucketsAndMoments) {
-  ScopedThreadRole seq(g_sequential_point);  // registration API
   StatsRegistry reg;
   Histogram& h = reg.distribution("lat", "latency", 0.0, 10.0, 5);
   h.add(1.0);   // bucket 0
@@ -106,7 +102,6 @@ TEST(StatsRegistry, DistributionBucketsAndMoments) {
 }
 
 TEST(StatsRegistry, VolatileStatsExcludedFromSampleBuffer) {
-  ScopedThreadRole seq(g_sequential_point);  // registration API
   StatsRegistry reg;
   std::uint64_t n = 0;
   reg.counter("n", "", &n);
@@ -126,7 +121,6 @@ TEST(StatsRegistry, VolatileStatsExcludedFromSampleBuffer) {
 }
 
 TEST(StatsRegistry, KvRenderingPinsPrecision) {
-  ScopedThreadRole seq(g_sequential_point);  // registration API
   StatsRegistry reg;
   std::uint64_t n = 3;
   double tokens = 1.25;
@@ -142,7 +136,6 @@ TEST(StatsRegistry, KvRenderingPinsPrecision) {
 // --- dump round-trip / diff -------------------------------------------------
 
 StatsDump tiny_dump() {
-  ScopedThreadRole seq(g_sequential_point);  // registration API
   StatsRegistry reg;
   static std::uint64_t n = 5;
   static double x = 0.125;

@@ -45,7 +45,7 @@ struct Token {
 /// A structured `// ptb-lint: <directive>(<args>)` marker, or the legacy
 /// `lint:allowed-wallclock` spelling (treated as allow(wallclock)).
 struct Marker {
-  std::string directive;  // "allow", "parallel-region-begin", ...
+  std::string directive;  // "allow", "cycle-loop-file", ...
   std::string args;       // raw text inside the parens (may be empty)
   int line;               // line of the comment
   bool own_line;          // comment had no code before it on its line
