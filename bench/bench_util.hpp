@@ -408,7 +408,8 @@ class BenchContext {
   }
 
   /// --checkpoint-at CYC:PATH: the reference run again, capturing a full
-  /// simulator checkpoint at cycle CYC and writing the frame to PATH.
+  /// simulator checkpoint at cycle CYC and writing the frame to PATH, then
+  /// printing the completed run's "finished at cycle N (energy E)".
   bool write_checkpoint() {
     const SimConfig cfg = reference_config();
     const WorkloadProfile& prof = benchmark_suite().front();
@@ -437,6 +438,13 @@ class BenchContext {
         prof.name.c_str(),
         static_cast<unsigned long long>(opts_.checkpoint_at),
         opts_.checkpoint_path.c_str(), frame.size());
+    // The capture run itself runs to completion; its summary matches the
+    // one --restore-from prints for a bit-identical resume.
+    std::printf(
+        "captured: %s on PTB+2Level(dyn)/16 cores -> finished at cycle %llu "
+        "(energy %.3f)\n",
+        prof.name.c_str(), static_cast<unsigned long long>(r.cycles),
+        r.energy);
     return true;
   }
 

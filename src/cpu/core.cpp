@@ -20,23 +20,34 @@ Core::Core(CoreId id, const SimConfig& cfg, MemorySystem& mem,
     : id_(id), cfg_(cfg), mem_(mem), sync_(sync), program_(program),
       energy_(energy), predictor_(cfg.core), fus_(cfg.core),
       ptht_(cfg.power.ptht_entries), rob_(cfg.core.rob_entries),
+      slots_(cfg.core.rob_entries),
       rob_mask_((cfg.core.rob_entries & (cfg.core.rob_entries - 1)) == 0
                     ? cfg.core.rob_entries - 1
                     : 0),
       fetch_limit_(cfg.core.fetch_width) {}
 
-bool Core::deps_ready(std::uint64_t seq, const MicroOp& op) const {
+bool Core::deps_ready(std::uint64_t seq, const Slot& s, Cycle now,
+                      Cycle& wake) const {
   // seq < head_seq_ + dist <=> seq - dist < head_seq_: the producer is
   // already committed (and the test also guards the unsigned underflow).
-  const std::uint8_t d1 = op.dep1;
-  if (d1 != 0 && seq >= head_seq_ + d1 &&
-      !rob_[rob_index(seq - d1)].completed) {
-    return false;
+  // A blocked op cannot become ready before its producer's done_at; an
+  // unissued producer (kNeverCycle) sits in the same scan and bounds the
+  // wake through its own producers.
+  const std::uint8_t d1 = s.dep1;
+  if (d1 != 0 && seq >= head_seq_ + d1) {
+    const Cycle t = slot(seq - d1).done_at;
+    if (t > now) {
+      wake = std::min(wake, t);
+      return false;
+    }
   }
-  const std::uint8_t d2 = op.dep2;
-  if (d2 != 0 && seq >= head_seq_ + d2 &&
-      !rob_[rob_index(seq - d2)].completed) {
-    return false;
+  const std::uint8_t d2 = s.dep2;
+  if (d2 != 0 && seq >= head_seq_ + d2) {
+    const Cycle t = slot(seq - d2).done_at;
+    if (t > now) {
+      wake = std::min(wake, t);
+      return false;
+    }
   }
   return true;
 }
@@ -65,19 +76,20 @@ void Core::deliver_value(const MicroOp& op) {
   program_.on_value(op, value);
 }
 
-void Core::process_completions(Cycle now) {
-  while (!completions_.empty() && completions_.top().first <= now) {
-    const std::uint64_t seq = completions_.top().second;
-    completions_.pop();
-    RobEntry& e = entry(seq);
-    e.completed = true;
-    if (e.op.blocks_generation) deliver_value(e.op);
-    if (waiting_branch_resolve_ && seq == mispredict_seq_) {
+void Core::resolve_completions(Cycle now) {
+  // Values reach the program in (cycle, seq) order.
+  while (!blocking_.empty() && blocking_.top().first <= now) {
+    const std::uint64_t seq = blocking_.top().second;
+    blocking_.pop();
+    deliver_value(entry(seq).op);
+  }
+  if (waiting_branch_resolve_) {
+    const Cycle t = slot(mispredict_seq_).done_at;
+    if (t <= now) {
       // The front end refills after resolution (14-stage pipeline).
       waiting_branch_resolve_ = false;
       fetch_blocked_until_ =
-          std::max(fetch_blocked_until_,
-                   e.complete_at + cfg_.core.pipeline_stages);
+          std::max(fetch_blocked_until_, t + cfg_.core.pipeline_stages);
     }
   }
 }
@@ -85,8 +97,9 @@ void Core::process_completions(Cycle now) {
 void Core::do_commit(Cycle now) {
   for (std::uint32_t n = 0; n < cfg_.core.commit_width && rob_count_ > 0;
        ++n) {
-    RobEntry& e = entry(head_seq_);
-    if (!e.completed || e.complete_at > now) break;
+    const std::size_t i = rob_index(head_seq_);
+    if (slots_[i].done_at > now) break;
+    const RobEntry& e = rob_[i];
     // Power-token accounting at commit: base cost + ROB residency
     // (Section III.B). The PTHT stores the last execution's cost.
     const double residency =
@@ -105,28 +118,35 @@ void Core::do_commit(Cycle now) {
 
 void Core::do_issue(Cycle now) {
   fus_.begin_cycle();
+  // The last scan issued nothing, and since then no producer it waits on
+  // has completed and nothing was dispatched: this scan would issue
+  // nothing either (the FUs are idle, so only dependences blocked it).
+  if (now < scan_wake_) return;
   // Advance the cursor past committed/issued prefix.
   if (issue_cursor_ < head_seq_) issue_cursor_ = head_seq_;
   while (issue_cursor_ < head_seq_ + rob_count_ &&
-         entry(issue_cursor_).issued) {
+         slot(issue_cursor_).done_at != kNeverCycle) {
     ++issue_cursor_;
   }
   std::uint32_t issued = 0;
+  Cycle wake = kNeverCycle;
   const std::uint32_t issue_width = cfg_.core.issue_width;
   const std::uint64_t tail = head_seq_ + rob_count_;
   const std::uint64_t scan_end =
       std::min(tail, issue_cursor_ + kIssueScanWindow);
   for (std::uint64_t seq = issue_cursor_;
        seq < scan_end && issued < issue_width; ++seq) {
-    RobEntry& e = entry(seq);
-    if (e.issued) continue;
-    if (!deps_ready(seq, e.op)) continue;
-    if (!fus_.try_issue(e.op.cls)) continue;
+    const std::size_t i = rob_index(seq);
+    Slot& s = slots_[i];
+    if (s.done_at != kNeverCycle) continue;
+    if (!deps_ready(seq, s, now, wake)) continue;
+    if (!fus_.try_issue(s.cls)) continue;
 
+    const MicroOp& op = rob_[i].op;
     Cycle complete_at;
-    if (e.op.is_memory()) {
+    if (op.is_memory()) {
       MemAccessType type;
-      switch (e.op.cls) {
+      switch (op.cls) {
         case OpClass::kLoad: type = MemAccessType::kLoad; break;
         case OpClass::kStore: type = MemAccessType::kStore; break;
         default: type = MemAccessType::kAtomicRmw; break;
@@ -134,18 +154,18 @@ void Core::do_issue(Cycle now) {
       // Plain stores retire into the store buffer; the write itself
       // proceeds in the background (its protocol work is already timed).
       const bool plain_store =
-          (e.op.cls == OpClass::kStore && e.op.sync == SyncRole::kNone);
+          (op.cls == OpClass::kStore && op.sync == SyncRole::kNone);
       // +1 cycle of address generation before the cache access.
-      const MemAccessResult r = mem_.access(id_, type, e.op.addr, now + 1);
+      const MemAccessResult r = mem_.access(id_, type, op.addr, now + 1);
       complete_at = plain_store ? now + 1 : r.done;
     } else {
-      complete_at = now + fus_.latency(e.op.cls);
+      complete_at = now + fus_.latency(s.cls);
     }
-    e.issued = true;
-    e.complete_at = complete_at;
-    completions_.emplace(complete_at, seq);
+    s.done_at = complete_at;
+    if (op.blocks_generation) blocking_.emplace(complete_at, seq);
     ++issued;
   }
+  scan_wake_ = issued == 0 ? wake : 0;
 }
 
 void Core::do_fetch(Cycle now) {
@@ -211,12 +231,11 @@ void Core::do_fetch(Cycle now) {
 
     // Dispatch.
     const std::uint64_t seq = head_seq_ + rob_count_;
-    RobEntry& e = entry(seq);
-    e.op = op;
-    e.dispatched_at = now;
-    e.complete_at = kNeverCycle;
-    e.issued = false;
-    e.completed = false;
+    const std::size_t i = rob_index(seq);
+    rob_[i].op = op;
+    rob_[i].dispatched_at = now;
+    slots_[i] = Slot{kNeverCycle, op.dep1, op.dep2, op.cls};
+    scan_wake_ = 0;
     ++rob_count_;
     if (op.is_memory()) ++lsq_count_;
     ++fetched;
@@ -248,7 +267,8 @@ void Core::do_fetch(Cycle now) {
 
 std::string Core::debug_string(Cycle now) const {
   char buf[256];
-  const RobEntry* head = rob_count_ ? &rob_[rob_index(head_seq_)] : nullptr;
+  const Slot* head = rob_count_ ? &slot(head_seq_) : nullptr;
+  const bool issued = head && head->done_at != kNeverCycle;
   std::snprintf(
       buf, sizeof(buf),
       "core%u rob=%u lsq=%u progfin=%d pend=%d fblock=%llu wbr=%d "
@@ -256,9 +276,9 @@ std::string Core::debug_string(Cycle now) const {
       id_, rob_count_, lsq_count_, program_finished_ ? 1 : 0,
       has_pending_op_ ? 1 : 0,
       static_cast<unsigned long long>(fetch_blocked_until_),
-      waiting_branch_resolve_ ? 1 : 0, head ? static_cast<int>(head->op.cls) : -1,
-      head ? head->issued : 0, head ? head->completed : 0,
-      head ? static_cast<unsigned long long>(head->complete_at) : 0,
+      waiting_branch_resolve_ ? 1 : 0, head ? static_cast<int>(head->cls) : -1,
+      issued ? 1 : 0, issued && head->done_at <= now ? 1 : 0,
+      issued ? static_cast<unsigned long long>(head->done_at) : 0,
       static_cast<unsigned long long>(now));
   return buf;
 }
@@ -294,7 +314,7 @@ void Core::tick(Cycle now) {
   commit_exact_ = 0.0;
   const std::uint32_t rob_before = rob_count_;
 
-  process_completions(now);
+  resolve_completions(now);
   do_commit(now);
   do_issue(now);
   do_fetch(now);
@@ -311,20 +331,17 @@ void Core::save_state(ByteWriter& w) const {
   w.u32(rob_count_);
   w.u32(lsq_count_);
   for (std::uint64_t s = head_seq_; s < head_seq_ + rob_count_; ++s) {
-    const RobEntry& e = rob_[rob_index(s)];
-    save_microop(w, e.op);
-    w.u64(e.dispatched_at);
-    w.u64(e.complete_at);
-    w.boolean(e.issued);
-    w.boolean(e.completed);
+    const std::size_t i = rob_index(s);
+    save_microop(w, rob_[i].op);
+    w.u64(rob_[i].dispatched_at);
+    w.u64(slots_[i].done_at);
   }
-  // Completion events, drained from a copy in heap order: pop order is a
-  // deterministic function of the (cycle, seq) keys, which are unique.
+  // Undelivered blocking ops, drained from a copy in heap order: pop order
+  // is a deterministic function of the (cycle, seq) keys, which are unique.
   {
-    auto copy = completions_;
+    auto copy = blocking_;
     w.u64(copy.size());
     while (!copy.empty()) {
-      w.u64(copy.top().first);
       w.u64(copy.top().second);
       copy.pop();
     }
@@ -336,7 +353,6 @@ void Core::save_state(ByteWriter& w) const {
   w.boolean(waiting_branch_resolve_);
   w.u64(mispredict_seq_);
   w.u32(fetch_limit_);
-  w.u64(issue_cursor_);
   w.u64(committed);
   w.u64(fetched);
   w.u64(flushes);
@@ -361,26 +377,48 @@ void Core::load_state(ByteReader& r) {
     return;
   }
   for (RobEntry& e : rob_) e = RobEntry{};
+  for (Slot& s : slots_) s = Slot{};
   rob_count_ = nrob;
   lsq_count_ = nlsq;
-  for (std::uint64_t s = head_seq_; s < head_seq_ + rob_count_; ++s) {
-    RobEntry& e = rob_[rob_index(s)];
+  const std::uint64_t tail = head_seq_ + rob_count_;
+  const auto in_window = [&](std::uint64_t seq) {
+    return seq >= head_seq_ && seq < tail;
+  };
+  std::uint32_t mem_ops = 0;
+  for (std::uint64_t s = head_seq_; s < tail; ++s) {
+    const std::size_t i = rob_index(s);
+    RobEntry& e = rob_[i];
     if (!load_microop(r, e.op)) return;
     e.dispatched_at = r.u64();
-    e.complete_at = r.u64();
-    e.issued = r.boolean();
-    e.completed = r.boolean();
+    slots_[i] = Slot{r.u64(), e.op.dep1, e.op.dep2, e.op.cls};
+    if (e.op.is_memory()) ++mem_ops;
   }
-  completions_ = decltype(completions_)();
-  const std::uint64_t nc = r.u64();
-  if (nc > r.remaining() / 16) {
+  if (mem_ops != lsq_count_) {
     r.fail();
     return;
   }
-  for (std::uint64_t i = 0; i < nc; ++i) {
-    const Cycle at = r.u64();
+  blocking_ = decltype(blocking_)();
+  const std::uint64_t nb = r.u64();
+  if (nb > rob_count_) {
+    r.fail();
+    return;
+  }
+  CompletionEvent prev{0, 0};
+  for (std::uint64_t k = 0; k < nb; ++k) {
     const std::uint64_t seq = r.u64();
-    completions_.emplace(at, seq);
+    if (!r.ok() || !in_window(seq)) {
+      r.fail();
+      return;
+    }
+    const CompletionEvent ev{slot(seq).done_at, seq};
+    // Only an issued generation-blocking op awaits its value, each once.
+    if (!entry(seq).op.blocks_generation || ev.first == kNeverCycle ||
+        (k > 0 && !(prev < ev))) {
+      r.fail();
+      return;
+    }
+    blocking_.push(ev);
+    prev = ev;
   }
   program_finished_ = r.boolean();
   has_pending_op_ = r.boolean();
@@ -388,8 +426,11 @@ void Core::load_state(ByteReader& r) {
   fetch_blocked_until_ = r.u64();
   waiting_branch_resolve_ = r.boolean();
   mispredict_seq_ = r.u64();
+  if (waiting_branch_resolve_ && !in_window(mispredict_seq_)) {
+    r.fail();
+    return;
+  }
   fetch_limit_ = r.u32();
-  issue_cursor_ = r.u64();
   committed = r.u64();
   fetched = r.u64();
   flushes = r.u64();
@@ -400,6 +441,8 @@ void Core::load_state(ByteReader& r) {
   stall_rob = r.u64();
   stall_lsq = r.u64();
   finish_cycle = r.u64();
+  issue_cursor_ = head_seq_;
+  scan_wake_ = 0;
 }
 
 }  // namespace ptb

@@ -106,20 +106,34 @@ class Core {
   void register_stats(StatsRegistry& reg, const std::string& prefix) const;
 
   // Checkpoint support (sim/checkpoint): pipeline, predictor, PTHT and BCT
-  // state. Per-tick scratch, the base-cost memo and the FU pools (reset at
-  // the start of every tick) are rebuilt, not serialized. Must only be
-  // called at the cycle boundary.
+  // state. Per-tick scratch, the base-cost memo, the FU pools (reset at
+  // the start of every tick), the issue cursor and the scan-skip wake are
+  // rebuilt, not serialized. Must only be called at the cycle boundary.
+  // load_state rejects (r.fail()) a window inconsistent with itself: an
+  // LSQ count that does not match its memory ops, a pending-value list
+  // naming a slot outside the window, not generation-blocking, unissued,
+  // or out of (cycle, seq) order, or a mispredict outside the window.
   void save_state(ByteWriter& w) const;
   void load_state(ByteReader& r);
 
  private:
+  /// Per-op state read only at dispatch, when the op issues and at commit.
   struct RobEntry {
     MicroOp op;
     Cycle dispatched_at = 0;
-    Cycle complete_at = kNeverCycle;
-    bool issued = false;
-    bool completed = false;
   };
+  /// Per-op state the issue scan and the commit check read, packed apart
+  /// from the 48-byte RobEntry. `done_at` is the single source of truth
+  /// for issue and completion: kNeverCycle until the op issues, then its
+  /// completion cycle. An op is complete at `now` iff done_at <= now —
+  /// every latency is >= 1, so nothing issued in a tick completes in it.
+  struct Slot {
+    Cycle done_at = kNeverCycle;
+    std::uint8_t dep1 = 0;
+    std::uint8_t dep2 = 0;
+    OpClass cls = OpClass::kNop;
+  };
+  static_assert(sizeof(Slot) == 16, "issue-window slot must stay 16 B");
 
   /// ROB slot for a sequence number. rob_entries is a power of two in every
   /// shipped config, making the wraparound a single AND; the hardware
@@ -128,6 +142,7 @@ class Core {
     return rob_mask_ != 0 ? (seq & rob_mask_) : (seq % rob_.size());
   }
   RobEntry& entry(std::uint64_t seq) { return rob_[rob_index(seq)]; }
+  const Slot& slot(std::uint64_t seq) const { return slots_[rob_index(seq)]; }
 
   // Memo of the energy model's per-static-instruction costs. exact_base is
   // a 64-bit mix + multiply and grouped_of a centroid binary search, both
@@ -143,10 +158,13 @@ class Core {
     double exact = 0.0;
     double grouped = 0.0;
   };
-  static constexpr std::size_t kBaseCostEntries = 16384;
+  // Index: bits 2-11 of the pc pick one of the first 1024 slots (one per
+  // template slot of a 4 KiB-aligned code base); bit 15 moves the sync
+  // handlers at +0x8000 into the upper 1024.
+  static constexpr std::size_t kBaseCostEntries = 2048;
 
   const BaseCost& base_cost(OpClass cls, Pc pc) {
-    BaseCost& e = base_costs_[(pc >> 2) & (kBaseCostEntries - 1)];
+    BaseCost& e = base_costs_[((pc >> 2) & 1023) | ((pc >> 5) & 1024)];
     const std::uint8_t ct = static_cast<std::uint8_t>(cls) + 1;
     if (e.tag != pc || e.cls_tag != ct) {
       e.tag = pc;
@@ -157,12 +175,13 @@ class Core {
     return e;
   }
 
-  void process_completions(Cycle now);
+  void resolve_completions(Cycle now);
   void do_commit(Cycle now);
   void do_issue(Cycle now);
   void do_fetch(Cycle now);
   void deliver_value(const MicroOp& op);
-  bool deps_ready(std::uint64_t seq, const MicroOp& op) const;
+  bool deps_ready(std::uint64_t seq, const Slot& s, Cycle now,
+                  Cycle& wake) const;
 
   CoreId id_;
   const SimConfig& cfg_;
@@ -177,15 +196,19 @@ class Core {
   BctDetector bct_;
 
   std::vector<RobEntry> rob_;
+  std::vector<Slot> slots_;      // parallel to rob_
   std::uint64_t rob_mask_ = 0;   // size-1 when size is a power of two
   std::uint64_t head_seq_ = 0;   // oldest in-flight op
   std::uint32_t rob_count_ = 0;
   std::uint32_t lsq_count_ = 0;  // memory ops resident in the ROB
 
+  // Issued generation-blocking ops whose value is not yet delivered, in
+  // (cycle, seq) order. Completion of every other op is implicit in
+  // done_at; only these need an action when they complete.
   using CompletionEvent = std::pair<Cycle, std::uint64_t>;  // (cycle, seq)
   std::priority_queue<CompletionEvent, std::vector<CompletionEvent>,
                       std::greater<>>
-      completions_;
+      blocking_;
 
   // Fetch state.
   bool program_finished_ = false;
@@ -207,6 +230,10 @@ class Core {
 
   // Issue scan cursor: the oldest sequence number that may be unissued.
   std::uint64_t issue_cursor_ = 0;
+  // Wake-time scan skip: after a scan that issued nothing, the earliest
+  // cycle a blocked op could become ready (0 = scan next tick). Dispatch
+  // resets it, since a new op may be ready at once.
+  Cycle scan_wake_ = 0;
 };
 
 }  // namespace ptb

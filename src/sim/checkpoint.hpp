@@ -42,7 +42,10 @@ namespace ptb {
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x43425450u;  // "PTBC" LE
 // Version 2 dropped the per-core in-flight sync-op count from kCores.
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+// Version 3 dropped the per-entry issued/completed flags, the full
+// completion list (now only undelivered blocking ops, by seq) and the
+// issue cursor from kCores: completion is implicit in each op's done_at.
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /// Section tags. Values are part of the on-disk format: never renumber,
 /// only append. Restore skips tags it does not know.

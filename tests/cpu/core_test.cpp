@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "mem/memory_system.hpp"
@@ -228,6 +229,226 @@ TEST_F(CoreTest, IdleWhenNothingToDo) {
   core.tick(0);
   EXPECT_TRUE(core.idle());
   EXPECT_TRUE(core.finished());
+}
+
+// FNV-1a over raw bytes (doubles hashed by bit pattern).
+struct Fnv {
+  std::uint64_t h = 1469598103934665603ull;
+  template <class T>
+  void mix(const T& v) {
+    unsigned char b[sizeof(T)];
+    std::memcpy(b, &v, sizeof(T));
+    for (unsigned char c : b) h = (h ^ c) * 1099511628211ull;
+  }
+};
+
+/// Deterministic mixed script for the per-tick golden: dependence
+/// distances 1-8 and beyond ROB occupancy, every FU class, stores, branches
+/// with scripted outcomes (mispredicts), a burst of cold loads (LSQ-full
+/// pressure), a blocking load and a lock acquire/release pair.
+std::vector<MicroOp> golden_script(const SyncState& sync) {
+  std::vector<MicroOp> ops;
+  std::uint32_t x = 12345;
+  const auto rnd = [&x] {
+    x = x * 1664525u + 1013904223u;
+    return x >> 8;
+  };
+  const auto emit_mix = [&](int n, Pc base) {
+    for (int i = 0; i < n; ++i) {
+      MicroOp op;
+      op.pc = base + static_cast<Pc>(i % 256) * 4;
+      const std::uint32_t r = rnd() % 16;
+      if (r < 5) {
+        op.cls = OpClass::kIntAlu;
+      } else if (r < 6) {
+        op.cls = OpClass::kIntMult;
+      } else if (r < 8) {
+        op.cls = OpClass::kFpAlu;
+      } else if (r < 9) {
+        op.cls = OpClass::kFpMult;
+      } else if (r < 12) {
+        op.cls = OpClass::kLoad;
+        op.addr = 0x100000 + static_cast<Addr>(rnd() % 64) * 64;
+      } else if (r < 13) {
+        op.cls = OpClass::kStore;
+        op.addr = 0x100000 + static_cast<Addr>(rnd() % 64) * 64;
+      } else {
+        op.cls = OpClass::kBranch;
+        op.branch_taken = rnd() % 3 == 0;
+      }
+      op.dep1 = static_cast<std::uint8_t>(rnd() % 9);  // 0..8
+      const std::uint32_t d2 = rnd() % 8;
+      op.dep2 = d2 == 0 ? 200 : (d2 < 3 ? static_cast<std::uint8_t>(d2) : 0);
+      ops.push_back(op);
+    }
+  };
+
+  emit_mix(400, 0x1000);
+  // Cold loads to distinct lines: more than the LSQ holds.
+  for (int i = 0; i < 96; ++i) {
+    MicroOp ld = load(0x2000 + static_cast<Pc>(i) * 4,
+                      0x400000 + static_cast<Addr>(i) * 4096);
+    ld.dep1 = static_cast<std::uint8_t>(i % 3);
+    ops.push_back(ld);
+  }
+  emit_mix(200, 0x3000);
+  MicroOp bl = load(0x4000, 0x900000);
+  bl.blocks_generation = true;
+  ops.push_back(bl);
+  emit_mix(150, 0x5000);
+  MicroOp rmw;
+  rmw.pc = 0x6000;
+  rmw.cls = OpClass::kAtomicRmw;
+  rmw.addr = sync.lock_addr(0);
+  rmw.blocks_generation = true;
+  rmw.sync = SyncRole::kLockTryAcquire;
+  rmw.sync_id = 0;
+  ops.push_back(rmw);
+  emit_mix(100, 0x7000);
+  MicroOp rel;
+  rel.pc = 0x6004;
+  rel.cls = OpClass::kStore;
+  rel.addr = sync.lock_addr(0);
+  rel.blocks_generation = true;
+  rel.sync = SyncRole::kLockRelease;
+  rel.sync_id = 0;
+  ops.push_back(rel);
+  emit_mix(300, 0x8000);
+  return ops;
+}
+
+// Pins the core model's per-tick behaviour on its own, independent of the
+// CMP loop: every tick's commit count, occupancies, token activity, idle
+// flag and stall counters are hashed. Ticks are non-consecutive (the CMP
+// skips core ticks under frequency scaling) and the fetch limit is gated
+// to 0 for a stretch, as the 2-level controller does.
+TEST_F(CoreTest, PerTickGolden) {
+  const std::vector<MicroOp> ops = golden_script(sync_);
+  ScriptProgram prog(ops);
+  Core core(0, cfg_, mem_, sync_, prog, energy_);
+  // Warm code everywhere but the last region, so the cold-load burst
+  // outruns fetch and fills the LSQ; the last region keeps I-misses.
+  for (Pc base : {0x1000, 0x2000, 0x3000, 0x4000, 0x5000, 0x6000, 0x7000}) {
+    warm_code(0, base, 1024);
+  }
+  Fnv fnv;
+  Cycle now = 0;
+  int tick = 0;
+  for (; tick < 20000 && !core.finished(); ++tick) {
+    if (tick == 300) core.set_fetch_limit(0);
+    if (tick == 420) core.set_fetch_limit(4);
+    core.tick(now);
+    fnv.mix(core.committed);
+    fnv.mix(core.rob_occupancy());
+    fnv.mix(core.lsq_occupancy());
+    fnv.mix(core.fetch_tokens_exact());
+    fnv.mix(core.commit_tokens_exact());
+    fnv.mix(core.idle());
+    fnv.mix(core.stall_branch);
+    fnv.mix(core.stall_front);
+    fnv.mix(core.stall_program);
+    fnv.mix(core.stall_rob);
+    fnv.mix(core.stall_lsq);
+    now += (tick % 7 == 3) ? 3 : (tick % 5 == 1 ? 2 : 1);
+  }
+  ASSERT_TRUE(core.finished());
+  EXPECT_EQ(core.committed, ops.size());
+  EXPECT_EQ(prog.values_seen_, 3);
+  // The script exercises every path it is meant to pin.
+  EXPECT_GT(core.flushes, 0u);
+  EXPECT_GT(core.stall_lsq, 0u);
+  EXPECT_GT(core.stall_program, 0u);
+  EXPECT_GT(core.stall_branch, 0u);
+  // Recorded before the core's event-driven issue/complete rewrite; both
+  // implementations must produce the same per-tick behaviour.
+  EXPECT_EQ(tick, 10813);
+  EXPECT_EQ(fnv.h, 1291165688424108688ull);
+}
+
+// Layout of Core::save_state after the predictor/PTHT/BCT prefix: u64
+// head_seq, u32 rob_count, u32 lsq_count, per in-flight op (26-byte
+// MicroOp, u64 dispatched_at, u64 done_at), u64 n, n x u64 seq of the
+// undelivered blocking ops, then the fetch state.
+constexpr std::size_t kOpBytes = 26;
+constexpr std::size_t kEntryBytes = kOpBytes + 16;
+
+std::string patched(std::string b, std::size_t pos, std::uint64_t v,
+                    std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    b[pos + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+  return b;
+}
+
+// A checkpoint's trailer is a checksum, not a MAC: a re-checksummed frame
+// can carry any core state, so load_state must reject a window that is
+// inconsistent with itself rather than act on it.
+TEST_F(CoreTest, LoadStateRejectsInconsistentWindow) {
+  // Window: a cold load, an ALU op waiting on it (unissued) and a blocking
+  // cold load still awaiting its value.
+  MicroOp bl = load(0x1008, 0x600000);
+  bl.blocks_generation = true;
+  const std::vector<MicroOp> ops{load(0x1000, 0x500000), alu(0x1004, 1), bl};
+  ScriptProgram prog(ops);
+  Core core(0, cfg_, mem_, sync_, prog, energy_);
+  warm_code(0, 0x1000, 64);
+  for (Cycle t = 0; t < 10; ++t) core.tick(t);
+  ASSERT_EQ(core.rob_occupancy(), 3u);
+  ASSERT_EQ(core.lsq_occupancy(), 2u);
+  ASSERT_EQ(prog.values_seen_, 0);
+
+  ByteWriter w;
+  core.save_state(w);
+  const std::string saved = w.data();
+  ByteWriter prefix;
+  core.predictor().save_state(prefix);
+  core.ptht().save_state(prefix);
+  core.bct().save_state(prefix);
+  const std::size_t base = prefix.data().size();
+  const std::size_t lsq_at = base + 12;
+  const auto done_at = [&](std::size_t k) {
+    return base + 16 + k * kEntryBytes + kOpBytes + 8;
+  };
+  const std::size_t list_at = base + 16 + 3 * kEntryBytes;
+  const std::size_t wbr_at = list_at + 16 + 2 + kOpBytes + 8;
+
+  const auto loads = [&](const std::string& bytes, std::string* resaved) {
+    ScriptProgram p(ops);
+    Core fresh(0, cfg_, mem_, sync_, p, energy_);
+    ByteReader r(bytes);
+    fresh.load_state(r);
+    if (resaved != nullptr) {
+      ByteWriter again;
+      fresh.save_state(again);
+      *resaved = again.data();
+    }
+    return r.ok();
+  };
+
+  std::string resaved;
+  ASSERT_TRUE(loads(saved, &resaved));
+  EXPECT_EQ(resaved, saved);
+  ByteReader list(std::string_view(saved).substr(list_at));
+  ASSERT_EQ(list.u64(), 1u);  // one undelivered blocking op...
+  ASSERT_EQ(list.u64(), 2u);  // ...at seq 2
+
+  // LSQ count that does not match the memory ops in the window.
+  EXPECT_FALSE(loads(patched(saved, lsq_at, 1, 4), nullptr));
+  // Pending-value list naming a seq outside the window, a non-blocking
+  // issued op, and a never-issued op.
+  EXPECT_FALSE(loads(patched(saved, list_at + 8, 3, 8), nullptr));
+  EXPECT_FALSE(loads(patched(saved, list_at + 8, 0, 8), nullptr));
+  EXPECT_FALSE(loads(patched(saved, list_at + 8, 1, 8), nullptr));
+  // The listed blocking op marked never-issued.
+  EXPECT_FALSE(loads(patched(saved, done_at(2), kNeverCycle, 8), nullptr));
+  // The same op listed twice (would deliver its value twice).
+  std::string twice = patched(saved, list_at, 2, 8);
+  twice.insert(list_at + 8, saved.substr(list_at + 8, 8));
+  EXPECT_FALSE(loads(twice, nullptr));
+  // A mispredict awaiting resolution outside the window.
+  std::string wbr = patched(saved, wbr_at, 1, 1);
+  EXPECT_FALSE(loads(patched(wbr, wbr_at + 1, 7, 8), nullptr));
+  EXPECT_TRUE(loads(patched(wbr, wbr_at + 1, 0, 8), nullptr));
 }
 
 TEST_F(CoreTest, RobOccupancyBounded) {

@@ -22,8 +22,11 @@
 #include <cstdint>
 #include <string>
 
+#include "cpu/branch_predictor.hpp"
+#include "power/ptht.hpp"
 #include "sim/cmp.hpp"
 #include "sim/experiment.hpp"
+#include "sync/bct_detector.hpp"
 #include "sim/reporting.hpp"
 #include "trace/trace.hpp"
 #include "workloads/suite.hpp"
@@ -189,6 +192,17 @@ TEST(CheckpointFrame, WrongMagicAndVersionDiagnosed) {
     ASSERT_FALSE(r.parse(mut));
     EXPECT_NE(r.error().find("version"), std::string::npos) << r.error();
   }
+  {
+    // A frame of the previous layout is refused by name, never misparsed.
+    std::string mut = bytes;
+    mut[4] = static_cast<char>(kCheckpointVersion - 1);
+    CheckpointReader r;
+    ASSERT_FALSE(r.parse(mut));
+    EXPECT_NE(r.error().find("unsupported checkpoint version " +
+                             std::to_string(kCheckpointVersion - 1)),
+              std::string::npos)
+        << r.error();
+  }
 }
 
 TEST(CheckpointFrame, FileRoundTripAndMissingFile) {
@@ -267,6 +281,59 @@ TEST(CheckpointRestore, CorruptFrameRejectedWithDiagnostic) {
   std::string err;
   EXPECT_FALSE(sim.restore_checkpoint(ckpt, &err));
   EXPECT_NE(err.find("checksum"), std::string::npos) << err;
+}
+
+// The trailer is a checksum, not a MAC: a re-checksummed frame whose core
+// window is inconsistent with itself (here core 0's LSQ count no longer
+// matches its in-flight memory ops) must fail the section loader.
+TEST(CheckpointRestore, InconsistentCoreWindowRejected) {
+  const WorkloadProfile p = small_profile();
+  const SimConfig cfg = make_sim_config(4, ptb_spec());
+  const std::string ckpt = capture_at(p, cfg, 500);
+  CheckpointReader in;
+  ASSERT_TRUE(in.parse(ckpt)) << in.error();
+  // Re-frames the capture with a replacement kCores payload.
+  const auto reframe = [&](const std::string& cores) {
+    CheckpointWriter w(in.header());
+    for (std::uint32_t tag = 1;
+         tag <= static_cast<std::uint32_t>(CkptSection::kResPower); ++tag) {
+      const auto t = static_cast<CkptSection>(tag);
+      if (!in.has_section(t)) continue;
+      const std::string_view body =
+          t == CkptSection::kCores ? std::string_view(cores) : in.section(t);
+      w.section(t).raw(body.data(), body.size());
+    }
+    return w.finish();
+  };
+
+  std::string cores(in.section(CkptSection::kCores));
+  // Core 0's state opens the section: skip its predictor/PTHT/BCT prefix
+  // to reach u64 head_seq, u32 rob_count, u32 lsq_count.
+  ByteReader r(cores);
+  GsharePredictor(cfg.core).load_state(r);
+  Ptht(cfg.power.ptht_entries).load_state(r);
+  BctDetector().load_state(r);
+  ASSERT_TRUE(r.ok());
+  ByteReader counts(std::string_view(cores).substr(cores.size() -
+                                                   r.remaining() + 8));
+  const std::uint32_t nrob = counts.u32();
+  const std::uint32_t nlsq = counts.u32();
+  ASSERT_GT(nrob, 0u);
+  // Stays within [0, rob_count], so only the window check can catch it.
+  const std::uint32_t bad = nlsq > 0 ? nlsq - 1 : nlsq + 1;
+  const std::size_t at = cores.size() - r.remaining() + 12;
+  for (int i = 0; i < 4; ++i) {
+    cores[at + i] = static_cast<char>((bad >> (8 * i)) & 0xff);
+  }
+
+  std::string err;
+  CmpSimulator control(cfg, p);
+  ASSERT_TRUE(control.restore_checkpoint(
+      reframe(std::string(in.section(CkptSection::kCores))), &err))
+      << err;
+  CmpSimulator sim(cfg, p);
+  EXPECT_FALSE(sim.restore_checkpoint(reframe(cores), &err));
+  EXPECT_NE(err.find("section payload rejected"), std::string::npos) << err;
 }
 
 // --- restore-vs-continuous exactness ----------------------------------------
