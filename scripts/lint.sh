@@ -4,6 +4,8 @@
 #      use wall-clock time, hardware entropy, or iteration-order-dependent
 #      containers — every table/JSON byte must be reproducible at any
 #      worker count (see sim/run_pool.hpp and scripts/regen_results.sh);
+#      hashing and JSON escaping have one implementation, in src/common/;
+#      FP contraction stays off;
 #   2. doc drift (always run): every CLI flag the shared bench harness
 #      (bench/bench_util.hpp) advertises must be documented in
 #      EXPERIMENTS.md;
@@ -94,6 +96,30 @@ out=$(grep -rn --include='*.cpp' --include='*.hpp' -A 2 \
 if [[ -n "$out" ]]; then
   finding "range-for over an unordered container in a result path \
 (iteration order is unspecified; use std::map/std::set or sort first):" "$out"
+fi
+
+# One mechanism per job: the FNV-1a loop lives in src/common/bytes.hpp and
+# the JSON string escaper in src/common/json.cpp. The FNV prime or the
+# \u%04x escape literal anywhere else marks a private copy that can drift
+# from the shared one (and from the cache keys and fingerprints it names).
+# Tests are exempt: they pin goldens with independent implementations.
+out=$(grep -rns --include='*.cpp' --include='*.hpp' -F \
+  -e '0x100000001b3' -e '\\u%04x' src bench examples tools \
+  | grep -v '^src/common/' || true)
+if [[ -n "$out" ]]; then
+  finding "private FNV-1a or JSON-escape copy outside src/common/ (use \
+fnv_mix from common/bytes.hpp or json::escape from common/json.hpp):" "$out"
+fi
+
+# Floating-point contraction must stay off for every target (DESIGN.md
+# determinism contract): a fused a*b+c rounds once instead of twice, so an
+# FMA-capable host would drift from results/ in the last ulp.
+if [[ -f src/CMakeLists.txt ]] &&
+   ! grep -v '^[[:space:]]*#' src/CMakeLists.txt |
+     grep -q -e '-ffp-contract=off'; then
+  finding "src/CMakeLists.txt no longer passes -ffp-contract=off \
+(FMA contraction changes results by an ulp on FMA hosts):" \
+    "src/CMakeLists.txt"
 fi
 
 # --- 2. doc drift: bench CLI flags must be documented -----------------------

@@ -1,5 +1,7 @@
 // Byte-stable little-endian (de)serialization primitives, shared by the
-// trace subsystem, the disk run-cache and the checkpoint plane.
+// trace subsystem, the disk run-cache and the checkpoint plane, plus the
+// one FNV-1a hash behind every config fingerprint, run key and frame
+// checksum.
 //
 // Contract (the trace-frame idiom, generalized):
 //   - every field is written byte-by-byte, never as a struct (padding bytes
@@ -18,9 +20,30 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace ptb {
+
+/// FNV-1a 64-bit offset basis: the starting state of every hash below.
+inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+/// Folds `n` bytes into the FNV-1a state `h`, in order.
+inline void fnv_mix(std::uint64_t& h, const void* data, std::size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;  // FNV-1a 64-bit prime
+  }
+}
+
+/// Folds the host-order bytes of one field. Hash field by field, never a
+/// struct at once: padding bytes are indeterminate.
+template <typename T>
+void fnv_mix_value(std::uint64_t& h, const T& v) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  fnv_mix(h, &v, sizeof(v));
+}
 
 class ByteWriter {
  public:

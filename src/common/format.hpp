@@ -4,11 +4,14 @@
 // "12.34") and break cross-machine diffs of summaries, stats dumps and JSON
 // documents. These helpers are the single formatting path for all exported
 // floats: they format via snprintf and then pin the decimal separator back
-// to '.', so output bytes are identical under any locale.
+// to '.', so output bytes are identical under any locale. hex16 /
+// parse_hex16 are the one spelling of 64-bit keys and fingerprints.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 
 namespace ptb {
 
@@ -42,6 +45,31 @@ inline std::string format_g17(double v) {
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   detail::pin_decimal_point(buf);
   return buf;
+}
+
+/// Fixed-width lowercase hex of a run key or fingerprint: 16 digits,
+/// zero-padded ("00000000deadbeef").
+inline std::string hex16(std::uint64_t v) {
+  char buf[20];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+/// Strict inverse of hex16: exactly 16 lowercase hex digits, else false
+/// (`out` untouched).
+inline bool parse_hex16(std::string_view s, std::uint64_t& out) {
+  if (s.size() != 16) return false;
+  std::uint64_t v = 0;
+  for (const char c : s) {
+    v <<= 4;
+    if (c >= '0' && c <= '9') v |= static_cast<std::uint64_t>(c - '0');
+    else if (c >= 'a' && c <= 'f')
+      v |= static_cast<std::uint64_t>(c - 'a' + 10);
+    else return false;
+  }
+  out = v;
+  return true;
 }
 
 }  // namespace ptb

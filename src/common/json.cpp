@@ -1,8 +1,11 @@
 #include "common/json.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+
+#include "common/format.hpp"
 
 namespace ptb::json {
 
@@ -55,9 +58,7 @@ Value Value::number(double d) {
   Value v;
   v.kind_ = Kind::kNumber;
   v.num_ = d;
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  v.str_ = buf;
+  v.str_ = format_g17(d);
   return v;
 }
 

@@ -1,18 +1,22 @@
-// Generic JSON document model with a strict recursive-descent parser and a
-// canonical writer — the shared substrate for every JSON interchange surface
-// that must *read* documents (the serve request bodies, the disk run-cache
-// artifacts). Producers that only ever write (stats/dump.cpp, reporting.cpp)
-// keep their hand-rolled emitters; this module exists for the consumers.
+// Generic JSON document model with a strict recursive-descent parser — the
+// project's only JSON reader and only string escaper. Every surface that
+// reads a document goes through parse() (serve request bodies, disk
+// run-cache artifacts, stats dumps); every writer, hand-rolled or not
+// (stats/dump.cpp, sim/reporting.cpp, the serve span export), escapes
+// strings with escape() and renders doubles with format_g17
+// (common/format.hpp).
 //
-// Strictness contract (same spirit as StatsDump::parse_json): the whole
-// input must be one JSON value plus trailing whitespace, no comments, no
-// trailing commas, objects keep insertion order (never hash order — parsed
-// documents feed deterministic output paths). parse() never throws; a
-// malformed document returns false with a position-carrying error message.
+// Strictness contract: the whole input must be one JSON value plus
+// trailing whitespace, no comments, no trailing commas, objects keep
+// insertion order (never hash order — parsed documents feed deterministic
+// output paths). Nesting deeper than 64 levels is rejected, so a hostile
+// "[[[[..." cannot blow the stack. parse() never throws; a malformed
+// document returns false with a position-carrying error message.
 //
 // Numbers keep their raw source text alongside the double value so 64-bit
-// integers round-trip exactly (u64() re-parses the raw text; a double can
-// only hold 53 bits).
+// integers round-trip exactly (as_u64() re-parses the raw text; a double
+// can only hold 53 bits) and integer fields can reject "1.9", "-1" or
+// "1e300" instead of casting them.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,8 @@
 #include "serve/server.hpp"
 
-#include <cstdio>
 #include <utility>
 
+#include "common/format.hpp"
 #include "common/json.hpp"
 #include "trace/serve_span.hpp"
 
@@ -15,19 +15,6 @@ HttpResponse error_response(int status, const std::string& message) {
   r.status = status;
   r.body = "{\"error\":\"" + json::escape(message) + "\"}";
   return r;
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::string ms_str(double ms) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", ms);
-  return buf;
 }
 
 const std::string* response_header(const HttpResponse& r,
@@ -124,7 +111,7 @@ HttpResponse Server::handle(const HttpRequest& req) {
   if (log.should_log(resp.status)) {
     const std::string* cache = response_header(resp, "X-Ptb-Cache");
     const std::string* job = response_header(resp, "X-Ptb-Job");
-    std::string line = "{\"ts_ms\":" + ms_str(t1);
+    std::string line = "{\"ts_ms\":" + format_fixed(t1, 3);
     if (rec != nullptr) {
       line += ",\"trace\":\"" + hex16(ctx.trace_id) + "\"";
     }
@@ -135,7 +122,7 @@ HttpResponse Server::handle(const HttpRequest& req) {
       line += ",\"query\":\"" + json::escape(req.query) + "\"";
     }
     line += ",\"status\":" + std::to_string(resp.status);
-    line += ",\"dur_ms\":" + ms_str(t1 - t0);
+    line += ",\"dur_ms\":" + format_fixed(t1 - t0, 3);
     if (cache != nullptr) line += ",\"cache\":\"" + *cache + "\"";
     if (job != nullptr) {
       line += ",\"job\":\"" + *job + "\"";
@@ -148,7 +135,7 @@ HttpResponse Server::handle(const HttpRequest& req) {
           for (std::size_t i = 0; i < stages.size(); ++i) {
             if (i) line += ",";
             line += "\"" + json::escape(stages[i].first) +
-                    "\":" + ms_str(stages[i].second);
+                    "\":" + format_fixed(stages[i].second, 3);
           }
           line += "}";
         }

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/format.hpp"
 #include "common/json.hpp"
 #include "serve/http.hpp"
 #include "stats/dump.hpp"
@@ -36,27 +37,6 @@ constexpr const char* kStageNames[] = {
     "parse",    "queue_wait", "admission_wait", "cache_probe",
     "simulate", "serialize",  "cache_publish",
 };
-
-std::string hex16(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-bool parse_hex16(const std::string& s, std::uint64_t& out) {
-  if (s.size() != 16) return false;
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    v <<= 4;
-    if (c >= '0' && c <= '9') v |= static_cast<std::uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f')
-      v |= static_cast<std::uint64_t>(c - 'a' + 10);
-    else return false;
-  }
-  out = v;
-  return true;
-}
 
 }  // namespace
 

@@ -4,38 +4,32 @@
 // every piece of run state is in scope.
 #include "sim/checkpoint.hpp"
 
-#include <atomic>
-#include <cstdio>
 #include <filesystem>
 
-#include <unistd.h>
-
 #include "common/assert.hpp"
+#include "common/file.hpp"
 #include "sim/reporting.hpp"
 
 namespace ptb {
 
 namespace {
 
-constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 constexpr std::size_t kFrameHeaderBytes = 4 + 4 + 8 + 8;
 
+/// Folds `v` as little-endian bytes, whatever the host byte order.
 void fnv_mix_u64(std::uint64_t& h, std::uint64_t v) {
+  unsigned char le[8];
   for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
+    le[i] = static_cast<unsigned char>(v >> (8 * i));
   }
+  fnv_mix(h, le, sizeof(le));
 }
 
 }  // namespace
 
 std::uint64_t checkpoint_checksum(std::string_view bytes) {
   std::uint64_t h = kFnvBasis;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
+  fnv_mix(h, bytes.data(), bytes.size());
   return h;
 }
 
@@ -46,10 +40,7 @@ std::uint64_t checkpoint_fingerprint(const SimConfig& cfg,
   fnv_mix_u64(h, kCheckpointVersion);
   fnv_mix_u64(h, machine_fingerprint(cfg));
   fnv_mix_u64(h, cfg.seed);
-  for (const char c : benchmark) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
+  fnv_mix(h, benchmark.data(), benchmark.size());
   fnv_mix_u64(h, cycle);
   return h;
 }
@@ -192,50 +183,12 @@ bool save_checkpoint_file(const std::string& path, std::string_view bytes,
     std::error_code ec;
     std::filesystem::create_directories(p.parent_path(), ec);
   }
-  // Unique temp in the target directory + rename: the disk-cache publish
-  // idiom; readers only ever see a complete frame.
-  static std::atomic<std::uint64_t> counter{0};
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
-                          std::to_string(counter.fetch_add(1));
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    if (err != nullptr) *err = "cannot open '" + tmp + "' for writing";
-    return false;
-  }
-  const bool wrote =
-      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
-    std::remove(tmp.c_str());
-    if (err != nullptr) *err = "short write to '" + tmp + "'";
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    if (err != nullptr) *err = "cannot rename into '" + path + "'";
-    return false;
-  }
-  return true;
+  return write_file(path, bytes, err);
 }
 
 bool load_checkpoint_file(const std::string& path, std::string& out,
                           std::string* err) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    if (err != nullptr) *err = "cannot open checkpoint '" + path + "'";
-    return false;
-  }
-  out.clear();
-  char buf[1 << 16];
-  std::size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, got);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok) {
-    out.clear();
-    if (err != nullptr) *err = "read error on checkpoint '" + path + "'";
-  }
-  return ok;
+  return read_file(path, out, err, "checkpoint");
 }
 
 }  // namespace ptb

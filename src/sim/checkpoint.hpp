@@ -143,8 +143,9 @@ class CheckpointReader {
 /// FNV-1a over a byte buffer (the frame checksum).
 std::uint64_t checkpoint_checksum(std::string_view bytes);
 
-/// Atomic file write (temp + rename, the disk-cache publish idiom):
-/// concurrent readers see either the old file or the complete new one.
+/// Creates the parent directory, then publishes atomically
+/// (common/file.hpp write_file): concurrent readers see either the old
+/// file or the complete new one.
 bool save_checkpoint_file(const std::string& path, std::string_view bytes,
                           std::string* err);
 /// Whole-file read; false with a diagnostic when missing or unreadable.

@@ -10,19 +10,17 @@
 // does not match the requested address all reject the entry (it is counted,
 // unlinked, and reads as a miss), so a truncated write or a bit-flip can
 // never serve wrong bytes; the caller re-simulates and the overwrite heals
-// the slot. Writes go to a unique temp file in the same directory and
-// rename() into place, so readers only ever see complete entries.
-#include <cstdio>
+// the slot. Writes publish through common/file.hpp's write_file (unique
+// temp file beside the entry, then rename()), so readers only ever see
+// complete entries.
+#include <algorithm>
 #include <filesystem>
 #include <string>
-
-#include <unistd.h>
-
-#include <algorithm>
 #include <vector>
 
 #include "common/assert.hpp"
 #include "common/bytes.hpp"
+#include "common/file.hpp"
 #include "common/format.hpp"
 #include "common/json.hpp"
 #include "sim/checkpoint.hpp"
@@ -37,47 +35,6 @@ namespace {
 
 constexpr char kMagic[4] = {'P', 'T', 'B', 'R'};
 constexpr std::uint32_t kFrameVersion = 1;
-
-std::string hex16(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-bool parse_hex16(const std::string& s, std::uint64_t& out) {
-  if (s.size() != 16) return false;
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    v <<= 4;
-    if (c >= '0' && c <= '9') v |= static_cast<std::uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f')
-      v |= static_cast<std::uint64_t>(c - 'a' + 10);
-    else return false;
-  }
-  out = v;
-  return true;
-}
-
-void fnv_mix_bytes(std::uint64_t& h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-}
-
-bool read_file(const std::string& path, std::string& out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  out.clear();
-  char buf[1 << 16];
-  std::size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, got);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
-}
 
 }  // namespace
 
@@ -199,12 +156,10 @@ DiskRunCache::DiskRunCache(std::string dir) : dir_(std::move(dir)) {
 
 std::uint64_t DiskRunCache::run_key(std::string_view benchmark,
                                     const SimConfig& cfg) {
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV offset basis
-  const std::uint32_t schema = RunArtifact::kSchemaVersion;
-  fnv_mix_bytes(h, &schema, sizeof(schema));
-  const std::uint64_t fp = config_fingerprint(cfg);
-  fnv_mix_bytes(h, &fp, sizeof(fp));
-  fnv_mix_bytes(h, benchmark.data(), benchmark.size());
+  std::uint64_t h = kFnvBasis;
+  fnv_mix_value(h, RunArtifact::kSchemaVersion);
+  fnv_mix_value(h, config_fingerprint(cfg));
+  fnv_mix(h, benchmark.data(), benchmark.size());
   return h;
 }
 
@@ -249,28 +204,7 @@ bool DiskRunCache::store(std::uint64_t key, std::string_view payload) const {
   w.u64(payload.size());
   w.u64(key);
   w.raw(payload.data(), payload.size());
-  const std::string framed = w.take();
-
-  // Unique temp name per (process, store): concurrent writers of the same
-  // key never clobber each other's partial file, and rename() makes the
-  // publish atomic.
-  static std::atomic<std::uint64_t> counter{0};
-  const std::string tmp = dir_ + "/.tmp." + hex16(key) + "." +
-                          std::to_string(::getpid()) + "." +
-                          std::to_string(counter.fetch_add(1));
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool wrote =
-      std::fwrite(framed.data(), 1, framed.size(), f) == framed.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path_for(key).c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
+  if (!write_file(path_for(key), w.data())) return false;
   stores_.fetch_add(1);
   enforce_quota();
   return true;
@@ -340,7 +274,7 @@ void DiskRunCache::enforce_quota() const {
     if (ec) return;  // directory races with concurrent eviction: give up
     const std::string name = de.path().filename().string();
     // Only our published entries participate: .run artifacts and
-    // ckpt-*.ptbc images. In-flight temp files (.tmp.*) are someone's
+    // ckpt-*.ptbc images. In-flight temp files (*.tmp.*) are someone's
     // pending publish, never reaped here.
     const bool is_run = name.size() == 20 && name.ends_with(".run");
     const bool is_ckpt =

@@ -1,10 +1,10 @@
 #include "sim/reporting.hpp"
 
-#include <cinttypes>
 #include <cstdio>
-#include <type_traits>
 
-#include "common/assert.hpp"
+#include "common/bytes.hpp"
+#include "common/format.hpp"
+#include "common/json.hpp"
 #include "stats/dump.hpp"
 
 namespace ptb {
@@ -26,15 +26,6 @@ void print_metric(const FigureGrid& g, const std::string& title,
   tbl.print(title);
 }
 
-/// Shortest round-trippable representation of a double (%.17g collapses to
-/// the shortest form that still parses back bit-exactly often enough for
-/// stable diffs; the value itself is bit-identical across worker counts).
-std::string json_number(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 std::string metric_matrix_json(const FigureGrid& g,
                                double Normalized::*field) {
   std::string out = "[";
@@ -43,7 +34,7 @@ std::string metric_matrix_json(const FigureGrid& g,
     out += "[";
     for (std::size_t c = 0; c < g.grid[r].size(); ++c) {
       if (c) out += ",";
-      out += json_number(g.grid[r][c].*field);
+      out += format_g17(g.grid[r][c].*field);
     }
     out += "]";
   }
@@ -59,25 +50,11 @@ std::string string_array_json(const std::vector<std::string>& v) {
     // -Wrestrict for `"lit" + std::string(...)` (GCC PR 105329), which
     // the PTB_WERROR=ON release build promotes to an error.
     out += '"';
-    out += json_escape(v[i]);
+    out += json::escape(v[i]);
     out += '"';
   }
   out += "]";
   return out;
-}
-
-void fnv_mix(std::uint64_t& h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-}
-
-template <typename T>
-void fnv_mix_value(std::uint64_t& h, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  fnv_mix(h, &v, sizeof(v));
 }
 
 }  // namespace
@@ -101,7 +78,7 @@ void print_slowdown(const FigureGrid& grid, const std::string& title) {
 // status fails the lint.
 // ptb-lint: fingerprint-exclude(audit_level, trace)
 std::uint64_t machine_fingerprint(const SimConfig& cfg) {
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV offset basis
+  std::uint64_t h = kFnvBasis;
   // Field-by-field (never struct-at-once: padding bytes are
   // indeterminate). Every field that can change a result participates;
   // the exclusion list above names what is deliberately absent.
@@ -212,30 +189,6 @@ std::uint64_t config_fingerprint(const SimConfig& cfg) {
   return h;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(ch));
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
-
 std::string stats_json(const RunResult& r, bool include_volatile) {
   return r.stats ? r.stats->to_json(include_volatile) : std::string();
 }
@@ -247,7 +200,7 @@ std::string stats_prometheus(const RunResult& r) {
 std::string figure_grid_json(const FigureGrid& grid,
                              const std::string& title) {
   std::string out = "{";
-  out += "\"title\":\"" + json_escape(title) + "\",";
+  out += "\"title\":\"" + json::escape(title) + "\",";
   out += "\"row_labels\":" + string_array_json(grid.row_labels) + ",";
   out += "\"technique_labels\":" + string_array_json(grid.technique_labels) +
          ",";
@@ -263,7 +216,7 @@ std::string figure_grid_json(const FigureGrid& grid,
 
 std::string table_json(const Table& t, const std::string& title) {
   std::string out = "{";
-  out += "\"title\":\"" + json_escape(title) + "\",";
+  out += "\"title\":\"" + json::escape(title) + "\",";
   std::vector<std::string> header;
   for (std::size_t c = 0; c < t.cols(); ++c) header.push_back(t.header(c));
   out += "\"header\":" + string_array_json(header) + ",";
@@ -294,20 +247,19 @@ void BenchReport::set_meta(const std::string& key, const std::string& value) {
 }
 
 std::string BenchReport::to_json() const {
-  char fp[24];
-  std::snprintf(fp, sizeof(fp), "%016" PRIx64, config_fingerprint(SimConfig{}));
   std::string out = "{";
-  out += "\"bench\":\"" + json_escape(bench_name_) + "\",";
+  out += "\"bench\":\"" + json::escape(bench_name_) + "\",";
   out += "\"schema_version\":1,";
-  out += "\"config_fingerprint\":\"" + std::string(fp) + "\",";
+  out += "\"config_fingerprint\":\"" + hex16(config_fingerprint(SimConfig{})) +
+         "\",";
   out += "\"seeds\":" + std::to_string(seeds_) + ",";
   out += "\"meta\":{";
   for (std::size_t i = 0; i < meta_.size(); ++i) {
     if (i) out += ",";
     out += '"';  // += chain: see string_array_json (GCC PR 105329)
-    out += json_escape(meta_[i].first);
+    out += json::escape(meta_[i].first);
     out += "\":\"";
-    out += json_escape(meta_[i].second);
+    out += json::escape(meta_[i].second);
     out += '"';
   }
   out += "},";

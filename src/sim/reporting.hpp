@@ -36,9 +36,6 @@ std::uint64_t config_fingerprint(const SimConfig& cfg);
 /// both fingerprints.
 std::uint64_t machine_fingerprint(const SimConfig& cfg);
 
-/// JSON string literal escaping (quotes, backslashes, control chars).
-std::string json_escape(const std::string& s);
-
 /// RunResult::stats as JSON (src/stats exposition). Empty string when the
 /// run carried no stats (RunOptions::stats was off). Deterministic dumps
 /// (include_volatile = false) exclude the wall-clock self-profiling gauges

@@ -1,11 +1,13 @@
 #include "trace/serve_span.hpp"
 
-#include <cstdio>
 #include <map>
 #include <sstream>
 #include <utility>
 
 #include "common/bytes.hpp"
+#include "common/file.hpp"
+#include "common/format.hpp"
+#include "common/json.hpp"
 
 namespace ptb {
 
@@ -18,44 +20,9 @@ constexpr char kMagic[8] = {'P', 'T', 'B', 'S', 'P', 'A', 'N', 'L'};
 // bound the span count against the remaining bytes before reserving.
 constexpr std::size_t kMinSpanBytes = 8 + 4 + 4 + 8 + 8 + 4 + 4;
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 /// Microseconds as a decimal literal (Perfetto `ts`/`dur` unit), printed
 /// with a pinned format so the export is locale-independent.
-std::string usec(double ms) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.3f", ms * 1000.0);
-  return buf;
-}
+std::string usec(double ms) { return format_fixed(ms * 1000.0, 3); }
 
 }  // namespace
 
@@ -109,26 +76,12 @@ bool ServeSpanLog::deserialize(std::string_view bytes, ServeSpanLog& out) {
 }
 
 bool ServeSpanLog::save(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const std::string bytes = serialize();
-  const std::size_t n = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool ok = n == bytes.size() && std::fclose(f) == 0;
-  if (n != bytes.size()) std::fclose(f);
-  return ok;
+  return write_file(path, serialize());
 }
 
 bool ServeSpanLog::load(const std::string& path, ServeSpanLog& out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
   std::string bytes;
-  char chunk[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    bytes.append(chunk, n);
-  }
-  std::fclose(f);
-  return deserialize(bytes, out);
+  return read_file(path, bytes) && deserialize(bytes, out);
 }
 
 std::string serve_spans_chrome_json(const ServeSpanLog& log) {
@@ -153,16 +106,16 @@ std::string serve_spans_chrome_json(const ServeSpanLog& log) {
     const auto l = label_of.find(trace_id);
     if (l != label_of.end()) label += " " + l->second;
     out << ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":"
-        << tid << ",\"args\":{\"name\":\"" << json_escape(label) << "\"}}";
+        << tid << ",\"args\":{\"name\":\"" << json::escape(label) << "\"}}";
   }
   for (const ServeSpan& s : log.spans) {
-    out << ",\n{\"name\":\"" << json_escape(s.name)
+    out << ",\n{\"name\":\"" << json::escape(s.name)
         << "\",\"ph\":\"X\",\"pid\":0,\"tid\":" << tid_of[s.trace_id]
         << ",\"ts\":" << usec(s.start_ms)
         << ",\"dur\":" << usec(s.end_ms - s.start_ms)
         << ",\"args\":{\"trace\":\"" << hex16(s.trace_id)
         << "\",\"span\":" << s.span_id << ",\"parent\":" << s.parent_id;
-    if (!s.note.empty()) out << ",\"note\":\"" << json_escape(s.note) << "\"";
+    if (!s.note.empty()) out << ",\"note\":\"" << json::escape(s.note) << "\"";
     out << "}}";
   }
   out << "\n]}\n";

@@ -53,6 +53,7 @@ struct ServeSpanLog {
   /// lengths or trailing bytes all reject (false, `out` untouched).
   static bool deserialize(std::string_view bytes, ServeSpanLog& out);
 
+  /// serialize() published atomically / read back whole (common/file.hpp).
   bool save(const std::string& path) const;
   static bool load(const std::string& path, ServeSpanLog& out);
 };

@@ -1,9 +1,9 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/assert.hpp"
+#include "common/file.hpp"
 
 namespace ptb {
 
@@ -194,23 +194,12 @@ bool EventTrace::deserialize(std::string_view bytes, EventTrace& out) {
 }
 
 bool EventTrace::save(const std::string& path) const {
-  const std::string bytes = serialize();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool ok =
-      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-  return std::fclose(f) == 0 && ok;
+  return write_file(path, serialize());
 }
 
 bool EventTrace::load(const std::string& path, EventTrace& out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
   std::string bytes;
-  char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
-  std::fclose(f);
-  return deserialize(bytes, out);
+  return read_file(path, bytes) && deserialize(bytes, out);
 }
 
 // --- TraceRing --------------------------------------------------------------

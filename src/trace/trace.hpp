@@ -150,6 +150,7 @@ struct EventTrace {
   /// corrupt or version-mismatched buffer.
   static bool deserialize(std::string_view bytes, EventTrace& out);
 
+  /// serialize() published atomically / read back whole (common/file.hpp).
   bool save(const std::string& path) const;
   static bool load(const std::string& path, EventTrace& out);
 };

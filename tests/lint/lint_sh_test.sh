@@ -140,6 +140,50 @@ EOF
 run_case "unordered-range-for" 1 "range-for over an unordered container" \
   "/nonexistent-ptb-lint"
 
+# --- section 1: private FNV-1a / JSON-escape copies ------------------------
+make_tree "$tmp/tree"
+cat >> "$tmp/tree/src/clean.cpp" <<'EOF'
+unsigned long long mix(unsigned long long h, unsigned char c) {
+  return (h ^ c) * 0x100000001b3ull;
+}
+EOF
+run_case "fnv-copy" 1 "private FNV-1a or JSON-escape copy" \
+  "/nonexistent-ptb-lint"
+
+make_tree "$tmp/tree"
+mkdir -p "$tmp/tree/tools"
+cat > "$tmp/tree/tools/esc.cpp" <<'EOF'
+#include <cstdio>
+void esc(char* buf, unsigned c) { std::snprintf(buf, 8, "\\u%04x", c); }
+EOF
+run_case "escape-copy" 1 "private FNV-1a or JSON-escape copy" \
+  "/nonexistent-ptb-lint"
+
+# The shared implementations themselves live under src/common/.
+make_tree "$tmp/tree"
+mkdir -p "$tmp/tree/src/common"
+cat > "$tmp/tree/src/common/bytes.hpp" <<'EOF'
+inline unsigned long long kPrime = 0x100000001b3ull;
+inline const char* kEscape = "\\u%04x";
+EOF
+run_case "codec-in-common" 0 "lint: OK" "/nonexistent-ptb-lint"
+
+# --- section 1: FP contraction pinned off -----------------------------------
+make_tree "$tmp/tree"
+cat > "$tmp/tree/src/CMakeLists.txt" <<'EOF'
+add_library(ptb_common common/json.cpp)
+# target_compile_options(ptb_common PUBLIC -ffp-contract=off)
+EOF
+run_case "fp-contract-dropped" 1 "no longer passes -ffp-contract=off" \
+  "/nonexistent-ptb-lint"
+
+make_tree "$tmp/tree"
+cat > "$tmp/tree/src/CMakeLists.txt" <<'EOF'
+add_library(ptb_common common/json.cpp)
+target_compile_options(ptb_common PUBLIC -ffp-contract=off)
+EOF
+run_case "fp-contract-kept" 0 "lint: OK" "/nonexistent-ptb-lint"
+
 # --- section 2: undocumented bench flag -------------------------------------
 make_tree "$tmp/tree"
 cat > "$tmp/tree/bench/bench_util.hpp" <<'EOF'

@@ -215,7 +215,18 @@ TEST(CheckpointFrame, FileRoundTripAndMissingFile) {
   ASSERT_TRUE(load_checkpoint_file(path, back, &err)) << err;
   EXPECT_EQ(back, bytes);
   EXPECT_FALSE(load_checkpoint_file(dir + "/absent.ptbc", back, &err));
-  EXPECT_FALSE(err.empty());
+  EXPECT_EQ(err, "cannot open checkpoint '" + dir + "/absent.ptbc'");
+}
+
+// The FNV-1a identities that name files on disk: disk-cache run keys, warm
+// checkpoint fingerprints and the frame checksum. Recorded before the hash
+// loops were merged onto common/bytes.hpp fnv_mix; a change here orphans
+// every existing cache entry and checkpoint.
+TEST(CheckpointFrame, HashGoldensPinned) {
+  EXPECT_EQ(DiskRunCache::run_key("fft", SimConfig{}), 0xbfd21798045f7f85ull);
+  EXPECT_EQ(checkpoint_fingerprint(SimConfig{}, "fft", 0),
+            0xbe135cf9f5aaa42full);
+  EXPECT_EQ(checkpoint_checksum("PTBC"), 0x883b4a198ec5d78eull);
 }
 
 // --- identity validation ----------------------------------------------------

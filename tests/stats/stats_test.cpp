@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "sim/cmp.hpp"
 #include "sim/experiment.hpp"
 #include "sim/reporting.hpp"
@@ -204,6 +205,64 @@ TEST(StatsDump, ParseRejectsGarbage) {
   const std::string good = tiny_dump().to_json();
   EXPECT_FALSE(StatsDump::parse_json(good + "trailing", out));
   EXPECT_TRUE(StatsDump::parse_json(good, out));
+}
+
+/// `good` with its first `from` replaced by `to`.
+std::string mutate(const std::string& good, const std::string& from,
+                   const std::string& to) {
+  const std::size_t at = good.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  std::string bad = good;
+  if (at != std::string::npos) bad.replace(at, from.size(), to);
+  return bad;
+}
+
+TEST(StatsDump, RejectsMalformed) {
+  const std::string good = tiny_dump().to_json();
+  StatsDump out;
+  ASSERT_TRUE(StatsDump::parse_json(good, out));
+  // Integer fields take plain in-range integers only: no fraction, sign,
+  // exponent or overflow is cast into range.
+  for (const char* v : {"1.9", "-1", "1e300"}) {
+    EXPECT_FALSE(StatsDump::parse_json(
+        mutate(good, "\"schema_version\":1,",
+               std::string("\"schema_version\":") + v + ","),
+        out))
+        << v;
+  }
+  for (const char* v : {"16.75", "4294967296"}) {
+    EXPECT_FALSE(StatsDump::parse_json(
+        mutate(good, "\"num_cores\":2,",
+               std::string("\"num_cores\":") + v + ","),
+        out))
+        << v;
+  }
+  EXPECT_FALSE(StatsDump::parse_json(
+      mutate(good, "\"counts\":[1,", "\"counts\":[-1,"), out));
+  EXPECT_FALSE(StatsDump::parse_json(
+      mutate(good, "deadbeefcafef00d", "zzzzzzzzzzzzzzzz"), out));
+}
+
+/// A valid dump with one extra top-level member nested `depth` arrays deep.
+std::string nested_dump(std::size_t depth) {
+  std::string doc = tiny_dump().to_json();
+  const std::size_t close = doc.rfind('}');
+  doc.insert(close, ",\"extra\":" + std::string(depth, '[') +
+                        std::string(depth, ']'));
+  return doc;
+}
+
+TEST(StatsDump, DeepNestingRejectedAtDepthLimit) {
+  StatsDump out;
+  // Unknown members are ignored, up to the reader's 64-level depth limit.
+  EXPECT_TRUE(StatsDump::parse_json(nested_dump(64), out));
+  json::Value doc;
+  std::string err;
+  EXPECT_FALSE(json::parse(nested_dump(65), doc, err));
+  EXPECT_NE(err.find("nesting too deep"), std::string::npos) << err;
+  EXPECT_FALSE(StatsDump::parse_json(nested_dump(65), out));
+  // Deep enough to overflow the stack of an unbounded recursive reader.
+  EXPECT_FALSE(StatsDump::parse_json(nested_dump(1000000), out));
 }
 
 TEST(StatsDiff, ExactAndToleranced) {

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
-#include <fstream>
-#include <sstream>
+
+#include "common/file.hpp"
 
 namespace ptblint {
 
@@ -308,13 +308,11 @@ void lex(std::string_view s, SourceFile& out) {
 
 bool lex_file(const std::string& path, const std::string& rel,
               SourceFile& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
+  std::string text;
+  if (!ptb::read_file(path, text)) return false;
   out.path = path;
   out.rel = rel;
-  lex(ss.str(), out);
+  lex(text, out);
   return true;
 }
 

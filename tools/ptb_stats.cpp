@@ -23,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "common/file.hpp"
+#include "common/format.hpp"
 #include "help_text.hpp"
 #include "stats/dump.hpp"
 #include "stats/stats.hpp"
@@ -38,7 +40,7 @@ int usage(const char* argv0, int rc) {
 bool load_dump(const char* argv0, const std::string& path,
                ptb::StatsDump& out) {
   std::string text;
-  if (!ptb::tools::read_text(path, text)) {
+  if (!ptb::read_file(path, text)) {
     std::fprintf(stderr, "%s: cannot read '%s'\n", argv0, path.c_str());
     return false;
   }
@@ -55,8 +57,7 @@ void print_dump(const ptb::StatsDump& d, bool include_volatile) {
   std::printf("cores:        %u\n", d.num_cores);
   std::printf("cycles:       %llu\n",
               static_cast<unsigned long long>(d.cycles));
-  std::printf("fingerprint:  %016llx\n",
-              static_cast<unsigned long long>(d.config_fingerprint));
+  std::printf("fingerprint:  %s\n", ptb::hex16(d.config_fingerprint).c_str());
   std::printf("scalars:      %zu\n", d.scalars.size());
   std::printf("histograms:   %zu\n", d.dists.size());
   if (d.sample_every > 0) {
@@ -149,10 +150,10 @@ int cmd_diff(const char* argv0, int argc, char** argv) {
     return 1;
   }
   if (a.config_fingerprint != b.config_fingerprint) {
-    std::printf("note: config fingerprints differ (%016llx vs %016llx) — "
+    std::printf("note: config fingerprints differ (%s vs %s) — "
                 "comparing runs of different configurations\n",
-                static_cast<unsigned long long>(a.config_fingerprint),
-                static_cast<unsigned long long>(b.config_fingerprint));
+                ptb::hex16(a.config_fingerprint).c_str(),
+                ptb::hex16(b.config_fingerprint).c_str());
   }
   const auto entries = ptb::diff_stats(a, b, tol, include_volatile);
   if (entries.empty()) {
@@ -182,11 +183,11 @@ int cmd_regress(const char* argv0, int argc, char** argv) {
   int failures = 0;
   if (fresh.config_fingerprint != golden.config_fingerprint) {
     std::fprintf(stderr,
-                 "FAIL: config fingerprint %016llx does not match golden "
-                 "%016llx — regenerate the golden if the configuration "
-                 "change is intentional\n",
-                 static_cast<unsigned long long>(fresh.config_fingerprint),
-                 static_cast<unsigned long long>(golden.config_fingerprint));
+                 "FAIL: config fingerprint %s does not match golden %s — "
+                 "regenerate the golden if the configuration change is "
+                 "intentional\n",
+                 ptb::hex16(fresh.config_fingerprint).c_str(),
+                 ptb::hex16(golden.config_fingerprint).c_str());
     ++failures;
   }
   // diff_stats(fresh, golden): only_in_b = stat the golden has but the new

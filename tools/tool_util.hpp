@@ -1,6 +1,7 @@
-// Shared plumbing for the ptb-* command-line tools: whole-file IO with '-'
-// as stdout, and small argument-parsing helpers. Tools stay dependency-free
-// (no simulation code) — keep this header that way too.
+// Shared plumbing for the ptb-* command-line tools: whole-file output with
+// '-' as stdout (input goes through common/file.hpp read_file), and small
+// argument-parsing helpers. Tools stay dependency-free (no simulation
+// code) — keep this header that way too.
 #pragma once
 
 #include <cstdint>
@@ -22,21 +23,6 @@ inline bool write_text(const std::string& path, const std::string& text) {
   if (f == nullptr) return false;
   const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
   return std::fclose(f) == 0 && ok;
-}
-
-/// Slurps `path` into `out`; returns false when unreadable.
-inline bool read_text(const std::string& path, std::string& out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  out.clear();
-  char buf[1 << 16];
-  std::size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out.append(buf, got);
-  }
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
 }
 
 /// Strict double parse (whole string must consume); false on garbage.
