@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/file.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/experiment.hpp"
 #include "sim/reporting.hpp"
@@ -45,11 +46,6 @@ struct BenchOptions {
   std::string stats_path;
   std::uint64_t stats_every = 0;
   bool stats_prom = false;  // --stats-format json (default) | prom
-  // --sample-windows DETAIL/PERIOD: SMARTS-style sampled simulation for
-  // every run — each period of PERIOD cycles models the first DETAIL
-  // cycles in detail and fast-forwards the rest. 0/0 (default) = off.
-  std::uint64_t sample_detail = 0;
-  std::uint64_t sample_period = 0;
   // --checkpoint-at CYC:PATH: capture a checkpoint of the reference run
   // (the --trace/--stats configuration) at cycle CYC and write it to PATH.
   std::uint64_t checkpoint_at = 0;
@@ -141,30 +137,6 @@ inline BenchOptions parse_bench_args(int argc, char** argv) {
         std::exit(2);
       }
       opts.stats_path = v;
-    } else if (arg == "--sample-windows" ||
-               arg.rfind("--sample-windows=", 0) == 0) {
-      const char* v = arg.size() > 16 && arg[16] == '='
-                          ? arg.c_str() + 17
-                          : value("--sample-windows");
-      char* end = nullptr;
-      const unsigned long long detail = std::strtoull(v, &end, 10);
-      bool ok = end != v && *end == '/';
-      if (ok) {
-        const char* p = end + 1;
-        const unsigned long long period = std::strtoull(p, &end, 10);
-        ok = end != p && *end == '\0' && detail > 0 && detail < period;
-        if (ok) {
-          opts.sample_detail = detail;
-          opts.sample_period = period;
-        }
-      }
-      if (!ok) {
-        std::fprintf(stderr,
-                     "%s: --sample-windows expects DETAIL/PERIOD with "
-                     "0 < DETAIL < PERIOD\n",
-                     argv[0]);
-        std::exit(2);
-      }
     } else if (arg == "--checkpoint-at" ||
                arg.rfind("--checkpoint-at=", 0) == 0) {
       // CYC:PATH — the cycle is numeric, so the first ':' ends it and the
@@ -212,7 +184,6 @@ inline BenchOptions parse_bench_args(int argc, char** argv) {
           "          [--audit LEVEL] [--only NAME | --list]\n"
           "          [--trace PATH[:CATS]] [--stats PATH[:EVERY]]\n"
           "          [--stats-format json|prom]\n"
-          "          [--sample-windows DETAIL/PERIOD]\n"
           "          [--checkpoint-at CYC:PATH] [--restore-from PATH]\n"
           "  --jobs N      worker threads for the run grid (default: all\n"
           "                hardware threads); results are identical for any N\n"
@@ -241,13 +212,6 @@ inline BenchOptions parse_bench_args(int argc, char** argv) {
           "  --stats-format json|prom\n"
           "                exposition for --stats: JSON (default; the\n"
           "                ptb-stats interchange format) or Prometheus text\n"
-          "  --sample-windows DETAIL/PERIOD\n"
-          "                sampled simulation for every run: each PERIOD\n"
-          "                cycles, model the first DETAIL in full detail and\n"
-          "                fast-forward the rest (power control frozen);\n"
-          "                energy/AoPB are scaled back up from the detailed\n"
-          "                windows. Approximate by design — numbers differ\n"
-          "                from a full run, deterministically\n"
           "  --checkpoint-at CYC:PATH\n"
           "                capture a checkpoint of the reference run (the\n"
           "                --trace configuration) at cycle CYC, write the\n"
@@ -283,7 +247,6 @@ class BenchContext {
     // Applies to every config built through make_sim_config from here on;
     // set before any run is submitted to the pool.
     set_default_audit_level(opts_.audit);
-    set_default_sample_windows(opts_.sample_detail, opts_.sample_period);
     // The suite filter must be installed before anything materializes the
     // suite (the first benchmark_suite() call freezes it).
     if (!set_suite_filter(opts_.only)) {
@@ -387,14 +350,7 @@ class BenchContext {
     const RunResult r = run_one(prof, cfg, ropts);
     const std::string text =
         opts_.stats_prom ? stats_prometheus(r) : stats_json(r);
-    bool ok = !text.empty();
-    if (ok) {
-      std::FILE* f = std::fopen(opts_.stats_path.c_str(), "wb");
-      ok = f != nullptr &&
-           std::fwrite(text.data(), 1, text.size(), f) == text.size();
-      if (f != nullptr) ok = std::fclose(f) == 0 && ok;
-    }
-    if (!ok) {
+    if (text.empty() || !write_file(opts_.stats_path, text)) {
       std::fprintf(stderr, "error: cannot write stats to %s\n",
                    opts_.stats_path.c_str());
       return false;

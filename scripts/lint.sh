@@ -4,11 +4,12 @@
 #      use wall-clock time, hardware entropy, or iteration-order-dependent
 #      containers — every table/JSON byte must be reproducible at any
 #      worker count (see sim/run_pool.hpp and scripts/regen_results.sh);
-#      hashing and JSON escaping have one implementation, in src/common/;
-#      FP contraction stays off;
+#      hashing, JSON escaping and file publishing have one implementation,
+#      in src/common/; FP contraction stays off;
 #   2. doc drift (always run): every CLI flag the shared bench harness
 #      (bench/bench_util.hpp) advertises must be documented in
-#      EXPERIMENTS.md;
+#      EXPERIMENTS.md, and every flag EXPERIMENTS.md's bench-flag table
+#      documents must exist in the harness;
 #   3. clang-tidy with the repo's .clang-tidy profile, when clang-tidy and
 #      a compile database are available (skipped with a warning otherwise —
 #      the GCC-only container still gets the determinism checks);
@@ -111,6 +112,19 @@ if [[ -n "$out" ]]; then
 fnv_mix from common/bytes.hpp or json::escape from common/json.hpp):" "$out"
 fi
 
+# Files are published by common/file.hpp's write_file (temp file + rename,
+# fclose checked); the append-mode serve access log is the one other
+# writer. Any other fopen( must carry a read-only mode literal on the same
+# line, so write modes, "r+" and modes the grep cannot see all fire.
+out=$(grep -rns --include='*.cpp' --include='*.hpp' -E '\bfopen *\(' \
+  src bench examples tools \
+  | grep -v -e '^src/common/file\.cpp:' -e '^src/serve/access_log\.cpp:' \
+  | grep -v -E '"r[bt]?"' || true)
+if [[ -n "$out" ]]; then
+  finding "private file writer outside src/common/file.cpp (publish through \
+write_file from common/file.hpp):" "$out"
+fi
+
 # Floating-point contraction must stay off for every target (DESIGN.md
 # determinism contract): a fused a*b+c rounds once instead of twice, so an
 # FMA-capable host would drift from results/ in the last ulp.
@@ -122,7 +136,7 @@ if [[ -f src/CMakeLists.txt ]] &&
     "src/CMakeLists.txt"
 fi
 
-# --- 2. doc drift: bench CLI flags must be documented -----------------------
+# --- 2. doc drift: bench CLI flags and EXPERIMENTS.md agree ----------------
 
 # Every flag the shared bench CLI (bench/bench_util.hpp) advertises in its
 # --help must appear in EXPERIMENTS.md, so the runbook can never silently
@@ -141,6 +155,24 @@ if [[ -n "$undocumented" ]]; then
   finding "bench CLI flag(s) missing from EXPERIMENTS.md \
 (document them in the runbook or drop them from bench/bench_util.hpp):" \
     "$undocumented"
+fi
+
+# And the reverse: every flag in the first column of EXPERIMENTS.md's
+# bench-flag table (the one headed "| flag | meaning |") must still exist
+# in the harness, so a deleted flag's row cannot outlive it.
+doc_flags=$(awk '/^\| *flag *\| *meaning *\|/ { t = 1; next }
+                 t && !/^\|/ { t = 0 }
+                 t { split($0, c, "|"); print c[2] }' EXPERIMENTS.md \
+  | grep -o -- '--[a-z][a-z-]*' | sort -u)
+stale=""
+for flag in $doc_flags; do
+  if ! grep -qx -- "$flag" <<< "$bench_flags"; then
+    stale+="$flag"$'\n'
+  fi
+done
+if [[ -n "$stale" ]]; then
+  finding "flag(s) documented in EXPERIMENTS.md's bench-flag table but \
+missing from bench/bench_util.hpp (drop the stale rows):" "$stale"
 fi
 
 # --- 3. clang-tidy (optional) ----------------------------------------------

@@ -169,7 +169,7 @@ struct TraceConfig {
   /// events and counts the drops.
   std::size_t buffer_events = std::size_t{1} << 16;
   /// Budget-deficit sampling period in cycles (kBudgetSample decimation).
-  Cycle budget_sample_period = 64;
+  Cycle budget_sample_every = 64;
 };
 
 enum class TechniqueKind : std::uint8_t {
@@ -268,19 +268,6 @@ struct SimConfig {
   /// Event-trace recorder sizing (src/trace); excluded from the config
   /// fingerprint for the same reason as audit_level.
   TraceConfig trace{};
-
-  /// Sampled simulation (SMARTS-style systematic sampling): when both are
-  /// non-zero and sample_detail < sample_period, each period of
-  /// `sample_period` cycles runs its first `sample_detail` cycles in full
-  /// detail and fast-forwards the rest (cores/memory/NoC/sync still tick
-  /// exactly; the power, control and accounting planes are skipped with
-  /// enforcement ratios frozen). Energy results are extrapolated by the
-  /// duty cycle at the end of the run. Sampling *changes results* (it is
-  /// an approximation), so both knobs fold into the config fingerprint
-  /// when active; EXPERIMENTS.md quantifies the error. 0/0 (default) =
-  /// every cycle detailed.
-  Cycle sample_detail = 0;
-  Cycle sample_period = 0;
 
   /// Mesh dimensions derived from num_cores (squarest factorization).
   std::uint32_t mesh_width() const;

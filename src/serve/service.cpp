@@ -308,12 +308,11 @@ void Service::worker_loop() {
             buf, sizeof(buf),
             "{\"unit\":%zu,\"cycle\":%llu,\"max_cycles\":%llu,"
             "\"committed\":%llu,\"ipc\":%.4f,\"watts\":%.2f,"
-            "\"cores_finished\":%u,\"cores\":%u,\"phase\":\"%s\"}",
+            "\"cores_finished\":%u,\"cores\":%u}",
             unit_index, static_cast<unsigned long long>(p.cycle),
             static_cast<unsigned long long>(p.max_cycles),
             static_cast<unsigned long long>(p.committed), p.ipc, p.watts,
-            p.cores_finished, p.num_cores,
-            p.detailed ? "detailed" : "fastforward");
+            p.cores_finished, p.num_cores);
         MutexLock plock(mu_);
         push_event_locked(*job, "progress", buf, false);
       };

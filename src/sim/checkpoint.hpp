@@ -45,7 +45,8 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x43425450u;  // "PTBC" LE
 // Version 3 dropped the per-entry issued/completed flags, the full
 // completion list (now only undelivered blocking ops, by seq) and the
 // issue cursor from kCores: completion is implicit in each op's done_at.
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+// Version 4 dropped the sampled-simulation detailed-cycle count from kRun.
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 /// Section tags. Values are part of the on-disk format: never renumber,
 /// only append. Restore skips tags it does not know.

@@ -60,16 +60,6 @@ SimConfig make_sim_config(std::uint32_t cores, const TechniqueSpec& tech,
 void set_default_audit_level(AuditLevel level);
 AuditLevel default_audit_level();
 
-/// Process-wide sampled-simulation windows stamped into every config
-/// make_sim_config builds (default 0/0 = every cycle detailed; see
-/// SimConfig::sample_detail/sample_period). Unlike the audit level this IS
-/// an experiment parameter — sampling approximates results and folds into
-/// the config fingerprint. The bench binaries set it from
-/// --sample-windows. Not thread-safe: set before submitting pool work.
-void set_default_sample_windows(Cycle detail, Cycle period);
-Cycle default_sample_detail();
-Cycle default_sample_period();
-
 /// Figure-style normalization vs the no-control base case.
 struct Normalized {
   double energy_pct = 0.0;    // 100 * (E - E_base) / E_base

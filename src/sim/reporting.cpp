@@ -1,8 +1,7 @@
 #include "sim/reporting.hpp"
 
-#include <cstdio>
-
 #include "common/bytes.hpp"
+#include "common/file.hpp"
 #include "common/format.hpp"
 #include "common/json.hpp"
 #include "stats/dump.hpp"
@@ -179,13 +178,6 @@ std::uint64_t config_fingerprint(const SimConfig& cfg) {
   fnv_mix_value(h, cfg.seed);
   fnv_mix_value(h, cfg.max_cycles);
   fnv_mix_value(h, cfg.functional_warmup);
-  // Sampling approximates the power/control planes, so active sampling
-  // configs hash distinctly; the default (off) keeps every pre-existing
-  // fingerprint, same idiom as toall_redistribute above.
-  if (cfg.sample_detail != 0 || cfg.sample_period != 0) {
-    fnv_mix_value(h, cfg.sample_detail);
-    fnv_mix_value(h, cfg.sample_period);
-  }
   return h;
 }
 
@@ -278,11 +270,7 @@ std::string BenchReport::to_json() const {
 }
 
 bool BenchReport::write(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const std::string doc = to_json();
-  const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  return std::fclose(f) == 0 && ok;
+  return write_file(path, to_json());
 }
 
 }  // namespace ptb

@@ -1,8 +1,8 @@
 #include "sim/trace_export.hpp"
 
-#include <cstdio>
 #include <sstream>
 
+#include "common/file.hpp"
 #include "common/table.hpp"
 #include "stats/stats.hpp"
 
@@ -88,14 +88,6 @@ std::string run_summary_kv(const RunResult& r) {
 bool export_run(const RunResult& r, const std::string& dir) {
   const std::string stem =
       dir + "/" + r.benchmark + "_" + std::to_string(r.num_cores) + "c";
-  auto write_file = [](const std::string& path, const std::string& content) {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) return false;
-    const bool ok =
-        std::fwrite(content.data(), 1, content.size(), f) == content.size();
-    std::fclose(f);
-    return ok;
-  };
   return write_file(stem + "_trace.csv", power_trace_csv(r)) &&
          write_file(stem + "_summary.txt", run_summary_kv(r));
 }

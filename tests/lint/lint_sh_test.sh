@@ -168,6 +168,39 @@ inline const char* kEscape = "\\u%04x";
 EOF
 run_case "codec-in-common" 0 "lint: OK" "/nonexistent-ptb-lint"
 
+# --- section 1: private file writers ----------------------------------------
+make_tree "$tmp/tree"
+mkdir -p "$tmp/tree/tools"
+cat > "$tmp/tree/tools/dump.cpp" <<'EOF'
+#include <cstdio>
+bool dump(const char* path, const char* text) {
+  std::FILE* f = std::fopen(path, "wb");
+  if (f == nullptr) return false;
+  std::fputs(text, f);
+  return std::fclose(f) == 0;
+}
+EOF
+run_case "private-writer" 1 "private file writer" "/nonexistent-ptb-lint"
+
+# The shared publisher and the append-mode access log may write; a
+# read-only fopen anywhere is fine.
+make_tree "$tmp/tree"
+mkdir -p "$tmp/tree/src/common" "$tmp/tree/src/serve"
+cat > "$tmp/tree/src/common/file.cpp" <<'EOF'
+#include <cstdio>
+std::FILE* open_tmp(const char* p) { return std::fopen(p, "wb"); }
+std::FILE* open_in(const char* p) { return std::fopen(p, "rb"); }
+EOF
+cat > "$tmp/tree/src/serve/access_log.cpp" <<'EOF'
+#include <cstdio>
+std::FILE* open_log(const char* p) { return std::fopen(p, "ab"); }
+EOF
+cat >> "$tmp/tree/src/clean.cpp" <<'EOF'
+#include <cstdio>
+std::FILE* peek(const char* p) { return std::fopen(p, "r"); }
+EOF
+run_case "writers-allowed" 0 "lint: OK" "/nonexistent-ptb-lint"
+
 # --- section 1: FP contraction pinned off -----------------------------------
 make_tree "$tmp/tree"
 cat > "$tmp/tree/src/CMakeLists.txt" <<'EOF'
@@ -190,6 +223,21 @@ cat > "$tmp/tree/bench/bench_util.hpp" <<'EOF'
 inline const char* kUsage = "usage: bench --help --frobnicate";
 EOF
 run_case "doc-drift" 1 "missing from EXPERIMENTS.md" "/nonexistent-ptb-lint"
+
+# --- section 2: stale doc row for a deleted bench flag ----------------------
+make_tree "$tmp/tree"
+cat > "$tmp/tree/EXPERIMENTS.md" <<'EOF'
+The shared bench CLI supports --help.
+
+| flag | meaning |
+|---|---|
+| `--frobnicate N` | a flag the harness no longer has |
+| `--help` | usage |
+
+Prose after the table may name --anything.
+EOF
+run_case "doc-drift-stale" 1 "missing from bench/bench_util.hpp" \
+  "/nonexistent-ptb-lint"
 
 # --- section 4: ptb-lint catches what the greps cannot ----------------------
 # `time (nullptr)` defeats the \btime(nullptr) grep but not the token-level

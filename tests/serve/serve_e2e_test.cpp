@@ -333,11 +333,23 @@ TEST(ServeE2E, EventsStreamProgressThenTerminal) {
   ASSERT_NE(done, std::string::npos) << stream.body;
   EXPECT_LT(progress, done) << "progress must precede the terminal event";
   EXPECT_LT(unit, done);
-  // Progress payloads carry the live simulation counters.
-  for (const char* field : {"\"cycle\":", "\"max_cycles\":", "\"ipc\":",
-                            "\"watts\":", "\"phase\":"}) {
-    EXPECT_NE(stream.body.find(field), std::string::npos) << field;
-  }
+  // Progress payloads carry the live simulation counters: exactly these
+  // keys, in this order, pin the wire shape clients parse.
+  const std::size_t data = stream.body.find("data: ", progress);
+  ASSERT_NE(data, std::string::npos) << stream.body;
+  const std::size_t eol = stream.body.find('\n', data);
+  ASSERT_NE(eol, std::string::npos) << stream.body;
+  const std::string payload = stream.body.substr(data + 6, eol - data - 6);
+  json::Value doc;
+  std::string jerr;
+  ASSERT_TRUE(json::parse(payload, doc, jerr)) << jerr << ": " << payload;
+  ASSERT_TRUE(doc.is_object()) << payload;
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : doc.members()) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{"unit", "cycle", "max_cycles",
+                                            "committed", "ipc", "watts",
+                                            "cores_finished", "cores"}))
+      << payload;
   EXPECT_NE(stream.body.find("\"state\":\"done\""), std::string::npos);
   // Seq numbers start dense from 1.
   EXPECT_NE(stream.body.find("id: 1\n"), std::string::npos);

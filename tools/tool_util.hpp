@@ -1,5 +1,5 @@
 // Shared plumbing for the ptb-* command-line tools: whole-file output with
-// '-' as stdout (input goes through common/file.hpp read_file), and small
+// '-' as stdout (files go through common/file.hpp), and small
 // argument-parsing helpers. Tools stay dependency-free (no simulation
 // code) — keep this header that way too.
 #pragma once
@@ -10,19 +10,18 @@
 #include <cstring>
 #include <string>
 
+#include "common/file.hpp"
+
 namespace ptb::tools {
 
-/// Writes `text` to `path`; '-' writes to stdout. Returns false when the
-/// file is not writable.
+/// Writes `text` to `path` (atomically, via write_file); '-' writes to
+/// stdout. Returns false when the file is not writable.
 inline bool write_text(const std::string& path, const std::string& text) {
   if (path == "-") {
     std::fwrite(text.data(), 1, text.size(), stdout);
     return true;
   }
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  return std::fclose(f) == 0 && ok;
+  return write_file(path, text);
 }
 
 /// Strict double parse (whole string must consume); false on garbage.
