@@ -89,7 +89,7 @@ inline BenchOptions parse_bench_args(int argc, char** argv) {
     } else if (arg == "--audit" || arg.rfind("--audit=", 0) == 0) {
       const char* v =
           arg[7] == '=' ? arg.c_str() + 8 : value("--audit");
-      if (!parse_audit_level(v, opts.audit)) {
+      if (!parse_enum(v, opts.audit)) {
         std::fprintf(stderr, "%s: --audit must be off, cheap or full\n",
                      argv[0]);
         std::exit(2);

@@ -3,7 +3,9 @@
 # every push; see also tests/serve/ for the in-process coverage):
 #   1. start the daemon on an ephemeral port with a fresh cache dir;
 #   2. POST /v1/run?wait=1 twice: the first must miss, the second must hit
-#      and the two bodies must be byte-identical (cmp);
+#      and the two bodies must be byte-identical (cmp); machines the
+#      simulator would abort on (l1d.assoc = 0, 64 cores) must be a 400
+#      naming the field, with /healthz still answering 200 afterwards;
 #   3. POST /v1/sweep?wait=1 twice: the second may contain no "miss";
 #   4. scrape /metrics and check the request/cache/queue/stage series, and
 #      that the misses left no warm-checkpoint images or series behind;
@@ -118,6 +120,21 @@ check "second run is a hit" grep -qi '^x-ptb-cache: hit' "$tmp/r2"
 body_of "$tmp/r1" "$tmp/r1.body"
 body_of "$tmp/r2" "$tmp/r2.body"
 check "hit is byte-identical to the miss" cmp -s "$tmp/r1.body" "$tmp/r2.body"
+
+# expect_rejected FIELD CONFIG — a machine the simulator would abort on is a
+# 400 naming the field, never a dead daemon.
+expect_rejected() {
+  local field="$1" config="$2"
+  http POST '/v1/run?wait=1' "{\"benchmark\":\"fft\",\"config\":$config}" \
+    "$tmp/bad"
+  check "bad $field is 400" grep -q '^HTTP/1.1 400' "$tmp/bad"
+  body_of "$tmp/bad" "$tmp/bad.body"
+  check "400 body names $field" grep -qF "$field" "$tmp/bad.body"
+  http GET '/healthz' '' "$tmp/hz"
+  check "healthz 200 after bad $field" grep -q '^HTTP/1.1 200' "$tmp/hz"
+}
+expect_rejected l1d.assoc '{"num_cores":2,"l1d":{"assoc":0}}'
+expect_rejected num_cores '{"num_cores":64}'
 
 http POST '/v1/sweep?wait=1' "$sweep_body" "$tmp/s1"
 check "first sweep is 200" grep -q '^HTTP/1.1 200' "$tmp/s1"

@@ -7,9 +7,12 @@
 //   2D mesh, 4-cycle links, 4-byte flits, 1 flit/cycle links.
 #pragma once
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string_view>
+#include <type_traits>
 
 #include "common/types.hpp"
 
@@ -46,6 +49,12 @@ struct CacheConfig {
 /// writes dirty lines back to the L2 on the first read-share instead —
 /// kept for the protocol ablation.
 enum class CoherenceProtocol : std::uint8_t { kMoesi = 0, kMesi };
+
+/// Wire names, indexed by enumerator value (see enum_name / parse_enum).
+inline std::span<const char* const> enum_names(CoherenceProtocol) {
+  static constexpr const char* kNames[] = {"moesi", "mesi"};
+  return kNames;
+}
 
 struct L2Config {
   std::uint32_t size_bytes_per_core = 1024 * 1024;
@@ -142,22 +151,9 @@ struct ThermalConfig {
 /// simulation results; it only observes (and aborts on a violated invariant).
 enum class AuditLevel : std::uint8_t { kOff = 0, kCheap, kFull };
 
-inline const char* audit_level_name(AuditLevel level) {
-  switch (level) {
-    case AuditLevel::kOff: return "off";
-    case AuditLevel::kCheap: return "cheap";
-    case AuditLevel::kFull: return "full";
-  }
-  return "?";
-}
-
-/// Parses "off" / "cheap" / "full"; returns false on anything else.
-inline bool parse_audit_level(std::string_view s, AuditLevel& out) {
-  if (s == "off") out = AuditLevel::kOff;
-  else if (s == "cheap") out = AuditLevel::kCheap;
-  else if (s == "full") out = AuditLevel::kFull;
-  else return false;
-  return true;
+inline std::span<const char* const> enum_names(AuditLevel) {
+  static constexpr const char* kNames[] = {"off", "cheap", "full"};
+  return kNames;
 }
 
 /// Event-trace recorder knobs (src/trace). Which categories are recorded is
@@ -182,11 +178,45 @@ enum class TechniqueKind : std::uint8_t {
   kMeetingPoints,   // DVFS-delay non-critical threads (PACT'08 [11])
 };
 
+inline std::span<const char* const> enum_names(TechniqueKind) {
+  static constexpr const char* kNames[] = {
+      "none", "dvfs", "dfs", "two_level", "thrifty_barrier", "meeting_points"};
+  return kNames;
+}
+
 enum class PtbPolicy : std::uint8_t {
   kToAll = 0,  // split spare tokens among all over-budget cores
   kToOne,      // all spare tokens to the single neediest core
   kDynamic,    // lock-spin -> ToOne, barrier-spin -> ToAll
 };
+
+inline std::span<const char* const> enum_names(PtbPolicy) {
+  static constexpr const char* kNames[] = {"to_all", "to_one", "dynamic"};
+  return kNames;
+}
+
+/// The wire name of `e` ("?" for an out-of-range value).
+template <class E>
+  requires std::is_enum_v<E>
+const char* enum_name(E e) {
+  const auto names = enum_names(E{});
+  const auto i = static_cast<std::size_t>(e);
+  return i < names.size() ? names[i] : "?";
+}
+
+/// Parses a wire name exactly (no case folding); false on anything else.
+template <class E>
+  requires std::is_enum_v<E>
+bool parse_enum(std::string_view s, E& out) {
+  const auto names = enum_names(E{});
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (s == names[i]) {
+      out = static_cast<E>(i);
+      return true;
+    }
+  }
+  return false;
+}
 
 struct DvfsConfig {
   // The paper's five (VDD%, F%) modes.
@@ -283,6 +313,138 @@ inline std::uint32_t SimConfig::mesh_width() const {
 
 inline std::uint32_t SimConfig::mesh_height() const {
   return num_cores / mesh_width();
+}
+
+// ---------------------------------------------------------------------------
+// The SimConfig field table: every leaf that can change a result, once, as
+// (wire name, field). "section.key" names a nested leaf, a bare key a
+// top-level one. The fingerprints (sim/reporting.cpp) mix the fields in
+// exactly this order — machine fields into machine_fingerprint, then the
+// technique fields continue the same FNV stream into config_fingerprint —
+// and the JSON codec (serve/config_json.cpp) parses and emits exactly these
+// names. Results JSON, disk-cache keys and checkpoint frames embed the
+// fingerprints, so entries are never reordered or removed.
+//
+// Observe-only knobs that can never change a result stay out of the table
+// (and so out of the fingerprints and the wire): audit_level (aborts or is
+// silent) and trace.* (recorder sizing). ptb-lint's fingerprint checker
+// holds this list exactly equal to the set of SimConfig leaves the table
+// does not name — extending SimConfig without deciding fingerprint status
+// fails the lint.
+// ptb-lint: fingerprint-exclude(audit_level, trace)
+// ---------------------------------------------------------------------------
+
+/// Tags the one entry the fingerprint mixes only when it is set, so every
+/// config that predates the field keeps its fingerprint.
+struct MixedOnlyWhenSet {};
+
+template <class Cfg>
+concept SimConfigRef = std::same_as<std::remove_const_t<Cfg>, SimConfig>;
+
+/// Machine fields (Table 1 core/cache/NoC/DRAM/power/thermal/DVFS): two
+/// runs are comparable under normalize() iff these match.
+template <SimConfigRef Cfg, class F>
+void for_each_machine_field(Cfg& cfg, F&& f) {
+  f("num_cores", cfg.num_cores);
+  f("core.rob_entries", cfg.core.rob_entries);
+  f("core.lsq_entries", cfg.core.lsq_entries);
+  f("core.fetch_width", cfg.core.fetch_width);
+  f("core.issue_width", cfg.core.issue_width);
+  f("core.commit_width", cfg.core.commit_width);
+  f("core.pipeline_stages", cfg.core.pipeline_stages);
+  f("core.int_alu", cfg.core.int_alu);
+  f("core.int_mult", cfg.core.int_mult);
+  f("core.fp_alu", cfg.core.fp_alu);
+  f("core.fp_mult", cfg.core.fp_mult);
+  f("core.l1d_ports", cfg.core.l1d_ports);
+  f("core.bp_history_bits", cfg.core.bp_history_bits);
+  f("core.bp_table_bytes", cfg.core.bp_table_bytes);
+  f("l1i.size_bytes", cfg.l1i.size_bytes);
+  f("l1i.assoc", cfg.l1i.assoc);
+  f("l1i.line_bytes", cfg.l1i.line_bytes);
+  f("l1i.hit_latency", cfg.l1i.hit_latency);
+  f("l1i.mshrs", cfg.l1i.mshrs);
+  f("l1d.size_bytes", cfg.l1d.size_bytes);
+  f("l1d.assoc", cfg.l1d.assoc);
+  f("l1d.line_bytes", cfg.l1d.line_bytes);
+  f("l1d.hit_latency", cfg.l1d.hit_latency);
+  f("l1d.mshrs", cfg.l1d.mshrs);
+  f("l2.size_bytes_per_core", cfg.l2.size_bytes_per_core);
+  f("l2.assoc", cfg.l2.assoc);
+  f("l2.line_bytes", cfg.l2.line_bytes);
+  f("l2.hit_latency", cfg.l2.hit_latency);
+  f("l2.protocol", cfg.l2.protocol);
+  f("noc.link_latency", cfg.noc.link_latency);
+  f("noc.flit_bytes", cfg.noc.flit_bytes);
+  f("noc.link_flits_per_cycle", cfg.noc.link_flits_per_cycle);
+  f("noc.ctrl_msg_bytes", cfg.noc.ctrl_msg_bytes);
+  f("noc.data_msg_bytes", cfg.noc.data_msg_bytes);
+  f("mem.dram_latency", cfg.mem.dram_latency);
+  f("mem.banked", cfg.mem.banked);
+  f("mem.channels", cfg.mem.channels);
+  f("mem.banks_per_channel", cfg.mem.banks_per_channel);
+  f("mem.row_bytes", cfg.mem.row_bytes);
+  f("mem.t_pre", cfg.mem.t_pre);
+  f("mem.t_act", cfg.mem.t_act);
+  f("mem.t_cas", cfg.mem.t_cas);
+  f("mem.t_bus", cfg.mem.t_bus);
+  f("power.residency_token", cfg.power.residency_token);
+  f("power.peak_fetch_frac", cfg.power.peak_fetch_frac);
+  f("power.peak_rob_frac", cfg.power.peak_rob_frac);
+  f("power.base_int_alu", cfg.power.base_int_alu);
+  f("power.base_int_mult", cfg.power.base_int_mult);
+  f("power.base_fp_alu", cfg.power.base_fp_alu);
+  f("power.base_fp_mult", cfg.power.base_fp_mult);
+  f("power.base_load", cfg.power.base_load);
+  f("power.base_store", cfg.power.base_store);
+  f("power.base_branch", cfg.power.base_branch);
+  f("power.base_atomic", cfg.power.base_atomic);
+  f("power.base_nop", cfg.power.base_nop);
+  f("power.base_jitter", cfg.power.base_jitter);
+  f("power.kmeans_groups", cfg.power.kmeans_groups);
+  f("power.ptht_entries", cfg.power.ptht_entries);
+  f("power.leakage_per_core", cfg.power.leakage_per_core);
+  f("power.clock_gated_dynamic", cfg.power.clock_gated_dynamic);
+  f("power.uncore_per_core", cfg.power.uncore_per_core);
+  f("power.ptht_overhead_frac", cfg.power.ptht_overhead_frac);
+  f("power.ptb_wire_overhead_frac", cfg.power.ptb_wire_overhead_frac);
+  f("power.vdd_nominal", cfg.power.vdd_nominal);
+  f("power.freq_nominal_ghz", cfg.power.freq_nominal_ghz);
+  f("thermal.ambient_c", cfg.thermal.ambient_c);
+  f("thermal.r_thermal", cfg.thermal.r_thermal);
+  f("thermal.tau_cycles", cfg.thermal.tau_cycles);
+  f("dvfs.window_cycles", cfg.dvfs.window_cycles);
+  f("dvfs.up_hysteresis", cfg.dvfs.up_hysteresis);
+  f("dvfs.mv_per_cycle", cfg.dvfs.mv_per_cycle);
+}
+
+/// Technique fields: what runs on the machine (PTB knobs, technique,
+/// budget, seed, run length, warmup).
+template <SimConfigRef Cfg, class F>
+void for_each_technique_field(Cfg& cfg, F&& f) {
+  f("ptb.enabled", cfg.ptb.enabled);
+  f("ptb.policy", cfg.ptb.policy);
+  f("ptb.wire_latency_override", cfg.ptb.wire_latency_override);
+  f("ptb.token_wire_bits", cfg.ptb.token_wire_bits);
+  f("ptb.relax_threshold", cfg.ptb.relax_threshold);
+  f("ptb.dynamic_uses_ground_truth", cfg.ptb.dynamic_uses_ground_truth);
+  f("ptb.gate_spinners", cfg.ptb.gate_spinners);
+  f("ptb.spin_gate_period", cfg.ptb.spin_gate_period);
+  f("ptb.cluster_size", cfg.ptb.cluster_size);
+  f("ptb.toall_redistribute", cfg.ptb.toall_redistribute,
+    MixedOnlyWhenSet{});
+  f("technique", cfg.technique);
+  f("budget_fraction", cfg.budget_fraction);
+  f("seed", cfg.seed);
+  f("max_cycles", cfg.max_cycles);
+  f("functional_warmup", cfg.functional_warmup);
+}
+
+/// Every table field, machine then technique.
+template <SimConfigRef Cfg, class F>
+void for_each_field(Cfg& cfg, F&& f) {
+  for_each_machine_field(cfg, f);
+  for_each_technique_field(cfg, f);
 }
 
 }  // namespace ptb

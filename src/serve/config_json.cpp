@@ -1,6 +1,9 @@
 #include "serve/config_json.hpp"
 
+#include <bit>
 #include <cstddef>
+#include <string_view>
+#include <utility>
 
 #include "common/format.hpp"
 #include "workloads/suite.hpp"
@@ -9,24 +12,8 @@ namespace ptb::serve {
 
 namespace {
 
-bool as_f64(const json::Value& v, double& dst) {
-  if (!v.is_number()) return false;
-  dst = v.as_double();
-  return true;
-}
-
-bool as_b(const json::Value& v, bool& dst) {
-  if (!v.is_bool()) return false;
-  dst = v.as_bool();
-  return true;
-}
-
-bool as_u64v(const json::Value& v, std::uint64_t& dst) {
-  return v.as_u64(dst);
-}
-
-bool bad(std::string& err, const std::string& section, const std::string& key,
-         const char* why) {
+bool bad(std::string& err, std::string_view section, std::string_view key,
+         std::string_view why) {
   // += chain: see reporting.cpp string_array_json (GCC PR 105329).
   err = section;
   if (!key.empty()) {
@@ -38,278 +25,157 @@ bool bad(std::string& err, const std::string& section, const std::string& key,
   return false;
 }
 
-bool require_object(const json::Value& v, const std::string& section,
-                    std::string& err) {
-  if (v.is_object()) return true;
-  return bad(err, section, "", "expected an object");
-}
+// --- one overload per table field type -------------------------------------
 
-bool apply_core(const json::Value& o, CoreConfig& c, std::string& err) {
-  if (!require_object(o, "core", err)) return false;
-  for (const auto& [k, v] : o.members()) {
-    bool ok;
-    if (k == "rob_entries") ok = v.as_u32(c.rob_entries);
-    else if (k == "lsq_entries") ok = v.as_u32(c.lsq_entries);
-    else if (k == "fetch_width") ok = v.as_u32(c.fetch_width);
-    else if (k == "issue_width") ok = v.as_u32(c.issue_width);
-    else if (k == "commit_width") ok = v.as_u32(c.commit_width);
-    else if (k == "pipeline_stages") ok = v.as_u32(c.pipeline_stages);
-    else if (k == "int_alu") ok = v.as_u32(c.int_alu);
-    else if (k == "int_mult") ok = v.as_u32(c.int_mult);
-    else if (k == "fp_alu") ok = v.as_u32(c.fp_alu);
-    else if (k == "fp_mult") ok = v.as_u32(c.fp_mult);
-    else if (k == "l1d_ports") ok = v.as_u32(c.l1d_ports);
-    else if (k == "bp_history_bits") ok = v.as_u32(c.bp_history_bits);
-    else if (k == "bp_table_bytes") ok = v.as_u32(c.bp_table_bytes);
-    else return bad(err, "core", k, "unknown key");
-    if (!ok) return bad(err, "core", k, "bad value");
-  }
+bool read(const json::Value& v, std::uint32_t& dst) { return v.as_u32(dst); }
+bool read(const json::Value& v, std::uint64_t& dst) { return v.as_u64(dst); }
+
+bool read(const json::Value& v, double& dst) {
+  if (!v.is_number()) return false;
+  dst = v.as_double();
   return true;
 }
 
-bool apply_cache(const json::Value& o, const std::string& section,
-                 CacheConfig& c, std::string& err) {
-  if (!require_object(o, section, err)) return false;
-  for (const auto& [k, v] : o.members()) {
-    bool ok;
-    if (k == "size_bytes") ok = v.as_u32(c.size_bytes);
-    else if (k == "assoc") ok = v.as_u32(c.assoc);
-    else if (k == "line_bytes") ok = v.as_u32(c.line_bytes);
-    else if (k == "hit_latency") ok = v.as_u32(c.hit_latency);
-    else if (k == "mshrs") ok = v.as_u32(c.mshrs);
-    else return bad(err, section, k, "unknown key");
-    if (!ok) return bad(err, section, k, "bad value");
-  }
+bool read(const json::Value& v, bool& dst) {
+  if (!v.is_bool()) return false;
+  dst = v.as_bool();
   return true;
 }
 
-bool apply_l2(const json::Value& o, L2Config& c, std::string& err) {
-  if (!require_object(o, "l2", err)) return false;
-  for (const auto& [k, v] : o.members()) {
-    bool ok;
-    if (k == "size_bytes_per_core") ok = v.as_u32(c.size_bytes_per_core);
-    else if (k == "assoc") ok = v.as_u32(c.assoc);
-    else if (k == "line_bytes") ok = v.as_u32(c.line_bytes);
-    else if (k == "hit_latency") ok = v.as_u32(c.hit_latency);
-    else if (k == "protocol")
-      ok = v.is_string() && parse_coherence(v.as_string(), c.protocol);
-    else return bad(err, "l2", k, "unknown key");
-    if (!ok) return bad(err, "l2", k, "bad value");
-  }
-  return true;
+template <class E>
+  requires std::is_enum_v<E>
+bool read(const json::Value& v, E& dst) {
+  return v.is_string() && parse_enum(v.as_string(), dst);
 }
 
-bool apply_noc(const json::Value& o, NocConfig& c, std::string& err) {
-  if (!require_object(o, "noc", err)) return false;
-  for (const auto& [k, v] : o.members()) {
-    bool ok;
-    if (k == "link_latency") ok = v.as_u32(c.link_latency);
-    else if (k == "flit_bytes") ok = v.as_u32(c.flit_bytes);
-    else if (k == "link_flits_per_cycle")
-      ok = v.as_u32(c.link_flits_per_cycle);
-    else if (k == "ctrl_msg_bytes") ok = v.as_u32(c.ctrl_msg_bytes);
-    else if (k == "data_msg_bytes") ok = v.as_u32(c.data_msg_bytes);
-    else return bad(err, "noc", k, "unknown key");
-    if (!ok) return bad(err, "noc", k, "bad value");
+// The type error of a top-level key (keys inside a section say "bad
+// value").
+std::string expected(std::uint32_t) { return "expected an unsigned integer"; }
+std::string expected(std::uint64_t) { return "expected an unsigned integer"; }
+std::string expected(double) { return "expected a number"; }
+std::string expected(bool) { return "expected a boolean"; }
+
+template <class E>
+  requires std::is_enum_v<E>
+std::string expected(E) {
+  std::string out = "expected one of ";
+  const char* sep = "";
+  for (const char* name : enum_names(E{})) {
+    out += sep;
+    out += name;
+    sep = "/";
   }
-  return true;
+  return out;
 }
 
-bool apply_mem(const json::Value& o, MemConfig& c, std::string& err) {
-  if (!require_object(o, "mem", err)) return false;
-  for (const auto& [k, v] : o.members()) {
-    bool ok;
-    if (k == "dram_latency") ok = v.as_u32(c.dram_latency);
-    else if (k == "banked") ok = as_b(v, c.banked);
-    else if (k == "channels") ok = v.as_u32(c.channels);
-    else if (k == "banks_per_channel") ok = v.as_u32(c.banks_per_channel);
-    else if (k == "row_bytes") ok = v.as_u32(c.row_bytes);
-    else if (k == "t_pre") ok = v.as_u32(c.t_pre);
-    else if (k == "t_act") ok = v.as_u32(c.t_act);
-    else if (k == "t_cas") ok = v.as_u32(c.t_cas);
-    else if (k == "t_bus") ok = v.as_u32(c.t_bus);
-    else return bad(err, "mem", k, "unknown key");
-    if (!ok) return bad(err, "mem", k, "bad value");
-  }
-  return true;
-}
+void write(std::string& out, std::uint32_t v) { out += std::to_string(v); }
+void write(std::string& out, std::uint64_t v) { out += std::to_string(v); }
+void write(std::string& out, double v) { out += format_g17(v); }
+void write(std::string& out, bool v) { out += v ? "true" : "false"; }
 
-bool apply_power(const json::Value& o, PowerConfig& c, std::string& err) {
-  if (!require_object(o, "power", err)) return false;
-  for (const auto& [k, v] : o.members()) {
-    bool ok;
-    if (k == "residency_token") ok = as_f64(v, c.residency_token);
-    else if (k == "peak_fetch_frac") ok = as_f64(v, c.peak_fetch_frac);
-    else if (k == "peak_rob_frac") ok = as_f64(v, c.peak_rob_frac);
-    else if (k == "base_int_alu") ok = as_f64(v, c.base_int_alu);
-    else if (k == "base_int_mult") ok = as_f64(v, c.base_int_mult);
-    else if (k == "base_fp_alu") ok = as_f64(v, c.base_fp_alu);
-    else if (k == "base_fp_mult") ok = as_f64(v, c.base_fp_mult);
-    else if (k == "base_load") ok = as_f64(v, c.base_load);
-    else if (k == "base_store") ok = as_f64(v, c.base_store);
-    else if (k == "base_branch") ok = as_f64(v, c.base_branch);
-    else if (k == "base_atomic") ok = as_f64(v, c.base_atomic);
-    else if (k == "base_nop") ok = as_f64(v, c.base_nop);
-    else if (k == "base_jitter") ok = as_f64(v, c.base_jitter);
-    else if (k == "kmeans_groups") ok = v.as_u32(c.kmeans_groups);
-    else if (k == "ptht_entries") ok = v.as_u32(c.ptht_entries);
-    else if (k == "leakage_per_core") ok = as_f64(v, c.leakage_per_core);
-    else if (k == "clock_gated_dynamic")
-      ok = as_f64(v, c.clock_gated_dynamic);
-    else if (k == "uncore_per_core") ok = as_f64(v, c.uncore_per_core);
-    else if (k == "ptht_overhead_frac") ok = as_f64(v, c.ptht_overhead_frac);
-    else if (k == "ptb_wire_overhead_frac")
-      ok = as_f64(v, c.ptb_wire_overhead_frac);
-    else if (k == "vdd_nominal") ok = as_f64(v, c.vdd_nominal);
-    else if (k == "freq_nominal_ghz") ok = as_f64(v, c.freq_nominal_ghz);
-    else return bad(err, "power", k, "unknown key");
-    if (!ok) return bad(err, "power", k, "bad value");
-  }
-  return true;
-}
-
-bool apply_thermal(const json::Value& o, ThermalConfig& c, std::string& err) {
-  if (!require_object(o, "thermal", err)) return false;
-  for (const auto& [k, v] : o.members()) {
-    bool ok;
-    if (k == "ambient_c") ok = as_f64(v, c.ambient_c);
-    else if (k == "r_thermal") ok = as_f64(v, c.r_thermal);
-    else if (k == "tau_cycles") ok = as_f64(v, c.tau_cycles);
-    else return bad(err, "thermal", k, "unknown key");
-    if (!ok) return bad(err, "thermal", k, "bad value");
-  }
-  return true;
-}
-
-bool apply_dvfs(const json::Value& o, DvfsConfig& c, std::string& err) {
-  if (!require_object(o, "dvfs", err)) return false;
-  for (const auto& [k, v] : o.members()) {
-    bool ok;
-    if (k == "window_cycles") ok = v.as_u32(c.window_cycles);
-    else if (k == "up_hysteresis") ok = as_f64(v, c.up_hysteresis);
-    else if (k == "mv_per_cycle") ok = as_f64(v, c.mv_per_cycle);
-    else return bad(err, "dvfs", k, "unknown key");
-    if (!ok) return bad(err, "dvfs", k, "bad value");
-  }
-  return true;
-}
-
-bool apply_ptb(const json::Value& o, PtbConfig& c, std::string& err) {
-  if (!require_object(o, "ptb", err)) return false;
-  for (const auto& [k, v] : o.members()) {
-    bool ok;
-    if (k == "enabled") ok = as_b(v, c.enabled);
-    else if (k == "policy")
-      ok = v.is_string() && parse_ptb_policy(v.as_string(), c.policy);
-    else if (k == "wire_latency_override")
-      ok = v.as_u32(c.wire_latency_override);
-    else if (k == "token_wire_bits") ok = v.as_u32(c.token_wire_bits);
-    else if (k == "relax_threshold") ok = as_f64(v, c.relax_threshold);
-    else if (k == "dynamic_uses_ground_truth")
-      ok = as_b(v, c.dynamic_uses_ground_truth);
-    else if (k == "toall_redistribute") ok = as_b(v, c.toall_redistribute);
-    else if (k == "gate_spinners") ok = as_b(v, c.gate_spinners);
-    else if (k == "spin_gate_period") ok = v.as_u32(c.spin_gate_period);
-    else if (k == "cluster_size") ok = v.as_u32(c.cluster_size);
-    else return bad(err, "ptb", k, "unknown key");
-    if (!ok) return bad(err, "ptb", k, "bad value");
-  }
-  return true;
-}
-
-void emit_kv_u32(std::string& out, const char* k, std::uint32_t v,
-                 bool comma = true) {
+template <class E>
+  requires std::is_enum_v<E>
+void write(std::string& out, E v) {
   out += '"';
-  out += k;
-  out += "\":";
-  out += std::to_string(v);
-  if (comma) out += ',';
+  out += enum_name(v);
+  out += '"';
 }
 
-void emit_kv_f64(std::string& out, const char* k, double v,
-                 bool comma = true) {
-  out += '"';
-  out += k;
-  out += "\":";
-  out += format_g17(v);
-  if (comma) out += ',';
+// Splits a table wire name into its section ("" at top level) and key.
+std::pair<std::string_view, std::string_view> split_name(
+    std::string_view name) {
+  const std::size_t dot = name.find('.');
+  if (dot == std::string_view::npos) return {{}, name};
+  return {name.substr(0, dot), name.substr(dot + 1)};
 }
 
-void emit_kv_bool(std::string& out, const char* k, bool v,
-                  bool comma = true) {
-  out += '"';
-  out += k;
-  out += "\":";
-  out += v ? "true" : "false";
-  if (comma) out += ',';
+bool is_section(const SimConfig& cfg, std::string_view key) {
+  bool found = false;
+  for_each_field(cfg, [&](std::string_view name, const auto&, auto...) {
+    found = found || split_name(name).first == key;
+  });
+  return found;
 }
 
-void emit_kv_str(std::string& out, const char* k, const char* v,
-                 bool comma = true) {
-  out += '"';
-  out += k;
-  out += "\":\"";
-  out += v;
-  out += '"';
-  if (comma) out += ',';
+// Applies one wire member `section.key` (`key` alone at top level).
+bool apply_field(SimConfig& cfg, std::string_view section,
+                 std::string_view key, const json::Value& v,
+                 std::string& err) {
+  bool found = false;
+  std::string why;
+  for_each_field(cfg, [&](std::string_view name, auto& dst, auto...) {
+    if (found || split_name(name) != std::pair{section, key}) return;
+    found = true;
+    if (!read(v, dst)) why = section.empty() ? expected(dst) : "bad value";
+  });
+  const std::string_view where = section.empty() ? "config" : section;
+  if (!found) return bad(err, where, key, "unknown key");
+  if (!why.empty()) return bad(err, where, key, why);
+  return true;
+}
+
+// Cache geometry as Cache's constructor asserts it (mem/cache.cpp).
+bool valid_cache(std::string_view section, std::string_view size_key,
+                 std::uint32_t size_bytes, std::uint32_t assoc,
+                 std::uint32_t line_bytes, std::string& err) {
+  if (!std::has_single_bit(line_bytes))
+    return bad(err, section, "line_bytes", "expected a power of two");
+  if (assoc == 0)
+    return bad(err, section, "assoc", "expected a positive integer");
+  const std::uint32_t lines = size_bytes / line_bytes;
+  if (lines % assoc != 0 || !std::has_single_bit(lines / assoc))
+    return bad(err, section, size_key,
+               "size / (assoc * line_bytes) must be a power-of-two set count");
+  return true;
+}
+
+// Rejects every machine the simulator's constructors would abort on (or
+// divide by zero in), so a bad request is a 400, never a dead daemon.
+bool validate(const SimConfig& cfg, std::string& err) {
+  if (cfg.num_cores == 0)
+    return bad(err, "config", "num_cores", "expected a positive integer");
+  if (cfg.num_cores > 32)  // the directory's sharer bitmask
+    return bad(err, "config", "num_cores", "at most 32 cores are supported");
+  if (!(cfg.budget_fraction > 0.0) || cfg.budget_fraction > 1.0)
+    return bad(err, "config", "budget_fraction", "expected a number in (0, 1]");
+  if (cfg.max_cycles == 0)
+    return bad(err, "config", "max_cycles", "expected a positive integer");
+  if (!std::has_single_bit(cfg.core.bp_table_bytes * 4u))
+    return bad(err, "core", "bp_table_bytes",
+               "4 * bp_table_bytes must be a power of two");
+  if (!valid_cache("l1i", "size_bytes", cfg.l1i.size_bytes, cfg.l1i.assoc,
+                   cfg.l1i.line_bytes, err) ||
+      !valid_cache("l1d", "size_bytes", cfg.l1d.size_bytes, cfg.l1d.assoc,
+                   cfg.l1d.line_bytes, err) ||
+      !valid_cache("l2", "size_bytes_per_core", cfg.l2.size_bytes_per_core,
+                   cfg.l2.assoc, cfg.l2.line_bytes, err)) {
+    return false;
+  }
+  if (cfg.noc.flit_bytes == 0)
+    return bad(err, "noc", "flit_bytes", "expected a positive integer");
+  if (cfg.noc.link_flits_per_cycle == 0)
+    return bad(err, "noc", "link_flits_per_cycle",
+               "expected a positive integer");
+  // The bank array exists even when the flat model is in use.
+  if (cfg.mem.channels == 0)
+    return bad(err, "mem", "channels", "expected a positive integer");
+  if (cfg.mem.banks_per_channel == 0)
+    return bad(err, "mem", "banks_per_channel", "expected a positive integer");
+  if (cfg.mem.banked && cfg.mem.row_bytes < 64)
+    return bad(err, "mem", "row_bytes", "a row holds at least one 64 B line");
+  if (cfg.power.kmeans_groups == 0)
+    return bad(err, "power", "kmeans_groups", "expected a positive integer");
+  if (!std::has_single_bit(cfg.power.ptht_entries))
+    return bad(err, "power", "ptht_entries", "expected a power of two");
+  if (cfg.ptb.enabled &&
+      (cfg.ptb.token_wire_bits == 0 || cfg.ptb.token_wire_bits > 16))
+    return bad(err, "ptb", "token_wire_bits", "expected 1..16");
+  if (cfg.ptb.gate_spinners && cfg.ptb.spin_gate_period == 0)
+    return bad(err, "ptb", "spin_gate_period", "expected a positive integer");
+  return true;
 }
 
 }  // namespace
-
-const char* technique_kind_name(TechniqueKind k) {
-  switch (k) {
-    case TechniqueKind::kNone: return "none";
-    case TechniqueKind::kDvfs: return "dvfs";
-    case TechniqueKind::kDfs: return "dfs";
-    case TechniqueKind::kTwoLevel: return "two_level";
-    case TechniqueKind::kThriftyBarrier: return "thrifty_barrier";
-    case TechniqueKind::kMeetingPoints: return "meeting_points";
-  }
-  return "?";
-}
-
-bool parse_technique_kind(const std::string& s, TechniqueKind& out) {
-  if (s == "none") out = TechniqueKind::kNone;
-  else if (s == "dvfs") out = TechniqueKind::kDvfs;
-  else if (s == "dfs") out = TechniqueKind::kDfs;
-  else if (s == "two_level") out = TechniqueKind::kTwoLevel;
-  else if (s == "thrifty_barrier") out = TechniqueKind::kThriftyBarrier;
-  else if (s == "meeting_points") out = TechniqueKind::kMeetingPoints;
-  else return false;
-  return true;
-}
-
-const char* ptb_policy_name(PtbPolicy p) {
-  switch (p) {
-    case PtbPolicy::kToAll: return "to_all";
-    case PtbPolicy::kToOne: return "to_one";
-    case PtbPolicy::kDynamic: return "dynamic";
-  }
-  return "?";
-}
-
-bool parse_ptb_policy(const std::string& s, PtbPolicy& out) {
-  if (s == "to_all") out = PtbPolicy::kToAll;
-  else if (s == "to_one") out = PtbPolicy::kToOne;
-  else if (s == "dynamic") out = PtbPolicy::kDynamic;
-  else return false;
-  return true;
-}
-
-const char* coherence_name(CoherenceProtocol p) {
-  switch (p) {
-    case CoherenceProtocol::kMoesi: return "moesi";
-    case CoherenceProtocol::kMesi: return "mesi";
-  }
-  return "?";
-}
-
-bool parse_coherence(const std::string& s, CoherenceProtocol& out) {
-  if (s == "moesi") out = CoherenceProtocol::kMoesi;
-  else if (s == "mesi") out = CoherenceProtocol::kMesi;
-  else return false;
-  return true;
-}
 
 bool apply_sim_config_json(const json::Value& doc, SimConfig& cfg,
                            std::string& err) {
@@ -318,61 +184,20 @@ bool apply_sim_config_json(const json::Value& doc, SimConfig& cfg,
     return false;
   }
   for (const auto& [k, v] : doc.members()) {
-    if (k == "core") {
-      if (!apply_core(v, cfg.core, err)) return false;
-    } else if (k == "l1i") {
-      if (!apply_cache(v, "l1i", cfg.l1i, err)) return false;
-    } else if (k == "l1d") {
-      if (!apply_cache(v, "l1d", cfg.l1d, err)) return false;
-    } else if (k == "l2") {
-      if (!apply_l2(v, cfg.l2, err)) return false;
-    } else if (k == "noc") {
-      if (!apply_noc(v, cfg.noc, err)) return false;
-    } else if (k == "mem") {
-      if (!apply_mem(v, cfg.mem, err)) return false;
-    } else if (k == "power") {
-      if (!apply_power(v, cfg.power, err)) return false;
-    } else if (k == "thermal") {
-      if (!apply_thermal(v, cfg.thermal, err)) return false;
-    } else if (k == "dvfs") {
-      if (!apply_dvfs(v, cfg.dvfs, err)) return false;
-    } else if (k == "ptb") {
-      if (!apply_ptb(v, cfg.ptb, err)) return false;
-    } else if (k == "num_cores") {
-      std::uint32_t cores = 0;
-      if (!v.as_u32(cores) || cores == 0)
-        return bad(err, "config", k, "expected a positive integer");
-      cfg.num_cores = cores;
-    } else if (k == "technique") {
-      if (!v.is_string() ||
-          !parse_technique_kind(v.as_string(), cfg.technique))
-        return bad(err, "config", k,
-                   "expected one of none/dvfs/dfs/two_level/"
-                   "thrifty_barrier/meeting_points");
-    } else if (k == "budget_fraction") {
-      double f = 0.0;
-      if (!as_f64(v, f) || !(f > 0.0) || f > 1.0)
-        return bad(err, "config", k, "expected a number in (0, 1]");
-      cfg.budget_fraction = f;
-    } else if (k == "seed") {
-      if (!as_u64v(v, cfg.seed))
-        return bad(err, "config", k, "expected an unsigned integer");
-    } else if (k == "max_cycles") {
-      std::uint64_t mc = 0;
-      if (!as_u64v(v, mc) || mc == 0)
-        return bad(err, "config", k, "expected a positive integer");
-      cfg.max_cycles = mc;
-    } else if (k == "functional_warmup") {
-      if (!as_b(v, cfg.functional_warmup))
-        return bad(err, "config", k, "expected a boolean");
-    } else if (k == "audit_level" || k == "trace") {
+    if (k == "audit_level" || k == "trace") {
       return bad(err, "config", k,
                  "observe-only knob, not addressable over the wire");
-    } else {
-      return bad(err, "config", k, "unknown key");
+    }
+    if (!is_section(cfg, k)) {
+      if (!apply_field(cfg, {}, k, v, err)) return false;
+      continue;
+    }
+    if (!v.is_object()) return bad(err, k, {}, "expected an object");
+    for (const auto& [key, val] : v.members()) {
+      if (!apply_field(cfg, k, key, val, err)) return false;
     }
   }
-  return true;
+  return validate(cfg, err);
 }
 
 bool sim_config_from_json(const std::string& text, SimConfig& out,
@@ -387,129 +212,33 @@ bool sim_config_from_json(const std::string& text, SimConfig& out,
 
 std::string sim_config_to_json(const SimConfig& cfg) {
   std::string out = "{";
-  emit_kv_u32(out, "num_cores", cfg.num_cores);
-
-  out += "\"core\":{";
-  emit_kv_u32(out, "rob_entries", cfg.core.rob_entries);
-  emit_kv_u32(out, "lsq_entries", cfg.core.lsq_entries);
-  emit_kv_u32(out, "fetch_width", cfg.core.fetch_width);
-  emit_kv_u32(out, "issue_width", cfg.core.issue_width);
-  emit_kv_u32(out, "commit_width", cfg.core.commit_width);
-  emit_kv_u32(out, "pipeline_stages", cfg.core.pipeline_stages);
-  emit_kv_u32(out, "int_alu", cfg.core.int_alu);
-  emit_kv_u32(out, "int_mult", cfg.core.int_mult);
-  emit_kv_u32(out, "fp_alu", cfg.core.fp_alu);
-  emit_kv_u32(out, "fp_mult", cfg.core.fp_mult);
-  emit_kv_u32(out, "l1d_ports", cfg.core.l1d_ports);
-  emit_kv_u32(out, "bp_history_bits", cfg.core.bp_history_bits);
-  emit_kv_u32(out, "bp_table_bytes", cfg.core.bp_table_bytes,
-              /*comma=*/false);
-  out += "},";
-
-  for (const auto& [name, c] :
-       {std::pair<const char*, const CacheConfig*>{"l1i", &cfg.l1i},
-        std::pair<const char*, const CacheConfig*>{"l1d", &cfg.l1d}}) {
+  std::string_view open;  // section whose object is open ("" = top level)
+  bool first = true;      // no member yet in the innermost open object
+  for_each_field(cfg, [&](std::string_view name, const auto& v, auto...) {
+    const auto [section, key] = split_name(name);
+    if (section != open) {
+      if (!open.empty()) {
+        out += '}';
+        first = false;
+      }
+      open = section;
+      if (!section.empty()) {
+        if (!first) out += ',';
+        out += '"';
+        out += section;
+        out += "\":{";
+        first = true;
+      }
+    }
+    if (!first) out += ',';
+    first = false;
     out += '"';
-    out += name;
-    out += "\":{";
-    emit_kv_u32(out, "size_bytes", c->size_bytes);
-    emit_kv_u32(out, "assoc", c->assoc);
-    emit_kv_u32(out, "line_bytes", c->line_bytes);
-    emit_kv_u32(out, "hit_latency", c->hit_latency);
-    emit_kv_u32(out, "mshrs", c->mshrs, /*comma=*/false);
-    out += "},";
-  }
-
-  out += "\"l2\":{";
-  emit_kv_u32(out, "size_bytes_per_core", cfg.l2.size_bytes_per_core);
-  emit_kv_u32(out, "assoc", cfg.l2.assoc);
-  emit_kv_u32(out, "line_bytes", cfg.l2.line_bytes);
-  emit_kv_u32(out, "hit_latency", cfg.l2.hit_latency);
-  emit_kv_str(out, "protocol", coherence_name(cfg.l2.protocol),
-              /*comma=*/false);
-  out += "},";
-
-  out += "\"noc\":{";
-  emit_kv_u32(out, "link_latency", cfg.noc.link_latency);
-  emit_kv_u32(out, "flit_bytes", cfg.noc.flit_bytes);
-  emit_kv_u32(out, "link_flits_per_cycle", cfg.noc.link_flits_per_cycle);
-  emit_kv_u32(out, "ctrl_msg_bytes", cfg.noc.ctrl_msg_bytes);
-  emit_kv_u32(out, "data_msg_bytes", cfg.noc.data_msg_bytes,
-              /*comma=*/false);
-  out += "},";
-
-  out += "\"mem\":{";
-  emit_kv_u32(out, "dram_latency", cfg.mem.dram_latency);
-  emit_kv_bool(out, "banked", cfg.mem.banked);
-  emit_kv_u32(out, "channels", cfg.mem.channels);
-  emit_kv_u32(out, "banks_per_channel", cfg.mem.banks_per_channel);
-  emit_kv_u32(out, "row_bytes", cfg.mem.row_bytes);
-  emit_kv_u32(out, "t_pre", cfg.mem.t_pre);
-  emit_kv_u32(out, "t_act", cfg.mem.t_act);
-  emit_kv_u32(out, "t_cas", cfg.mem.t_cas);
-  emit_kv_u32(out, "t_bus", cfg.mem.t_bus, /*comma=*/false);
-  out += "},";
-
-  out += "\"power\":{";
-  emit_kv_f64(out, "residency_token", cfg.power.residency_token);
-  emit_kv_f64(out, "peak_fetch_frac", cfg.power.peak_fetch_frac);
-  emit_kv_f64(out, "peak_rob_frac", cfg.power.peak_rob_frac);
-  emit_kv_f64(out, "base_int_alu", cfg.power.base_int_alu);
-  emit_kv_f64(out, "base_int_mult", cfg.power.base_int_mult);
-  emit_kv_f64(out, "base_fp_alu", cfg.power.base_fp_alu);
-  emit_kv_f64(out, "base_fp_mult", cfg.power.base_fp_mult);
-  emit_kv_f64(out, "base_load", cfg.power.base_load);
-  emit_kv_f64(out, "base_store", cfg.power.base_store);
-  emit_kv_f64(out, "base_branch", cfg.power.base_branch);
-  emit_kv_f64(out, "base_atomic", cfg.power.base_atomic);
-  emit_kv_f64(out, "base_nop", cfg.power.base_nop);
-  emit_kv_f64(out, "base_jitter", cfg.power.base_jitter);
-  emit_kv_u32(out, "kmeans_groups", cfg.power.kmeans_groups);
-  emit_kv_u32(out, "ptht_entries", cfg.power.ptht_entries);
-  emit_kv_f64(out, "leakage_per_core", cfg.power.leakage_per_core);
-  emit_kv_f64(out, "clock_gated_dynamic", cfg.power.clock_gated_dynamic);
-  emit_kv_f64(out, "uncore_per_core", cfg.power.uncore_per_core);
-  emit_kv_f64(out, "ptht_overhead_frac", cfg.power.ptht_overhead_frac);
-  emit_kv_f64(out, "ptb_wire_overhead_frac",
-              cfg.power.ptb_wire_overhead_frac);
-  emit_kv_f64(out, "vdd_nominal", cfg.power.vdd_nominal);
-  emit_kv_f64(out, "freq_nominal_ghz", cfg.power.freq_nominal_ghz,
-              /*comma=*/false);
-  out += "},";
-
-  out += "\"thermal\":{";
-  emit_kv_f64(out, "ambient_c", cfg.thermal.ambient_c);
-  emit_kv_f64(out, "r_thermal", cfg.thermal.r_thermal);
-  emit_kv_f64(out, "tau_cycles", cfg.thermal.tau_cycles, /*comma=*/false);
-  out += "},";
-
-  out += "\"dvfs\":{";
-  emit_kv_u32(out, "window_cycles", cfg.dvfs.window_cycles);
-  emit_kv_f64(out, "up_hysteresis", cfg.dvfs.up_hysteresis);
-  emit_kv_f64(out, "mv_per_cycle", cfg.dvfs.mv_per_cycle, /*comma=*/false);
-  out += "},";
-
-  out += "\"ptb\":{";
-  emit_kv_bool(out, "enabled", cfg.ptb.enabled);
-  emit_kv_str(out, "policy", ptb_policy_name(cfg.ptb.policy));
-  emit_kv_u32(out, "wire_latency_override", cfg.ptb.wire_latency_override);
-  emit_kv_u32(out, "token_wire_bits", cfg.ptb.token_wire_bits);
-  emit_kv_f64(out, "relax_threshold", cfg.ptb.relax_threshold);
-  emit_kv_bool(out, "dynamic_uses_ground_truth",
-               cfg.ptb.dynamic_uses_ground_truth);
-  emit_kv_bool(out, "toall_redistribute", cfg.ptb.toall_redistribute);
-  emit_kv_bool(out, "gate_spinners", cfg.ptb.gate_spinners);
-  emit_kv_u32(out, "spin_gate_period", cfg.ptb.spin_gate_period);
-  emit_kv_u32(out, "cluster_size", cfg.ptb.cluster_size, /*comma=*/false);
-  out += "},";
-
-  emit_kv_str(out, "technique", technique_kind_name(cfg.technique));
-  emit_kv_f64(out, "budget_fraction", cfg.budget_fraction);
-  out += "\"seed\":" + std::to_string(cfg.seed) + ",";
-  out += "\"max_cycles\":" + std::to_string(cfg.max_cycles) + ",";
-  emit_kv_bool(out, "functional_warmup", cfg.functional_warmup,
-               /*comma=*/false);
-  out += "}";
+    out += key;
+    out += "\":";
+    write(out, v);
+  });
+  if (!open.empty()) out += '}';
+  out += '}';
   return out;
 }
 

@@ -3,21 +3,25 @@
 //
 // A request carries *overrides*: parsing starts from a default-constructed
 // SimConfig (the paper's Table 1 machine) and applies exactly the members
-// present, strictly — an unknown key, a mistyped value or an out-of-domain
-// enum string rejects the whole document with a positioned error, because a
-// silently ignored typo ("num_core") would simulate the wrong machine and
-// then *cache* it under the wrong-machine fingerprint.
+// present, strictly — an unknown key, a mistyped value, an out-of-domain
+// enum string or a machine the simulator would abort on (bad cache
+// geometry, more than 32 cores, ...) rejects the whole document with a
+// positioned error, because a silently ignored typo ("num_core") would
+// simulate the wrong machine and then *cache* it under the wrong-machine
+// fingerprint, and an impossible machine would take the daemon down.
 //
-// The codec covers every fingerprinted SimConfig field (reporting.cpp's
-// machine_fingerprint + config_fingerprint lists) and nothing else: the
-// observe-only knobs (audit_level, trace.*) are deliberately
-// not addressable over the wire — they cannot change a result, so a client
+// The wire vocabulary is the SimConfig field table (for_each_field in
+// common/config.hpp), the same list the fingerprints hash — so the codec
+// covers every fingerprinted field by construction, and nothing else: the
+// observe-only knobs (audit_level, trace.*) are deliberately not
+// addressable over the wire — they cannot change a result, so a client
 // setting them could only burn server CPU; requests naming them are
-// rejected with an error saying so.
+// rejected with an error saying so. Enum values travel as their
+// enum_names() wire names.
 //
-// sim_config_to_json emits the canonical full document (every codec field,
-// fixed order, locale-pinned numbers): parse(to_json(cfg)) == cfg, and the
-// emitted text is byte-stable for use in fingerprint-adjacent tooling.
+// sim_config_to_json emits the canonical full document (every table field
+// in table order, locale-pinned numbers): parse(to_json(cfg)) == cfg, and
+// the emitted text is byte-stable for use in fingerprint-adjacent tooling.
 #pragma once
 
 #include <string>
@@ -28,17 +32,9 @@
 
 namespace ptb::serve {
 
-/// Enum <-> string codecs (strict; parse_* return false on unknown names).
-const char* technique_kind_name(TechniqueKind k);
-bool parse_technique_kind(const std::string& s, TechniqueKind& out);
-const char* ptb_policy_name(PtbPolicy p);
-bool parse_ptb_policy(const std::string& s, PtbPolicy& out);
-const char* coherence_name(CoherenceProtocol p);
-bool parse_coherence(const std::string& s, CoherenceProtocol& out);
-
 /// Applies the members of `doc` (a parsed JSON object) onto `cfg`.
-/// Strict: unknown keys, wrong types and bad enum strings fail with `err`
-/// naming the offending key. On failure `cfg` may be partially updated —
+/// Strict: unknown keys, wrong types, bad enum strings and machines the
+/// simulator would abort on fail with `err` naming the offending key. On failure `cfg` may be partially updated —
 /// parse into a scratch config.
 bool apply_sim_config_json(const json::Value& doc, SimConfig& cfg,
                            std::string& err);
@@ -48,7 +44,7 @@ bool apply_sim_config_json(const json::Value& doc, SimConfig& cfg,
 bool sim_config_from_json(const std::string& text, SimConfig& out,
                           std::string& err);
 
-/// Canonical full emission of every codec-addressable field.
+/// Canonical full emission of every table field, in table order.
 std::string sim_config_to_json(const SimConfig& cfg);
 
 /// One simulation request: a suite benchmark plus config overrides.

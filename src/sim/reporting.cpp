@@ -56,6 +56,20 @@ std::string string_array_json(const std::vector<std::string>& v) {
   return out;
 }
 
+// Mixes each visited table field into the FNV stream, field by field (never
+// struct-at-once: padding bytes are indeterminate).
+struct FnvMixer {
+  std::uint64_t& h;
+
+  template <class T>
+  void operator()(const char*, const T& v) const {
+    fnv_mix_value(h, v);
+  }
+  void operator()(const char*, bool v, MixedOnlyWhenSet) const {
+    if (v) fnv_mix_value(h, v);
+  }
+};
+
 }  // namespace
 
 void print_energy_aopb(const FigureGrid& grid, const std::string& title) {
@@ -69,115 +83,17 @@ void print_slowdown(const FigureGrid& grid, const std::string& title) {
                &Normalized::slowdown_pct);
 }
 
-// Observe-only knobs that can never change a result stay out of the
-// fingerprint so turning them on/off compares against existing results:
-// audit_level (aborts or is silent) and trace.* (recorder sizing). ptb-lint's
-// fingerprint checker holds this list exactly equal to the set of unhashed
-// SimConfig fields — extending SimConfig without deciding fingerprint
-// status fails the lint.
-// ptb-lint: fingerprint-exclude(audit_level, trace)
 std::uint64_t machine_fingerprint(const SimConfig& cfg) {
   std::uint64_t h = kFnvBasis;
-  // Field-by-field (never struct-at-once: padding bytes are
-  // indeterminate). Every field that can change a result participates;
-  // the exclusion list above names what is deliberately absent.
-  fnv_mix_value(h, cfg.num_cores);
-  fnv_mix_value(h, cfg.core.rob_entries);
-  fnv_mix_value(h, cfg.core.lsq_entries);
-  fnv_mix_value(h, cfg.core.fetch_width);
-  fnv_mix_value(h, cfg.core.issue_width);
-  fnv_mix_value(h, cfg.core.commit_width);
-  fnv_mix_value(h, cfg.core.pipeline_stages);
-  fnv_mix_value(h, cfg.core.int_alu);
-  fnv_mix_value(h, cfg.core.int_mult);
-  fnv_mix_value(h, cfg.core.fp_alu);
-  fnv_mix_value(h, cfg.core.fp_mult);
-  fnv_mix_value(h, cfg.core.l1d_ports);
-  fnv_mix_value(h, cfg.core.bp_history_bits);
-  fnv_mix_value(h, cfg.core.bp_table_bytes);
-  for (const CacheConfig* c : {&cfg.l1i, &cfg.l1d}) {
-    fnv_mix_value(h, c->size_bytes);
-    fnv_mix_value(h, c->assoc);
-    fnv_mix_value(h, c->line_bytes);
-    fnv_mix_value(h, c->hit_latency);
-    fnv_mix_value(h, c->mshrs);
-  }
-  fnv_mix_value(h, cfg.l2.size_bytes_per_core);
-  fnv_mix_value(h, cfg.l2.assoc);
-  fnv_mix_value(h, cfg.l2.line_bytes);
-  fnv_mix_value(h, cfg.l2.hit_latency);
-  fnv_mix_value(h, cfg.l2.protocol);
-  fnv_mix_value(h, cfg.noc.link_latency);
-  fnv_mix_value(h, cfg.noc.flit_bytes);
-  fnv_mix_value(h, cfg.noc.link_flits_per_cycle);
-  fnv_mix_value(h, cfg.noc.ctrl_msg_bytes);
-  fnv_mix_value(h, cfg.noc.data_msg_bytes);
-  fnv_mix_value(h, cfg.mem.dram_latency);
-  fnv_mix_value(h, cfg.mem.banked);
-  fnv_mix_value(h, cfg.mem.channels);
-  fnv_mix_value(h, cfg.mem.banks_per_channel);
-  fnv_mix_value(h, cfg.mem.row_bytes);
-  fnv_mix_value(h, cfg.mem.t_pre);
-  fnv_mix_value(h, cfg.mem.t_act);
-  fnv_mix_value(h, cfg.mem.t_cas);
-  fnv_mix_value(h, cfg.mem.t_bus);
-  fnv_mix_value(h, cfg.power.residency_token);
-  fnv_mix_value(h, cfg.power.peak_fetch_frac);
-  fnv_mix_value(h, cfg.power.peak_rob_frac);
-  fnv_mix_value(h, cfg.power.base_int_alu);
-  fnv_mix_value(h, cfg.power.base_int_mult);
-  fnv_mix_value(h, cfg.power.base_fp_alu);
-  fnv_mix_value(h, cfg.power.base_fp_mult);
-  fnv_mix_value(h, cfg.power.base_load);
-  fnv_mix_value(h, cfg.power.base_store);
-  fnv_mix_value(h, cfg.power.base_branch);
-  fnv_mix_value(h, cfg.power.base_atomic);
-  fnv_mix_value(h, cfg.power.base_nop);
-  fnv_mix_value(h, cfg.power.base_jitter);
-  fnv_mix_value(h, cfg.power.kmeans_groups);
-  fnv_mix_value(h, cfg.power.ptht_entries);
-  fnv_mix_value(h, cfg.power.leakage_per_core);
-  fnv_mix_value(h, cfg.power.clock_gated_dynamic);
-  fnv_mix_value(h, cfg.power.uncore_per_core);
-  fnv_mix_value(h, cfg.power.ptht_overhead_frac);
-  fnv_mix_value(h, cfg.power.ptb_wire_overhead_frac);
-  fnv_mix_value(h, cfg.power.vdd_nominal);
-  fnv_mix_value(h, cfg.power.freq_nominal_ghz);
-  fnv_mix_value(h, cfg.thermal.ambient_c);
-  fnv_mix_value(h, cfg.thermal.r_thermal);
-  fnv_mix_value(h, cfg.thermal.tau_cycles);
-  fnv_mix_value(h, cfg.dvfs.window_cycles);
-  fnv_mix_value(h, cfg.dvfs.up_hysteresis);
-  fnv_mix_value(h, cfg.dvfs.mv_per_cycle);
+  for_each_machine_field(cfg, FnvMixer{h});
   return h;
 }
 
 std::uint64_t config_fingerprint(const SimConfig& cfg) {
-  // Continue the FNV stream from the machine prefix with the technique
-  // knobs, so config_fingerprint stays byte-identical to the pre-split
-  // value (results/*.json embed it) while machine_fingerprint is exactly
-  // its machine-only prefix.
+  // Continues the machine stream, so machine_fingerprint is exactly the
+  // prefix of config_fingerprint that stops before the technique fields.
   std::uint64_t h = machine_fingerprint(cfg);
-  fnv_mix_value(h, cfg.ptb.enabled);
-  fnv_mix_value(h, cfg.ptb.policy);
-  fnv_mix_value(h, cfg.ptb.wire_latency_override);
-  fnv_mix_value(h, cfg.ptb.token_wire_bits);
-  fnv_mix_value(h, cfg.ptb.relax_threshold);
-  fnv_mix_value(h, cfg.ptb.dynamic_uses_ground_truth);
-  fnv_mix_value(h, cfg.ptb.gate_spinners);
-  fnv_mix_value(h, cfg.ptb.spin_gate_period);
-  fnv_mix_value(h, cfg.ptb.cluster_size);
-  // Mixed only when set so every pre-existing config keeps its embedded
-  // fingerprint (results/*.json) while the non-default mode still gets a
-  // distinct one.
-  if (cfg.ptb.toall_redistribute) {
-    fnv_mix_value(h, cfg.ptb.toall_redistribute);
-  }
-  fnv_mix_value(h, cfg.technique);
-  fnv_mix_value(h, cfg.budget_fraction);
-  fnv_mix_value(h, cfg.seed);
-  fnv_mix_value(h, cfg.max_cycles);
-  fnv_mix_value(h, cfg.functional_warmup);
+  for_each_technique_field(cfg, FnvMixer{h});
   return h;
 }
 

@@ -18,22 +18,20 @@ void print_energy_aopb(const FigureGrid& grid, const std::string& title);
 /// Render a performance-slowdown table (Figure 13 style).
 void print_slowdown(const FigureGrid& grid, const std::string& title);
 
-/// Stable fingerprint of the simulated-machine configuration (FNV-1a over
-/// the fields that determine results: Table 1 machine parameters, power
-/// constants, budget, seed, technique knobs). Two runs with equal
-/// fingerprints and equal bench inputs must produce equal numbers — the
-/// JSON exporter embeds it so result diffs can tell "code changed" from
-/// "configuration changed".
+/// Stable fingerprint of the simulated-machine configuration: FNV-1a over
+/// every entry of the SimConfig field table (for_each_field in
+/// common/config.hpp), in table order. Two runs with equal fingerprints and
+/// equal bench inputs must produce equal numbers — the JSON exporter
+/// embeds it so result diffs can tell "code changed" from "configuration
+/// changed".
 std::uint64_t config_fingerprint(const SimConfig& cfg);
 
-/// Fingerprint of the simulated-machine parameters only (Table 1 core/
-/// cache/NoC/DRAM/power/thermal/DVFS fields) — the prefix of
-/// config_fingerprint that stops before the technique knobs (ptb.*,
-/// technique, budget_fraction, seed, max_cycles, functional_warmup). Two
-/// runs are comparable under normalize() iff their machine fingerprints
-/// match: the techniques may differ, the machine may not. Diagnostic knobs
-/// that cannot change results (SimConfig::audit_level) are excluded from
-/// both fingerprints.
+/// Fingerprint of the simulated-machine parameters only: the
+/// for_each_machine_field entries, i.e. the prefix of config_fingerprint
+/// that stops before the for_each_technique_field entries. Two runs are
+/// comparable under normalize() iff their machine fingerprints match: the
+/// techniques may differ, the machine may not. Observe-only knobs that
+/// cannot change results (audit_level, trace) are in neither.
 std::uint64_t machine_fingerprint(const SimConfig& cfg);
 
 /// RunResult::stats as JSON (src/stats exposition). Empty string when the

@@ -1,16 +1,16 @@
 // Fault-injection fixture for the fingerprint checker: every SimConfig
-// leaf must be hashed or explicitly excluded, and the exclusion list must
-// carry no stale entries. This file's SimConfig shadows the real one only
+// leaf must be a field-table entry or explicitly excluded, and the
+// exclusion list must carry no stale entries. This file's SimConfig shadows the real one only
 // within the fixture corpus. Never compiled — lint input only.
 
 struct FixtureNested {
   int hashed_sub = 0;
-  int missing_sub = 0;  // FINDING: nested leaf neither hashed nor excluded
+  int missing_sub = 0;  // FINDING: nested leaf neither listed nor excluded
 };
 
 struct SimConfig {
   int hashed_field = 1;
-  int missing_field = 2;  // FINDING: neither hashed nor excluded
+  int missing_field = 2;  // FINDING: neither listed nor excluded
   int observer_knob = 3;  // excluded below: must NOT fire
   FixtureNested nested{};
 };
@@ -18,9 +18,8 @@ struct SimConfig {
 // The stale entry (ghost_field) names a field that does not exist, so the
 // checker fires on the marker line itself.
 // ptb-lint: fingerprint-exclude(observer_knob, ghost_field)  // FINDING: stale entry
-unsigned long machine_fingerprint(const SimConfig& cfg) {
-  unsigned long h = 1469598103934665603ul;
-  h ^= static_cast<unsigned long>(cfg.hashed_field);
-  h ^= static_cast<unsigned long>(cfg.nested.hashed_sub);
-  return h;
+template <class F>
+void for_each_machine_field(const SimConfig& cfg, F&& f) {
+  f("hashed_field", cfg.hashed_field);
+  f("nested.hashed_sub", cfg.nested.hashed_sub);
 }

@@ -280,7 +280,8 @@ void check_wallclock(const Corpus& corpus, std::vector<Finding>& out) {
 }
 
 // ---------------------------------------------------------------------------
-// Function definitions by name (the fingerprint checker reads their bodies).
+// Function definitions by name (the fingerprint checker reads the field
+// table's bodies).
 // ---------------------------------------------------------------------------
 
 struct FnDef {
@@ -291,7 +292,7 @@ struct FnDef {
 
 // Lexical function-definition extraction: `name ( ... ) [cv] {`.
 // Constructors (mem-init lists) and lambdas are deliberately skipped; the
-// fingerprint functions are plain free functions.
+// field-table functions are plain free function templates.
 std::map<std::string, std::vector<FnDef>> build_defs(const Corpus& corpus) {
   std::map<std::string, std::vector<FnDef>> defs;
   for (const SourceFile& f : corpus.files) {
@@ -319,10 +320,11 @@ std::map<std::string, std::vector<FnDef>> build_defs(const Corpus& corpus) {
 }
 
 // ---------------------------------------------------------------------------
-// fingerprint: every SimConfig leaf field must either feed the FNV stream
-// of machine_fingerprint/config_fingerprint or appear on the explicit
-// `ptb-lint: fingerprint-exclude(...)` list next to those functions — and
-// the exclusion list may not carry stale entries. This turns "we know
+// fingerprint: every SimConfig leaf field must either be an entry of the
+// field table (for_each_machine_field / for_each_technique_field, which the
+// fingerprints and the wire codec both walk) or appear on the explicit
+// `ptb-lint: fingerprint-exclude(...)` list next to the table — and the
+// exclusion list may not carry stale entries. This turns "we know
 // audit_level is observe-only" from tribal knowledge into a checked
 // invariant: adding a SimConfig field without deciding its fingerprint
 // status fails the lint.
@@ -430,7 +432,7 @@ bool has_seq(const Tokens& ts, std::size_t begin, std::size_t end,
 }
 
 void check_fingerprint(const Corpus& corpus, std::vector<Finding>& out) {
-  // Locate SimConfig (and the structs it nests) and the fingerprint
+  // Locate SimConfig (and the structs it nests) and the field-table
   // function bodies anywhere in the corpus.
   std::map<std::string, StructDef> structs;
   for (const SourceFile& f : corpus.files) {
@@ -443,7 +445,8 @@ void check_fingerprint(const Corpus& corpus, std::vector<Finding>& out) {
 
   const std::map<std::string, std::vector<FnDef>> defs = build_defs(corpus);
   std::vector<FnDef> bodies;
-  for (const char* fn : {"machine_fingerprint", "config_fingerprint"}) {
+  for (const char* fn :
+       {"for_each_machine_field", "for_each_technique_field"}) {
     const auto it = defs.find(fn);
     if (it == defs.end()) continue;
     bodies.insert(bodies.end(), it->second.begin(), it->second.end());
@@ -490,15 +493,6 @@ void check_fingerprint(const Corpus& corpus, std::vector<Finding>& out) {
     for (const FnDef& b : bodies) {
       if (has_seq(b.file->tokens, b.body_begin, b.body_end, direct))
         return true;
-      // Pointer-loop form: `&cfg.sub` taken into a loop variable that is
-      // dereferenced as `->leaf` (the l1i/l1d CacheConfig pattern).
-      if (path.size() == 2 &&
-          has_seq(b.file->tokens, b.body_begin, b.body_end,
-                  {"&", "cfg", ".", path[0]}) &&
-          has_seq(b.file->tokens, b.body_begin, b.body_end,
-                  {"->", path[1]})) {
-        return true;
-      }
     }
     return false;
   };
@@ -522,7 +516,8 @@ void check_fingerprint(const Corpus& corpus, std::vector<Finding>& out) {
       // hash or exclude the new knob has to be recorded.
       add(out, *lf.file, lf.line, "fingerprint",
           "SimConfig field '" + lf.path +
-              "' is neither mixed into machine_/config_fingerprint nor on "
+              "' is neither in the SimConfig field table "
+              "(for_each_machine_field / for_each_technique_field) nor on "
               "the fingerprint-exclude list: decide whether it can change "
               "results and record the decision");
     }

@@ -9,8 +9,9 @@
 //   fp-accum        FP reductions in the cycle loop bypassing
 //                   deterministic_total()
 //   wallclock       wall-clock / entropy use outside the allow-list
-//   fingerprint     SimConfig fields neither hashed into the config
-//                   fingerprint nor on the explicit exclusion list
+//   fingerprint     SimConfig fields neither in the field table (which the
+//                   fingerprints and the wire codec walk) nor on the
+//                   explicit exclusion list
 //
 // The contracts themselves are documented in DESIGN.md ("Static
 // analysis"); the fault-injection fixtures proving each checker fires

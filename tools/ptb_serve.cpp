@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--policy") {
       const char* v = need_value();
       if (v == nullptr) return 2;
-      if (!ptb::serve::parse_ptb_policy(v, policy) ||
+      if (!ptb::parse_enum(v, policy) ||
           policy == ptb::PtbPolicy::kDynamic) {
         std::fprintf(stderr,
                      "%s: bad --policy value '%s' (expected to_all or "
@@ -202,7 +202,7 @@ int main(int argc, char** argv) {
   std::printf("ptb-serve: listening on %s:%u (cache %s, jobs %u, tokens "
               "%u, policy %s)\n",
               listen.c_str(), server.port(), cache_dir.c_str(), jobs,
-              host_tokens, ptb::serve::ptb_policy_name(policy));
+              host_tokens, ptb::enum_name(policy));
   std::fflush(stdout);
 
   int sig = 0;
