@@ -1,5 +1,5 @@
-// Shared helpers for the per-figure bench binaries: common CLI parsing
-// (--jobs / --json), the run pool, and the JSON report every binary can
+// Shared helpers for the per-figure bench binaries: the common flag table
+// (--jobs / --json / ...), the run pool, and the JSON report every binary can
 // emit next to its printed tables.
 //
 // Threading & determinism: the BenchContext owns one RunPool sized by
@@ -13,11 +13,11 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/file.hpp"
+#include "common/flags.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/experiment.hpp"
 #include "sim/reporting.hpp"
@@ -28,206 +28,148 @@
 
 namespace ptb::bench {
 
-/// Options every bench binary accepts.
+/// Options every bench binary accepts; bench_flag_rows documents each.
 struct BenchOptions {
-  unsigned jobs = 0;      // --jobs N; 0 = RunPool::default_jobs()
-  std::string json_path;  // --json PATH; empty = no JSON output
-  AuditLevel audit = AuditLevel::kOff;  // --audit {off,cheap,full}
-  std::string only;       // --only NAME; empty = whole suite
-  // --trace PATH[:categories]: capture one event-traced reference run
-  // (PTB+2Level under the dynamic selector, 16 cores, the suite's first
-  // benchmark) and write the binary trace to PATH for ptb-trace.
+  unsigned jobs = 0;  // 0 = RunPool::default_jobs()
+  std::string json_path;
+  AuditLevel audit = AuditLevel::kOff;
+  std::string only;  // empty = whole suite
   std::string trace_path;
   std::uint32_t trace_categories = kTraceAll;
-  // --stats PATH[:EVERY]: capture one stats-instrumented reference run
-  // (same configuration as --trace) and write the registry dump to PATH
-  // for ptb-stats; EVERY > 0 adds time-series sampling every that many
-  // cycles. --stats-format picks the exposition.
   std::string stats_path;
-  std::uint64_t stats_every = 0;
-  bool stats_prom = false;  // --stats-format json (default) | prom
-  // --checkpoint-at CYC:PATH: capture a checkpoint of the reference run
-  // (the --trace/--stats configuration) at cycle CYC and write it to PATH.
+  std::uint64_t stats_every = 0;  // 0 = no time-series sampling
+  bool stats_prom = false;
   std::uint64_t checkpoint_at = 0;
   std::string checkpoint_path;
-  // --restore-from PATH: restore the reference run from a checkpoint frame
-  // and run it to completion (proves frames round-trip from the CLI).
   std::string restore_path;
 };
 
-/// Parses the shared flags; prints usage and exits on --help or on an
-/// unknown/malformed argument. Call once, from main.
-inline BenchOptions parse_bench_args(int argc, char** argv) {
-  BenchOptions opts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: %s requires a value\n", argv[0], flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--jobs" || arg == "-j") {
-      const long n = std::strtol(value("--jobs"), nullptr, 10);
-      if (n < 1) {
-        std::fprintf(stderr, "%s: --jobs must be >= 1\n", argv[0]);
-        std::exit(2);
-      }
-      opts.jobs = static_cast<unsigned>(n);
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      const long n = std::strtol(arg.c_str() + 7, nullptr, 10);
-      if (n < 1) {
-        std::fprintf(stderr, "%s: --jobs must be >= 1\n", argv[0]);
-        std::exit(2);
-      }
-      opts.jobs = static_cast<unsigned>(n);
-    } else if (arg == "--json") {
-      opts.json_path = value("--json");
-    } else if (arg.rfind("--json=", 0) == 0) {
-      opts.json_path = arg.substr(7);
-    } else if (arg == "--audit" || arg.rfind("--audit=", 0) == 0) {
-      const char* v =
-          arg[7] == '=' ? arg.c_str() + 8 : value("--audit");
-      if (!parse_enum(v, opts.audit)) {
-        std::fprintf(stderr, "%s: --audit must be off, cheap or full\n",
-                     argv[0]);
-        std::exit(2);
-      }
-    } else if (arg == "--only") {
-      opts.only = value("--only");
-    } else if (arg.rfind("--only=", 0) == 0) {
-      opts.only = arg.substr(7);
-    } else if (arg == "--list") {
-      for (const std::string& n : full_benchmark_names())
-        std::printf("%s\n", n.c_str());
-      std::exit(0);
-    } else if (arg == "--trace" || arg.rfind("--trace=", 0) == 0) {
-      // PATH[:categories] — the suffix after the last ':' is a category
-      // list only if it parses as one; otherwise it is part of the path.
-      std::string v = arg[7] == '=' ? arg.substr(8) : value("--trace");
-      const std::size_t colon = v.rfind(':');
-      if (colon != std::string::npos &&
-          parse_trace_categories(v.substr(colon + 1),
-                                 opts.trace_categories)) {
-        v.resize(colon);
-      }
-      if (v.empty()) {
-        std::fprintf(stderr, "%s: --trace requires a file path\n", argv[0]);
-        std::exit(2);
-      }
-      opts.trace_path = v;
-    } else if (arg == "--stats" || arg.rfind("--stats=", 0) == 0) {
-      // PATH[:EVERY] — the suffix after the last ':' is a sampling period
+/// The shared flags as a table over `opts`. --help and --list only set
+/// their switches; parse_bench_args acts on them.
+inline std::vector<FlagRow> bench_flag_rows(BenchOptions& opts, bool& help,
+                                            bool& list) {
+  return {
+      {"--jobs", "-j", "N",
+       {"worker threads for the run grid (default: all hardware",
+        "threads); results are identical for any N"},
+       flag_uint(opts.jobs, 1, 4096)},
+      {"--json", "", "PATH",
+       {"also write the results as machine-readable JSON"},
+       flag_string(opts.json_path)},
+      {"--audit", "", "LEVEL",
+       {"run the invariant auditor on every simulation: off",
+        "(default), cheap (per-core checks each cycle) or full",
+        "(adds periodic coherence scans); any level aborts the",
+        "run on a violated invariant and never changes the",
+        "reported numbers"},
+       flag_enum(opts.audit)},
+      {"--only", "", "NAME",
+       {"restrict the benchmark suite to one benchmark"},
+       flag_string(opts.only)},
+      {"--list", "", "", {"print the suite's benchmark names and exit"},
+       flag_switch(list)},
+      // PATH[:CATS]: the suffix after the last ':' is a category list only
+      // if it parses as one; otherwise it is part of the path.
+      {"--trace", "", "PATH[:CATS]",
+       {"additionally capture one event-traced reference run",
+        "(PTB+2Level, dynamic policy, 16 cores, the suite's first",
+        "benchmark) and write the binary trace to PATH (inspect",
+        "with ptb-trace). CATS is 'all' (default) or a comma list",
+        "of: token, policy, dvfs, spin, enforcer, sync, budget"},
+       {[&opts](std::string_view v) {
+          std::uint32_t cats = kTraceAll;
+          const std::size_t colon = v.rfind(':');
+          if (colon != std::string_view::npos &&
+              parse_trace_categories(v.substr(colon + 1), cats)) {
+            v = v.substr(0, colon);
+          }
+          if (v.empty()) return false;
+          opts.trace_path = v;
+          opts.trace_categories = cats;
+          return true;
+        },
+        "PATH[:CATS]"}},
+      // PATH[:EVERY]: the suffix after the last ':' is a sampling period
       // only if it parses as a positive integer; otherwise it is part of
       // the path.
-      std::string v = arg[7] == '=' ? arg.substr(8) : value("--stats");
-      const std::size_t colon = v.rfind(':');
-      if (colon != std::string::npos && colon + 1 < v.size()) {
-        char* end = nullptr;
-        const unsigned long long every =
-            std::strtoull(v.c_str() + colon + 1, &end, 10);
-        if (end != v.c_str() + colon + 1 && *end == '\0' && every > 0) {
+      {"--stats", "", "PATH[:EVERY]",
+       {"additionally capture one stats-instrumented reference",
+        "run (same configuration as --trace) and write the",
+        "registry dump to PATH (inspect with ptb-stats). EVERY",
+        "> 0 also samples every scalar stat every EVERY cycles",
+        "into the dump's time series"},
+       {[&opts](std::string_view v) {
+          std::uint64_t every = 0;
+          const std::size_t colon = v.rfind(':');
+          if (colon != std::string_view::npos &&
+              parse_number(v.substr(colon + 1), every) && every > 0) {
+            v = v.substr(0, colon);
+          } else {
+            every = 0;
+          }
+          if (v.empty()) return false;
+          opts.stats_path = v;
           opts.stats_every = every;
-          v.resize(colon);
-        }
-      }
-      if (v.empty()) {
-        std::fprintf(stderr, "%s: --stats requires a file path\n", argv[0]);
-        std::exit(2);
-      }
-      opts.stats_path = v;
-    } else if (arg == "--checkpoint-at" ||
-               arg.rfind("--checkpoint-at=", 0) == 0) {
-      // CYC:PATH — the cycle is numeric, so the first ':' ends it and the
+          return true;
+        },
+        "PATH[:EVERY]"}},
+      {"--stats-format", "", "json|prom",
+       {"exposition for --stats: JSON (default; the ptb-stats",
+        "interchange format) or Prometheus text"},
+       {[&opts](std::string_view v) {
+          if (v != "json" && v != "prom") return false;
+          opts.stats_prom = v == "prom";
+          return true;
+        },
+        "json or prom"}},
+      // CYC:PATH: the cycle is numeric, so the first ':' ends it and the
       // rest (which may itself contain ':') is the output path.
-      const std::string v = arg.size() > 15 && arg[15] == '='
-                                ? arg.substr(16)
-                                : std::string(value("--checkpoint-at"));
-      char* end = nullptr;
-      const unsigned long long cyc = std::strtoull(v.c_str(), &end, 10);
-      if (end == v.c_str() || *end != ':' || end[1] == '\0') {
-        std::fprintf(stderr, "%s: --checkpoint-at expects CYC:PATH\n",
-                     argv[0]);
-        std::exit(2);
-      }
-      opts.checkpoint_at = cyc;
-      opts.checkpoint_path = end + 1;
-    } else if (arg == "--restore-from" ||
-               arg.rfind("--restore-from=", 0) == 0) {
-      opts.restore_path = arg.size() > 14 && arg[14] == '='
-                              ? arg.substr(15)
-                              : std::string(value("--restore-from"));
-      if (opts.restore_path.empty()) {
-        std::fprintf(stderr, "%s: --restore-from requires a file path\n",
-                     argv[0]);
-        std::exit(2);
-      }
-    } else if (arg == "--stats-format" ||
-               arg.rfind("--stats-format=", 0) == 0) {
-      const std::string v =
-          arg.size() > 14 && arg[14] == '='
-              ? arg.substr(15)
-              : std::string(value("--stats-format"));
-      if (v == "json") {
-        opts.stats_prom = false;
-      } else if (v == "prom") {
-        opts.stats_prom = true;
-      } else {
-        std::fprintf(stderr, "%s: --stats-format must be json or prom\n",
-                     argv[0]);
-        std::exit(2);
-      }
-    } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: %s [--jobs N] [--json PATH]\n"
-          "          [--audit LEVEL] [--only NAME | --list]\n"
-          "          [--trace PATH[:CATS]] [--stats PATH[:EVERY]]\n"
-          "          [--stats-format json|prom]\n"
-          "          [--checkpoint-at CYC:PATH] [--restore-from PATH]\n"
-          "  --jobs N      worker threads for the run grid (default: all\n"
-          "                hardware threads); results are identical for any N\n"
-          "  --json PATH   also write the results as machine-readable JSON\n"
-          "  --audit LEVEL run the invariant auditor on every simulation:\n"
-          "                off (default), cheap (per-core checks each cycle)\n"
-          "                or full (adds periodic coherence scans); any\n"
-          "                level aborts the run on a violated invariant and\n"
-          "                never changes the reported numbers\n"
-          "  --only NAME   restrict the benchmark suite to one benchmark\n"
-          "  --list        print the suite's benchmark names and exit\n"
-          "  --trace PATH[:CATS]\n"
-          "                additionally capture one event-traced reference\n"
-          "                run (PTB+2Level, dynamic policy, 16 cores, the\n"
-          "                suite's first benchmark) and write the binary\n"
-          "                trace to PATH (inspect with ptb-trace). CATS is\n"
-          "                'all' (default) or a comma list of: token,\n"
-          "                policy, dvfs, spin, enforcer, sync, budget\n"
-          "  --stats PATH[:EVERY]\n"
-          "                additionally capture one stats-instrumented\n"
-          "                reference run (same configuration as --trace) and\n"
-          "                write the registry dump to PATH (inspect with\n"
-          "                ptb-stats). EVERY > 0 also samples every scalar\n"
-          "                stat every EVERY cycles into the dump's time\n"
-          "                series\n"
-          "  --stats-format json|prom\n"
-          "                exposition for --stats: JSON (default; the\n"
-          "                ptb-stats interchange format) or Prometheus text\n"
-          "  --checkpoint-at CYC:PATH\n"
-          "                capture a checkpoint of the reference run (the\n"
-          "                --trace configuration) at cycle CYC, write the\n"
-          "                frame to PATH\n"
-          "  --restore-from PATH\n"
-          "                restore the reference run from a frame written by\n"
-          "                --checkpoint-at and run it to completion; the\n"
-          "                resumed run is bit-identical to an uninterrupted\n"
-          "                one\n",
-          argv[0]);
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "%s: unknown argument '%s' (try --help)\n",
-                   argv[0], arg.c_str());
-      std::exit(2);
-    }
+      {"--checkpoint-at", "", "CYC:PATH",
+       {"capture a checkpoint of the reference run (the --trace",
+        "configuration) at cycle CYC, write the frame to PATH"},
+       {[&opts](std::string_view v) {
+          const std::size_t colon = v.find(':');
+          std::uint64_t cyc = 0;
+          if (colon == std::string_view::npos ||
+              !parse_number(v.substr(0, colon), cyc) || colon + 1 == v.size()) {
+            return false;
+          }
+          opts.checkpoint_at = cyc;
+          opts.checkpoint_path = v.substr(colon + 1);
+          return true;
+        },
+        "CYC:PATH"}},
+      {"--restore-from", "", "PATH",
+       {"restore the reference run from a frame written by",
+        "--checkpoint-at and run it to completion; the resumed",
+        "run is bit-identical to an uninterrupted one"},
+       flag_string(opts.restore_path)},
+      {"--help", "-h", "", {"print this help and exit"}, flag_switch(help)},
+  };
+}
+
+/// Parses the shared flags; prints usage and exits on --help, --list or a
+/// bad argument. Call once, from main.
+inline BenchOptions parse_bench_args(int argc, char** argv) {
+  BenchOptions opts;
+  bool help = false;
+  bool list = false;
+  const std::vector<FlagRow> rows = bench_flag_rows(opts, help, list);
+  const FlagParse parsed = parse_flags(rows, argc, argv, 0);
+  if (!parsed.error.empty()) {
+    std::fprintf(stderr, "%s: %s (try --help)\n", argv[0],
+                 parsed.error.c_str());
+    std::exit(2);
+  }
+  if (help) {
+    std::printf("usage: %s [OPTIONS]\n%s", argv[0],
+                usage_rows(rows).c_str());
+    std::exit(0);
+  }
+  if (list) {
+    for (const std::string& n : full_benchmark_names())
+      std::printf("%s\n", n.c_str());
+    std::exit(0);
   }
   return opts;
 }

@@ -5,21 +5,22 @@
 //   ptbsim [options]
 //     --bench NAME        benchmark (default fft; "all" runs the suite)
 //     --cores N           number of cores (default 16)
-//     --technique T       none | dvfs | dfs | 2level   (default 2level)
+//     --technique T       none | dvfs | dfs | two_level | thrifty_barrier |
+//                         meeting_points               (default two_level)
 //     --ptb               enable Power Token Balancing
-//     --policy P          toall | toone | dynamic      (default toall)
-//     --relax F           relaxed-accuracy threshold, e.g. 0.2
-//     --budget F          budget fraction of peak      (default 0.5)
+//     --policy P          to_all | to_one | dynamic    (default to_all)
+//     --relax F           relaxed-accuracy threshold in 0..1, e.g. 0.2
+//     --budget F          budget fraction of peak, 0.01..1 (default 0.5)
 //     --gate-spinners     duty-cycle-gate detected spinners
 //     --seed N            experiment seed
 //     --trace DIR         dump per-cycle power trace CSV + summary to DIR
 //     --csv               CSV output instead of a table
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/flags.hpp"
 #include "common/table.hpp"
 #include "sim/cmp.hpp"
 #include "sim/experiment.hpp"
@@ -27,31 +28,6 @@
 #include "workloads/suite.hpp"
 
 using namespace ptb;
-
-namespace {
-
-[[noreturn]] void usage(const char* msg) {
-  std::fprintf(stderr, "ptbsim: %s\n(see the header of examples/ptbsim.cpp "
-                       "for options)\n", msg);
-  std::exit(2);
-}
-
-TechniqueKind parse_technique(const std::string& t) {
-  if (t == "none") return TechniqueKind::kNone;
-  if (t == "dvfs") return TechniqueKind::kDvfs;
-  if (t == "dfs") return TechniqueKind::kDfs;
-  if (t == "2level") return TechniqueKind::kTwoLevel;
-  usage("unknown --technique");
-}
-
-PtbPolicy parse_policy(const std::string& p) {
-  if (p == "toall") return PtbPolicy::kToAll;
-  if (p == "toone") return PtbPolicy::kToOne;
-  if (p == "dynamic") return PtbPolicy::kDynamic;
-  usage("unknown --policy");
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string bench = "fft";
@@ -64,29 +40,27 @@ int main(int argc, char** argv) {
   bool gate = false;
   std::string trace_dir;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto need = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) usage(what);
-      return argv[++i];
-    };
-    if (a == "--bench") bench = need("--bench needs a name");
-    else if (a == "--cores") cores = std::atoi(need("--cores needs N"));
-    else if (a == "--technique")
-      tech.kind = parse_technique(need("--technique needs a value"));
-    else if (a == "--ptb") tech.ptb = true;
-    else if (a == "--policy")
-      tech.policy = parse_policy(need("--policy needs a value"));
-    else if (a == "--relax") tech.relax = std::atof(need("--relax needs F"));
-    else if (a == "--budget") budget = std::atof(need("--budget needs F"));
-    else if (a == "--seed") seed = std::strtoull(need("--seed needs N"),
-                                                 nullptr, 10);
-    else if (a == "--csv") csv = true;
-    else if (a == "--trace") trace_dir = need("--trace needs a directory");
-    else if (a == "--gate-spinners") gate = true;
-    else usage(("unknown option: " + a).c_str());
+  const FlagParse parsed = parse_flags(
+      {{"--bench", "", "NAME", {}, flag_string(bench)},
+       {"--cores", "", "N", {}, flag_uint(cores, 1, 32)},
+       {"--technique", "", "T", {}, flag_enum(tech.kind)},
+       {"--ptb", "", "", {}, flag_switch(tech.ptb)},
+       {"--policy", "", "P", {}, flag_enum(tech.policy)},
+       {"--relax", "", "F", {}, flag_real(tech.relax, 0.0, 1.0)},
+       {"--budget", "", "F", {}, flag_real(budget, 0.01, 1.0)},
+       {"--seed", "", "N", {},
+        flag_uint(seed, 0, std::numeric_limits<std::uint64_t>::max())},
+       {"--trace", "", "DIR", {}, flag_string(trace_dir)},
+       {"--csv", "", "", {}, flag_switch(csv)},
+       {"--gate-spinners", "", "", {}, flag_switch(gate)}},
+      argc, argv, 0);
+  if (!parsed.error.empty()) {
+    std::fprintf(stderr,
+                 "ptbsim: %s\n(see the header of examples/ptbsim.cpp for "
+                 "options)\n",
+                 parsed.error.c_str());
+    return 2;
   }
-  if (cores < 1 || cores > 32) usage("--cores must be 1..32");
 
   std::vector<std::string> benches;
   if (bench == "all") {

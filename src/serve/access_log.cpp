@@ -5,28 +5,6 @@
 
 namespace ptb::serve {
 
-bool parse_log_level(std::string_view s, LogLevel& out) {
-  if (s == "error") {
-    out = LogLevel::kError;
-  } else if (s == "info") {
-    out = LogLevel::kInfo;
-  } else if (s == "debug") {
-    out = LogLevel::kDebug;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* log_level_name(LogLevel level) {
-  switch (level) {
-    case LogLevel::kError: return "error";
-    case LogLevel::kInfo: return "info";
-    case LogLevel::kDebug: return "debug";
-  }
-  return "?";
-}
-
 AccessLog::~AccessLog() {
   if (file_ != nullptr && owns_file_) std::fclose(file_);
 }

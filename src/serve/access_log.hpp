@@ -20,7 +20,9 @@
 // tail -f (or the smoke script's JSON check) always sees whole records.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -30,9 +32,11 @@ namespace ptb::serve {
 
 enum class LogLevel : std::uint8_t { kError, kInfo, kDebug };
 
-/// "error" | "info" | "debug" -> level. False (out untouched) otherwise.
-bool parse_log_level(std::string_view s, LogLevel& out);
-const char* log_level_name(LogLevel level);
+/// Wire names, indexed by enumerator value (see enum_name / parse_enum).
+inline std::span<const char* const> enum_names(LogLevel) {
+  static constexpr const char* kNames[] = {"error", "info", "debug"};
+  return kNames;
+}
 
 class AccessLog {
  public:

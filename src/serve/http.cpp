@@ -383,6 +383,10 @@ void HttpServer::stop_accepting() {
     // owner of each phase tears it down (same idiom below for workers).
     return;
   }
+  // Wake the acceptor now rather than at its next poll timeout: stop()
+  // drains the service only after this returns, and queued work would
+  // otherwise keep starting for up to kAcceptPollMs.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   if (acceptor_.joinable()) acceptor_.join();
 }
 

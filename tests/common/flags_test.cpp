@@ -1,0 +1,297 @@
+// The strict flag parser (common/flags.hpp): one grammar table covering
+// every binder kind in both value forms, the bench harness's composite
+// values (bench/bench_util.hpp), and every ptb-serve row
+// (tools/serve_flags.hpp) parsed both ways into equal options.
+#include "common/flags.hpp"
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "bench_util.hpp"
+#include "serve_flags.hpp"
+
+namespace ptb {
+namespace {
+
+FlagParse run(const std::vector<FlagRow>& rows,
+              std::vector<const char*> args) {
+  args.insert(args.begin(), "prog");
+  return parse_flags(rows, static_cast<int>(args.size()), args.data());
+}
+
+// One target per binder kind.
+struct Opts {
+  bool sw = false;
+  std::string str;
+  std::uint32_t u32 = 0;
+  std::uint64_t u64 = 0;
+  std::size_t size = 0;
+  double real = 0.0;
+  AuditLevel level = AuditLevel::kOff;
+  std::string custom;
+};
+
+std::vector<FlagRow> grammar_rows(Opts& o) {
+  return {
+      {"--sw", "", "", {}, flag_switch(o.sw)},
+      {"--str", "", "S", {}, flag_string(o.str)},
+      {"--u32", "-j", "N", {}, flag_uint(o.u32, 1, 4096)},
+      {"--u64", "", "N", {},
+       flag_uint(o.u64, 0, std::numeric_limits<std::uint64_t>::max())},
+      {"--size", "", "N", {}, flag_uint(o.size, 0, 10)},
+      {"--real", "", "F", {}, flag_real(o.real, 0.0, 1.0)},
+      {"--level", "", "L", {}, flag_enum(o.level)},
+      {"--custom", "", "C", {},
+       {[&o](std::string_view v) {
+          if (v == "x") return false;
+          o.custom = v;
+          return true;
+        },
+        "anything but x"}},
+  };
+}
+
+// The non-default fields and positionals, or "error: ..." on failure.
+std::string outcome(const Opts& o, const FlagParse& p) {
+  if (!p.error.empty()) return "error: " + p.error;
+  std::string s;
+  const auto add = [&s](const std::string& field) {
+    s += (s.empty() ? "" : " ") + field;
+  };
+  if (o.sw) add("sw");
+  if (!o.str.empty()) add("str=" + o.str);
+  if (o.u32 != 0) add("u32=" + std::to_string(o.u32));
+  if (o.u64 != 0) add("u64=" + std::to_string(o.u64));
+  if (o.size != 0) add("size=" + std::to_string(o.size));
+  if (o.real != 0.0) add("real=" + std::to_string(o.real));
+  if (o.level != AuditLevel::kOff) {
+    add(std::string("level=") + enum_name(o.level));
+  }
+  if (!o.custom.empty()) add("custom=" + o.custom);
+  for (const std::string& pos : p.positional) add("pos=" + pos);
+  return s;
+}
+
+struct Case {
+  std::vector<const char*> args;
+  std::string want;
+};
+
+TEST(Flags, Grammar) {
+  const std::vector<Case> cases = {
+      // Both value forms for every binder kind.
+      {{"--sw"}, "sw"},
+      {{"--str", "a"}, "str=a"},
+      {{"--str=a=b"}, "str=a=b"},
+      {{"--u32", "4096"}, "u32=4096"},
+      {{"--u32=1"}, "u32=1"},
+      {{"--u64", "18446744073709551615"}, "u64=18446744073709551615"},
+      {{"--u64=7"}, "u64=7"},
+      {{"--size", "10"}, "size=10"},
+      {{"--size=3"}, "size=3"},
+      {{"--real", "0.25"}, "real=0.250000"},
+      {{"--real=1e-1"}, "real=0.100000"},
+      {{"--level", "cheap"}, "level=cheap"},
+      {{"--level=full"}, "level=full"},
+      {{"--custom", "ab"}, "custom=ab"},
+      {{"--custom=-ab"}, "custom=-ab"},
+      // The alias, in both forms.
+      {{"-j", "3"}, "u32=3"},
+      {{"-j=3"}, "u32=3"},
+      // Last one wins.
+      {{"--u32", "2", "--u32=5"}, "u32=5"},
+      // Positionals pass through in order; a bare '-' is one.
+      {{"a", "--sw", "-", "b"}, "sw pos=a pos=- pos=b"},
+      // Malformed values name the flag and the accepted range.
+      {{"--u32", "2abc"}, "error: bad --u32 value '2abc' (expected 1..4096)"},
+      {{"--u32=4294967297"},
+       "error: bad --u32 value '4294967297' (expected 1..4096)"},
+      {{"--u32", "0"}, "error: bad --u32 value '0' (expected 1..4096)"},
+      {{"-j", "-1"}, "error: bad --u32 value '-1' (expected 1..4096)"},
+      {{"--u32", "+5"}, "error: bad --u32 value '+5' (expected 1..4096)"},
+      {{"--u32", " 5"}, "error: bad --u32 value ' 5' (expected 1..4096)"},
+      {{"--u64", "18446744073709551616"},
+       "error: bad --u64 value '18446744073709551616' (expected "
+       "0..18446744073709551615)"},
+      {{"--u64=-1"},
+       "error: bad --u64 value '-1' (expected 0..18446744073709551615)"},
+      {{"--size", "11"}, "error: bad --size value '11' (expected 0..10)"},
+      {{"--real", "nan"},
+       "error: bad --real value 'nan' (expected a number in 0..1)"},
+      {{"--real=inf"},
+       "error: bad --real value 'inf' (expected a number in 0..1)"},
+      {{"--real", "1.5"},
+       "error: bad --real value '1.5' (expected a number in 0..1)"},
+      {{"--real", "0.5x"},
+       "error: bad --real value '0.5x' (expected a number in 0..1)"},
+      {{"--level", "CHEAP"},
+       "error: bad --level value 'CHEAP' (expected off, cheap or full)"},
+      {{"--custom=x"},
+       "error: bad --custom value 'x' (expected anything but x)"},
+      {{"--str="}, "error: bad --str value '' (expected a non-empty value)"},
+      // Grammar errors.
+      {{"--str"}, "error: --str requires a value"},
+      {{"--sw", "--u32"}, "error: --u32 requires a value"},
+      {{"--sw=1"}, "error: --sw takes no value"},
+      {{"--bogus"}, "error: unknown flag '--bogus'"},
+      {{"--bogus=1"}, "error: unknown flag '--bogus'"},
+      {{"-x"}, "error: unknown flag '-x'"},
+      {{"--"}, "error: unknown flag '--'"},
+  };
+  for (const Case& c : cases) {
+    Opts o;
+    const FlagParse p = run(grammar_rows(o), c.args);
+    std::string argv;
+    for (const char* a : c.args) argv += std::string(" ") + a;
+    EXPECT_EQ(outcome(o, p), c.want) << "argv:" << argv;
+  }
+}
+
+TEST(Flags, UsageRowsLayout) {
+  Opts o;
+  const std::vector<FlagRow> rows = {
+      {"--sw", "", "", {"a switch"}, flag_switch(o.sw)},
+      // "name metavar" of 16 characters fits; 17 wraps.
+      {"--fits-at-16ch", "", "N", {"fits", "second line"},
+       flag_uint(o.u32, 1, 2)},
+      {"--wraps-at-17ch", "", "N", {"wraps"}, flag_uint(o.u64, 1, 2)},
+      {"--hidden", "", "", {}, flag_switch(o.sw)},
+  };
+  EXPECT_EQ(usage_rows(rows),
+            "  --sw             a switch\n"
+            "  --fits-at-16ch N fits\n"
+            "                   second line\n"
+            "  --wraps-at-17ch N\n"
+            "                   wraps\n");
+}
+
+// The bench harness's non-default options, or "error: ..." on failure.
+std::string bench_outcome(std::vector<const char*> args) {
+  bench::BenchOptions o;
+  bool help = false;
+  bool list = false;
+  const FlagParse p = run(bench::bench_flag_rows(o, help, list), args);
+  if (!p.error.empty()) return "error: " + p.error;
+  std::string s;
+  const auto add = [&s](const std::string& field) {
+    s += (s.empty() ? "" : " ") + field;
+  };
+  if (o.jobs != 0) add("jobs=" + std::to_string(o.jobs));
+  if (!o.json_path.empty()) add("json=" + o.json_path);
+  if (!o.trace_path.empty()) {
+    add("trace=" + o.trace_path + " cats=" +
+        trace_categories_string(o.trace_categories));
+  }
+  if (!o.stats_path.empty()) {
+    add("stats=" + o.stats_path + " every=" + std::to_string(o.stats_every));
+  }
+  if (o.stats_prom) add("prom");
+  if (!o.checkpoint_path.empty()) {
+    add("ckpt=" + std::to_string(o.checkpoint_at) + "@" + o.checkpoint_path);
+  }
+  if (help) add("help");
+  if (list) add("list");
+  return s;
+}
+
+TEST(Flags, BenchCompositeValues) {
+  const std::vector<Case> cases = {
+      {{"-j", "3"}, "jobs=3"},
+      {{"--jobs=4096"}, "jobs=4096"},
+      {{"--jobs", "2abc"}, "error: bad --jobs value '2abc' (expected 1..4096)"},
+      {{"--jobs=4294967297"},
+       "error: bad --jobs value '4294967297' (expected 1..4096)"},
+      {{"--json="}, "error: bad --json value '' (expected a non-empty value)"},
+      {{"--only="}, "error: bad --only value '' (expected a non-empty value)"},
+      {{"--list=1"}, "error: --list takes no value"},
+      {{"--list", "--help"}, "help list"},
+      // --trace PATH[:CATS]: a suffix that is not a category list stays in
+      // the path.
+      {{"--trace", "t.bin"}, "trace=t.bin cats=all"},
+      {{"--trace=t.bin:token,dvfs"}, "trace=t.bin cats=token,dvfs"},
+      {{"--trace", "dir:v2/t.bin"}, "trace=dir:v2/t.bin cats=all"},
+      {{"--trace=:token"},
+       "error: bad --trace value ':token' (expected PATH[:CATS])"},
+      // --stats PATH[:EVERY]: only a positive integer suffix is a period.
+      {{"--stats", "s.json:4096"}, "stats=s.json every=4096"},
+      {{"--stats=s.json:0"}, "stats=s.json:0 every=0"},
+      {{"--stats", "s.json:-1"}, "stats=s.json:-1 every=0"},
+      {{"--stats", "a:b"}, "stats=a:b every=0"},
+      {{"--stats=:5"}, "error: bad --stats value ':5' (expected PATH[:EVERY])"},
+      {{"--stats-format=prom"}, "prom"},
+      {{"--stats-format", "xml"},
+       "error: bad --stats-format value 'xml' (expected json or prom)"},
+      // --checkpoint-at CYC:PATH: the first ':' ends the cycle.
+      {{"--checkpoint-at", "20000:/tmp/a:b.ptbc"}, "ckpt=20000@/tmp/a:b.ptbc"},
+      {{"--checkpoint-at=7:c"}, "ckpt=7@c"},
+      {{"--checkpoint-at", "20000:"},
+       "error: bad --checkpoint-at value '20000:' (expected CYC:PATH)"},
+      {{"--checkpoint-at", "x:p"},
+       "error: bad --checkpoint-at value 'x:p' (expected CYC:PATH)"},
+      {{"--checkpoint-at=12"},
+       "error: bad --checkpoint-at value '12' (expected CYC:PATH)"},
+  };
+  for (const Case& c : cases) {
+    std::string argv;
+    for (const char* a : c.args) argv += std::string(" ") + a;
+    EXPECT_EQ(bench_outcome(c.args), c.want) << "argv:" << argv;
+  }
+}
+
+std::string serve_state(const tools::ServeCli& c) {
+  const serve::ServiceOptions& s = c.service;
+  return c.listen + " " + std::to_string(c.port) + " " +
+         std::to_string(c.http_threads) + " " + (c.help ? "help" : "-") +
+         " " + s.cache_dir + " " + std::to_string(s.sim_workers) + " " +
+         std::to_string(s.host_tokens) + " " + enum_name(s.admission_policy) +
+         " " + std::to_string(s.queue_max) + " " +
+         std::to_string(s.cache_max_bytes) + " " +
+         std::to_string(s.trace_spans) + " " +
+         std::to_string(s.progress_every_cycles) + " " + s.log_file + " " +
+         enum_name(s.log_level);
+}
+
+TEST(Flags, EveryServeRowParsesBothForms) {
+  // A non-default value for each row; a row missing here fails the test.
+  const std::map<std::string, std::string> sample = {
+      {"--listen", "0.0.0.0"},    {"--port", "0"},
+      {"--jobs", "4096"},         {"--host-tokens", "1048576"},
+      {"--policy", "to_one"},     {"--cache-dir", "/tmp/c"},
+      {"--cache-max-bytes", "18446744073709551615"},
+      {"--queue-max", "1"},       {"--http-threads", "256"},
+      {"--trace-spans", "0"},     {"--progress-cycles", "1073741824"},
+      {"--log-file", "-"},        {"--log-level", "debug"},
+  };
+  tools::ServeCli defaults;
+  const std::string default_state = serve_state(defaults);
+  for (const FlagRow& row : tools::serve_flag_rows(defaults)) {
+    const std::string name(row.name);
+    tools::ServeCli spaced;
+    tools::ServeCli joined;
+    if (row.metavar.empty()) {  // --help
+      EXPECT_EQ(run(tools::serve_flag_rows(spaced), {name.c_str()}).error, "");
+      EXPECT_NE(serve_state(spaced), default_state) << name;
+      continue;
+    }
+    const auto it = sample.find(name);
+    ASSERT_NE(it, sample.end()) << "no sample value for " << name;
+    const std::string eq = name + "=" + it->second;
+    EXPECT_EQ(run(tools::serve_flag_rows(spaced),
+                  {name.c_str(), it->second.c_str()})
+                  .error,
+              "")
+        << name;
+    EXPECT_EQ(run(tools::serve_flag_rows(joined), {eq.c_str()}).error, "")
+        << name;
+    EXPECT_EQ(serve_state(spaced), serve_state(joined)) << name;
+    EXPECT_NE(serve_state(spaced), default_state) << name;
+  }
+}
+
+}  // namespace
+}  // namespace ptb

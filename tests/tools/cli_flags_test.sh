@@ -1,0 +1,65 @@
+#!/usr/bin/env bash
+# Strict command lines, end to end: malformed numbers, out-of-range values
+# and empty values given to the real bench, ptb-serve, ptb-trace and
+# ptb-stats binaries must each exit 2 with the offending flag named on
+# stderr — never run with a truncated, wrapped or empty setting. Every
+# case fails before any simulation, socket or file is touched; the timeout
+# turns a binary that accepts its flags (and starts running or serving)
+# into a failure rather than a hang.
+#
+# Usage: cli_flags_test.sh <bench_fig10_toall> <ptb-serve> <ptb-trace>
+#                         <ptb-stats>
+# Exit: 0 when every case behaves, 1 otherwise.
+set -u
+
+[[ $# -eq 4 ]] || {
+  echo "usage: cli_flags_test.sh <bench> <ptb-serve> <ptb-trace> <ptb-stats>"
+  exit 1
+}
+# Absolute paths: the cases run inside a scratch directory, so a daemon
+# that wrongly starts creates its default cache there, not here.
+bench="$(realpath "$1")"
+serve="$(realpath "$2")"
+trace="$(realpath "$3")"
+stats="$(realpath "$4")"
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+cd "$tmp" || exit 1
+fail=0
+
+# run_case <flag-named-on-stderr> <binary> <args...>
+run_case() {
+  local flag="$1" status
+  shift
+  timeout 30 "$@" > "$tmp/out.txt" 2> "$tmp/err.txt"
+  status=$?
+  local name="$(basename "$1") ${*:2}"
+  if [[ $status -ne 2 ]]; then
+    echo "FAIL [$name]: exit $status, wanted 2"
+    sed 's/^/    /' "$tmp/err.txt" | head -5
+    fail=1
+  elif ! grep -q -e "$flag" "$tmp/err.txt"; then
+    echo "FAIL [$name]: stderr does not name $flag"
+    sed 's/^/    /' "$tmp/err.txt" | head -5
+    fail=1
+  else
+    echo "ok   [$name]"
+  fi
+}
+
+run_case --jobs "$bench" --jobs 2abc
+run_case --jobs "$bench" --jobs=4294967297
+run_case --json "$bench" --json=
+run_case --only "$bench" --only=
+run_case --jobs "$serve" --jobs 4294967297
+run_case --jobs "$serve" --jobs -4294967295
+run_case --cache-max-bytes "$serve" --cache-max-bytes -1
+run_case --core "$trace" spin no-such.trace --core 4294967297
+run_case --tol "$stats" regress new.json golden.json --tol nan
+run_case --tol "$stats" diff a.json b.json --tol nan
+
+if [[ $fail -ne 0 ]]; then
+  echo "cli_flags_test: FAILED"
+  exit 1
+fi
+echo "cli_flags_test: OK"

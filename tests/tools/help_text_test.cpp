@@ -8,6 +8,7 @@
 // practice — ptb-trace rejecting traces with a mismatched format version,
 // and ptb-stats diff/regress checking the embedded config fingerprint.
 #include "help_text.hpp"
+#include "serve_flags.hpp"
 
 #include <gtest/gtest.h>
 
@@ -88,9 +89,8 @@ TEST(HelpText, StatsHelpDocumentsFingerprintCheck) {
 }
 
 TEST(HelpText, ServeHelpDocumentsEveryFlagAndRoute) {
-  const std::string h = rendered(ptb::tools::kServeUsage);
-  // One entry per flag the daemon's argv loop dispatches
-  // (tools/ptb_serve.cpp main()).
+  const std::string h = ptb::tools::serve_usage("ptb-tool");
+  // One entry per flag the daemon parses (tools/serve_flags.hpp).
   for (const char* flag :
        {"--listen", "--port", "--jobs", "--host-tokens", "--policy",
         "--cache-dir", "--cache-max-bytes", "--queue-max", "--http-threads",
@@ -106,7 +106,7 @@ TEST(HelpText, ServeHelpDocumentsEveryFlagAndRoute) {
 }
 
 TEST(HelpText, ServeHelpDocumentsCacheAndDrainBehavior) {
-  const std::string h = rendered(ptb::tools::kServeUsage);
+  const std::string h = ptb::tools::serve_usage("ptb-tool");
   // The two behaviors an operator would otherwise discover by surprise:
   // repeat answers come from the cache byte-identically (corrupt entries
   // re-simulate, never serve), and shutdown drains rather than kills.
@@ -120,7 +120,7 @@ TEST(HelpText, ServeHelpDocumentsCacheAndDrainBehavior) {
 TEST(HelpText, FormattingContract) {
   expect_well_formed(rendered(ptb::tools::kTraceUsage));
   expect_well_formed(rendered(ptb::tools::kStatsUsage));
-  expect_well_formed(rendered(ptb::tools::kServeUsage));
+  expect_well_formed(ptb::tools::serve_usage("ptb-tool"));
 }
 
 // The byte-pin: sizes change whenever the text changes, which is enough to
@@ -129,7 +129,7 @@ TEST(HelpText, FormattingContract) {
 TEST(HelpText, GoldenShape) {
   const std::string trace = rendered(ptb::tools::kTraceUsage);
   const std::string stats = rendered(ptb::tools::kStatsUsage);
-  const std::string serve = rendered(ptb::tools::kServeUsage);
+  const std::string serve = ptb::tools::serve_usage("ptb-tool");
   EXPECT_EQ(lines_of(trace).size(), 16u);
   EXPECT_EQ(lines_of(stats).size(), 14u);
   EXPECT_EQ(lines_of(serve).size(), 31u);

@@ -2,6 +2,8 @@
 // the help-output golden test (tests/tools/help_text_test.cpp). Keeping the
 // text in one header means the binaries cannot drift from what the golden
 // pins: edit here, and the test forces the edit to be deliberate.
+// ptb-serve's flag lines are generated from its flag table
+// (serve_flags.hpp), so only its closing prose lives here.
 //
 // Formatting contract (the golden enforces it): lines fit in 80 columns,
 // spaces only, every subcommand the tool dispatches is listed, and the
@@ -64,38 +66,9 @@ inline constexpr char kStatsUsage[] =
     "exit status: 0 ok, 1 difference/regression or unreadable input, 2 "
     "usage.\n";
 
-// %s is the program name (argv[0]); printed via fprintf.
-inline constexpr char kServeUsage[] =
-    "usage: %s [OPTIONS]\n"
-    "  --listen ADDR    IPv4 listen address (default 127.0.0.1)\n"
-    "  --port N         TCP port; 0 picks an ephemeral port (default "
-    "7580)\n"
-    "  --jobs N         concurrent simulation workers (default 2)\n"
-    "  --host-tokens N  admission token budget balanced across tenants\n"
-    "                   (default: the --jobs value)\n"
-    "  --policy P       spare-token policy: to_all | to_one (default "
-    "to_all)\n"
-    "  --cache-dir DIR  persistent content-addressed run cache (default\n"
-    "                   .ptb-cache; created if absent)\n"
-    "  --cache-max-bytes N\n"
-    "                   disk-cache quota in bytes; oldest published "
-    "entries\n"
-    "                   are evicted after each store (default 0 = "
-    "unbounded)\n"
-    "  --queue-max N    queued-unit cap before requests get 429 (default "
-    "256)\n"
-    "  --http-threads N HTTP worker threads (default 4)\n"
-    "  --trace-spans N  request-span ring capacity for GET /v1/trace\n"
-    "                   (default 4096; 0 disables tracing entirely)\n"
-    "  --progress-cycles N\n"
-    "                   simulated cycles between job progress events "
-    "(default\n"
-    "                   5000; 0 disables progress events)\n"
-    "  --log-file PATH  structured JSON access log, one line per request\n"
-    "                   ('-' = stderr; default: no access log)\n"
-    "  --log-level L    access-log level: error | info | debug (default "
-    "info;\n"
-    "                   debug adds per-stage durations and tokens held)\n"
+// ptb-serve's --help after its generated flag rows (serve_usage in
+// serve_flags.hpp prints the header line and the rows first).
+inline constexpr char kServeNotes[] =
     "Serves POST /v1/run, POST /v1/sweep, GET /v1/jobs/{id},\n"
     "GET /v1/jobs/{id}/events (live progress stream, chunked SSE framing),\n"
     "GET /v1/results/{key}, GET /v1/trace (request-span log; ?format=json "

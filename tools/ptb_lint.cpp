@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.hpp"
 #include "lint/checks.hpp"
 #include "lint/lex.hpp"
 
@@ -53,53 +54,52 @@ void collect_dir(const fs::path& dir, const fs::path& root,
 int main(int argc, char** argv) {
   std::string root = ".";
   std::set<std::string> enabled;
-  std::vector<std::string> explicit_files;
   bool list_only = false;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--root" && i + 1 < argc) {
-      root = argv[++i];
-    } else if (arg == "--checks" && i + 1 < argc) {
-      const std::string csv = argv[++i];
-      std::size_t p = 0;
-      while (p < csv.size()) {
-        const std::size_t comma = csv.find(',', p);
-        const std::string name = csv.substr(p, comma - p);
-        if (!name.empty()) enabled.insert(name);
-        if (comma == std::string::npos) break;
-        p = comma + 1;
-      }
-    } else if (arg == "--list") {
-      list_only = true;
-    } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: ptb-lint [--root DIR] [--checks a,b,...] [--list] "
-          "[files...]\n");
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "ptb-lint: unknown option '%s'\n", arg.c_str());
-      return 2;
-    } else {
-      explicit_files.push_back(arg);
-    }
+  bool help = false;
+  const auto& checks = ptblint::all_checks();
+  const std::vector<ptb::FlagRow> rows = {
+      {"--root", "", "DIR",
+       {"tree to scan (default .); a repository root scans only",
+        "src/, bench/ and examples/"},
+       ptb::flag_string(root)},
+      {"--checks", "", "a,b,...", {"run only the named checks"},
+       {[&](std::string_view csv) {
+          for (std::size_t p = 0; p <= csv.size();) {
+            const std::size_t comma = std::min(csv.find(',', p), csv.size());
+            const std::string_view name = csv.substr(p, comma - p);
+            p = comma + 1;
+            if (!name.empty() &&
+                std::none_of(checks.begin(), checks.end(),
+                             [&](const auto& c) { return name == c.name; })) {
+              return false;
+            }
+            if (!name.empty()) enabled.emplace(name);
+          }
+          return !enabled.empty();
+        },
+        "a comma list of check names from --list"}},
+      {"--list", "", "", {"print the checks and exit"},
+       ptb::flag_switch(list_only)},
+      {"--help", "-h", "", {"print this help and exit"},
+       ptb::flag_switch(help)},
+  };
+  const ptb::FlagParse parsed = ptb::parse_flags(rows, argc, argv);
+  if (!parsed.error.empty()) {
+    std::fprintf(stderr, "ptb-lint: %s\n", parsed.error.c_str());
+    return 2;
   }
-
+  if (help) {
+    std::printf("usage: ptb-lint [OPTIONS] [files...]\n%s",
+                ptb::usage_rows(rows).c_str());
+    return 0;
+  }
   if (list_only) {
-    for (const ptblint::CheckInfo& c : ptblint::all_checks()) {
+    for (const ptblint::CheckInfo& c : checks) {
       std::printf("%-16s %s\n", c.name, c.summary);
     }
     return 0;
   }
-  for (const std::string& name : enabled) {
-    const auto& checks = ptblint::all_checks();
-    if (std::none_of(checks.begin(), checks.end(),
-                     [&](const auto& c) { return name == c.name; })) {
-      std::fprintf(stderr, "ptb-lint: unknown check '%s' (see --list)\n",
-                   name.c_str());
-      return 2;
-    }
-  }
+  const std::vector<std::string>& explicit_files = parsed.positional;
 
   // Build the file list: explicit args win; otherwise the repo result-path
   // trees when --root looks like the repository, else the whole root.
@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
   }
 
   std::vector<ptblint::Finding> findings;
-  for (const ptblint::CheckInfo& c : ptblint::all_checks()) {
+  for (const ptblint::CheckInfo& c : checks) {
     if (!enabled.empty() && enabled.count(c.name) == 0) continue;
     c.fn(corpus, findings);
   }

@@ -1,29 +1,16 @@
 // ptb-stats: inspect and compare stats dumps written by the bench
-// binaries' --stats flag (or reporting.hpp stats_json from a test).
-//
-//   ptb-stats dump FILE [--json] [--no-volatile]
-//       validate FILE and print a human-readable table; --json re-emits the
-//       canonical JSON serialization instead (useful to normalize a dump
-//       captured with volatile stats into a machine-independent golden).
-//   ptb-stats diff A B [--tol FRAC] [--all]
-//       compare the non-volatile scalars of two dumps; exits 1 when any
-//       stat differs by more than FRAC relative (default 0 = exact).
-//       --all widens the comparison to volatile stats too.
-//   ptb-stats regress NEW GOLDEN [--tol FRAC]
-//       regression gate for CI: exits 1 when NEW is missing a golden stat,
-//       was produced under a different config fingerprint, or drifts past
-//       FRAC relative tolerance (default 0.02). Stats that are new in NEW
-//       but absent from GOLDEN only warn — adding instrumentation is not a
-//       regression.
-//
-// Exits 0 on success, 1 on a detected difference/regression or unreadable
-// input, 2 on bad usage.
+// binaries' --stats flag (or reporting.hpp stats_json from a test). The
+// subcommands, flags and exit codes are documented once, in kStatsUsage
+// (help_text.hpp).
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/file.hpp"
+#include "common/flags.hpp"
 #include "common/format.hpp"
 #include "help_text.hpp"
 #include "stats/dump.hpp"
@@ -100,53 +87,63 @@ void print_diff_entries(const std::vector<ptb::StatsDiffEntry>& entries) {
   }
 }
 
-bool parse_tol(const char* argv0, const char* s, double& tol) {
-  if (!ptb::tools::parse_double_arg(s, tol) || tol < 0.0) {
-    std::fprintf(stderr, "%s: bad --tol value '%s'\n", argv0, s);
+// Parses a subcommand's argv (argv[0] = the subcommand) into `files`;
+// false after printing the problem when a flag is bad or the number of
+// file arguments is not `want`.
+bool parse_cmd(const char* argv0, int argc, char** argv,
+               const std::vector<ptb::FlagRow>& rows, std::size_t want,
+               std::vector<std::string>& files) {
+  ptb::FlagParse p = ptb::parse_flags(rows, argc, argv, want);
+  if (!p.error.empty()) {
+    std::fprintf(stderr, "%s: %s\n", argv0, p.error.c_str());
     return false;
   }
+  if (p.positional.size() != want) {
+    usage(argv0, 2);
+    return false;
+  }
+  files = std::move(p.positional);
   return true;
 }
 
+ptb::FlagRow tol_row(double& tol) {
+  return {"--tol", "", "FRAC", {},
+          ptb::flag_real(tol, 0.0, std::numeric_limits<double>::infinity())};
+}
+
 int cmd_dump(const char* argv0, int argc, char** argv) {
-  // argv[0] = FILE, then flags.
-  if (argc < 1) return usage(argv0, 2);
   bool as_json = false;
-  bool include_volatile = true;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      as_json = true;
-    } else if (std::strcmp(argv[i], "--no-volatile") == 0) {
-      include_volatile = false;
-    } else {
-      return usage(argv0, 2);
-    }
+  bool no_volatile = false;
+  std::vector<std::string> files;
+  if (!parse_cmd(argv0, argc, argv,
+                 {{"--json", "", "", {}, ptb::flag_switch(as_json)},
+                  {"--no-volatile", "", "", {},
+                   ptb::flag_switch(no_volatile)}},
+                 1, files)) {
+    return 2;
   }
   ptb::StatsDump d;
-  if (!load_dump(argv0, argv[0], d)) return 1;
+  if (!load_dump(argv0, files[0], d)) return 1;
   if (as_json) {
-    if (!ptb::tools::write_text("-", d.to_json(include_volatile))) return 1;
+    if (!ptb::tools::write_text("-", d.to_json(!no_volatile))) return 1;
   } else {
-    print_dump(d, include_volatile);
+    print_dump(d, !no_volatile);
   }
   return 0;
 }
 
 int cmd_diff(const char* argv0, int argc, char** argv) {
-  if (argc < 2) return usage(argv0, 2);
   double tol = 0.0;
   bool include_volatile = false;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--tol") == 0 && i + 1 < argc) {
-      if (!parse_tol(argv0, argv[++i], tol)) return 2;
-    } else if (std::strcmp(argv[i], "--all") == 0) {
-      include_volatile = true;
-    } else {
-      return usage(argv0, 2);
-    }
+  std::vector<std::string> files;
+  if (!parse_cmd(argv0, argc, argv,
+                 {tol_row(tol),
+                  {"--all", "", "", {}, ptb::flag_switch(include_volatile)}},
+                 2, files)) {
+    return 2;
   }
   ptb::StatsDump a, b;
-  if (!load_dump(argv0, argv[0], a) || !load_dump(argv0, argv[1], b)) {
+  if (!load_dump(argv0, files[0], a) || !load_dump(argv0, files[1], b)) {
     return 1;
   }
   if (a.config_fingerprint != b.config_fingerprint) {
@@ -166,18 +163,12 @@ int cmd_diff(const char* argv0, int argc, char** argv) {
 }
 
 int cmd_regress(const char* argv0, int argc, char** argv) {
-  if (argc < 2) return usage(argv0, 2);
   double tol = 0.02;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--tol") == 0 && i + 1 < argc) {
-      if (!parse_tol(argv0, argv[++i], tol)) return 2;
-    } else {
-      return usage(argv0, 2);
-    }
-  }
+  std::vector<std::string> files;
+  if (!parse_cmd(argv0, argc, argv, {tol_row(tol)}, 2, files)) return 2;
   ptb::StatsDump fresh, golden;
-  if (!load_dump(argv0, argv[0], fresh) ||
-      !load_dump(argv0, argv[1], golden)) {
+  if (!load_dump(argv0, files[0], fresh) ||
+      !load_dump(argv0, files[1], golden)) {
     return 1;
   }
   int failures = 0;
@@ -211,10 +202,10 @@ int cmd_regress(const char* argv0, int argc, char** argv) {
   }
   if (failures > 0) {
     std::fprintf(stderr, "%d regression(s) against '%s'\n", failures,
-                 argv[1]);
+                 files[1].c_str());
     return 1;
   }
-  std::printf("ok: within tol=%g of golden '%s'\n", tol, argv[1]);
+  std::printf("ok: within tol=%g of golden '%s'\n", tol, files[1].c_str());
   return 0;
 }
 
@@ -227,9 +218,9 @@ int main(int argc, char** argv) {
   }
   if (argc < 3) return usage(argv[0], 2);
   const std::string cmd = argv[1];
-  if (cmd == "dump") return cmd_dump(argv[0], argc - 2, argv + 2);
-  if (cmd == "diff") return cmd_diff(argv[0], argc - 2, argv + 2);
-  if (cmd == "regress") return cmd_regress(argv[0], argc - 2, argv + 2);
+  if (cmd == "dump") return cmd_dump(argv[0], argc - 1, argv + 1);
+  if (cmd == "diff") return cmd_diff(argv[0], argc - 1, argv + 1);
+  if (cmd == "regress") return cmd_regress(argv[0], argc - 1, argv + 1);
   std::fprintf(stderr, "%s: unknown command '%s'\n", argv[0], cmd.c_str());
   return usage(argv[0], 2);
 }

@@ -1,22 +1,12 @@
 // ptb-trace: inspect a binary event trace captured with the bench
-// binaries' --trace flag (or EventTrace::save from a test/example).
-//
-//   ptb-trace summary TRACE            counts, token totals, policy residency
-//   ptb-trace flows TRACE              per-core-pair token-flow matrix
-//   ptb-trace dvfs TRACE               DVFS mode residency + stall windows
-//   ptb-trace spin TRACE [--core N]    spin-phase timeline (lock vs barrier)
-//   ptb-trace deficit TRACE            budget-deficit histogram
-//   ptb-trace export-json TRACE OUT    Chrome/Perfetto JSON (OUT '-' = stdout)
-//   ptb-trace export-csv TRACE OUT     flat CSV              (OUT '-' = stdout)
-//   ptb-trace serve TRACE OUT          ptb-serve span log (GET /v1/trace) ->
-//                                      Perfetto JSON         (OUT '-' = stdout)
-//
-// Exits nonzero on an unreadable/corrupt trace or bad usage.
+// binaries' --trace flag (or EventTrace::save from a test/example). The
+// subcommands and exit codes are documented once, in kTraceUsage
+// (help_text.hpp).
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "common/flags.hpp"
 #include "help_text.hpp"
 #include "tool_util.hpp"
 #include "trace/analysis.hpp"
@@ -40,7 +30,7 @@ int main(int argc, char** argv) {
   }
   if (argc < 3) return usage(argv[0], 2);
   const std::string cmd = argv[1];
-  const std::string path = argv[2];
+  std::string path = argv[2];
 
   // The serve span log is a different binary format (PTBSPANL, not the
   // simulator's event trace): dispatch before the EventTrace parse.
@@ -59,6 +49,21 @@ int main(int argc, char** argv) {
       return 1;
     }
     return 0;
+  }
+
+  // spin's --core is a usage error before the trace is read.
+  std::uint32_t only_core = ptb::kNoCore;
+  if (cmd == "spin") {
+    const ptb::FlagParse p = ptb::parse_flags(
+        {{"--core", "", "N", {},
+          ptb::flag_uint(only_core, 0, ptb::kNoCore - 1)}},
+        argc - 1, argv + 1, 1);
+    if (!p.error.empty()) {
+      std::fprintf(stderr, "%s: %s\n", argv[0], p.error.c_str());
+      return 2;
+    }
+    if (p.positional.size() != 1) return usage(argv[0], 2);
+    path = p.positional[0];
   }
 
   ptb::EventTrace trace;
@@ -84,16 +89,6 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (cmd == "spin") {
-    std::uint32_t only_core = ptb::kNoCore;
-    if (argc == 5 && std::strcmp(argv[3], "--core") == 0) {
-      if (!ptb::tools::parse_u32_arg(argv[4], only_core)) {
-        std::fprintf(stderr, "%s: bad --core value '%s'\n", argv[0],
-                     argv[4]);
-        return 2;
-      }
-    } else if (argc > 3) {
-      return usage(argv[0], 2);
-    }
     std::fputs(ptb::render_spin(trace, only_core).c_str(), stdout);
     return 0;
   }

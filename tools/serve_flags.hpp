@@ -1,0 +1,93 @@
+// ptb-serve's command line: one flag table over the service options plus
+// the transport's listen address, port and HTTP thread count. The daemon
+// parses argv with it and prints its --help from the same rows, so a flag
+// cannot exist undocumented (tests/tools/help_text_test.cpp pins the text).
+#pragma once
+
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "common/flags.hpp"
+#include "help_text.hpp"
+#include "serve/service.hpp"
+
+namespace ptb::tools {
+
+struct ServeCli {
+  // host_tokens 0 = not given; the daemon defaults it to --jobs.
+  ServeCli() { service.host_tokens = 0; }
+
+  serve::ServiceOptions service;
+  std::string listen = "127.0.0.1";
+  std::uint16_t port = 7580;
+  std::uint32_t http_threads = 4;
+  bool help = false;
+};
+
+inline std::vector<FlagRow> serve_flag_rows(ServeCli& cli) {
+  serve::ServiceOptions& s = cli.service;
+  return {
+      {"--listen", "", "ADDR", {"IPv4 listen address (default 127.0.0.1)"},
+       flag_string(cli.listen)},
+      {"--port", "", "N",
+       {"TCP port; 0 picks an ephemeral port (default 7580)"},
+       flag_uint(cli.port, 0, 65535)},
+      {"--jobs", "", "N", {"concurrent simulation workers (default 2)"},
+       flag_uint(s.sim_workers, 1, 4096)},
+      {"--host-tokens", "", "N",
+       {"admission token budget balanced across tenants",
+        "(default: the --jobs value)"},
+       flag_uint(s.host_tokens, 1, 1u << 20)},
+      {"--policy", "", "P",
+       {"spare-token policy: to_all | to_one (default to_all)"},
+       {[&s](std::string_view v) {
+          PtbPolicy p{};
+          if (!parse_enum(v, p) || p == PtbPolicy::kDynamic) return false;
+          s.admission_policy = p;
+          return true;
+        },
+        "to_all or to_one"}},
+      {"--cache-dir", "", "DIR",
+       {"persistent content-addressed run cache (default",
+        ".ptb-cache; created if absent)"},
+       flag_string(s.cache_dir)},
+      {"--cache-max-bytes", "", "N",
+       {"disk-cache quota in bytes; oldest published entries",
+        "are evicted after each store (default 0 = unbounded)"},
+       flag_uint(s.cache_max_bytes, 0,
+                 std::numeric_limits<std::uint64_t>::max())},
+      {"--queue-max", "", "N",
+       {"queued-unit cap before requests get 429 (default 256)"},
+       flag_uint(s.queue_max, 1, 1u << 20)},
+      {"--http-threads", "", "N", {"HTTP worker threads (default 4)"},
+       flag_uint(cli.http_threads, 1, 256)},
+      {"--trace-spans", "", "N",
+       {"request-span ring capacity for GET /v1/trace",
+        "(default 4096; 0 disables tracing entirely)"},
+       flag_uint(s.trace_spans, 0, 1u << 24)},
+      {"--progress-cycles", "", "N",
+       {"simulated cycles between job progress events (default",
+        "5000; 0 disables progress events)"},
+       flag_uint(s.progress_every_cycles, 0, 1u << 30)},
+      {"--log-file", "", "PATH",
+       {"structured JSON access log, one line per request",
+        "('-' = stderr; default: no access log)"},
+       flag_string(s.log_file)},
+      {"--log-level", "", "L",
+       {"access-log level: error | info | debug (default info;",
+        "debug adds per-stage durations and tokens held)"},
+       flag_enum(s.log_level)},
+      {"--help", "-h", "", {}, flag_switch(cli.help)},
+  };
+}
+
+/// The full --help text: header line, the flag rows, then kServeNotes.
+inline std::string serve_usage(const char* argv0) {
+  ServeCli scratch;
+  return "usage: " + std::string(argv0) + " [OPTIONS]\n" +
+         usage_rows(serve_flag_rows(scratch)) + kServeNotes;
+}
+
+}  // namespace ptb::tools
