@@ -9,19 +9,16 @@
 
 using namespace ptb;
 
-int main(int argc, char** argv) {
-  bench::BenchContext ctx(argc, argv, "bench_abl_substrate",
-                          "Substrate ablations",
-                          "coherence protocol, DRAM model, warmup (8 cores)");
-
+void bench::bench_abl_substrate(BenchContext& ctx) {
   const TechniqueSpec none = base_technique();
   const TechniqueSpec ptb{"PTB", TechniqueKind::kTwoLevel, true,
                           PtbPolicy::kToAll, 0.0};
 
   {
     // Base runs need post-run introspection of the directory, so the task
-    // builds the simulator itself and stashes the counters in its own slot
-    // (one writer per slot: no synchronization needed).
+    // builds the simulator itself, outside the run memo, and stashes the
+    // counters in its own slot (one writer per slot: no synchronization
+    // needed).
     struct DirStats {
       std::uint64_t owner_forwards = 0;
       std::uint64_t writebacks = 0;
@@ -46,7 +43,7 @@ int main(int argc, char** argv) {
           out->writebacks = sim.memory().directory().writebacks;
           return base;
         });
-        ctx.pool().submit(profile, ptb_cfg);
+        ctx.submit(profile, ptb_cfg);
       }
     }
     const auto results = ctx.pool().wait_all();
@@ -99,7 +96,7 @@ int main(int argc, char** argv) {
           out->row_hits = dram.row_hits;
           return base;
         });
-        ctx.pool().submit(profile, ptb_cfg);
+        ctx.submit(profile, ptb_cfg);
       }
     }
     const auto results = ctx.pool().wait_all();
@@ -136,7 +133,7 @@ int main(int argc, char** argv) {
       for (bool warm : warm_opts) {
         SimConfig cfg = make_sim_config(8, none);
         cfg.functional_warmup = warm;
-        ctx.pool().submit(profile, cfg);
+        ctx.submit(profile, cfg);
       }
     }
     const auto results = ctx.pool().wait_all();
@@ -156,5 +153,4 @@ int main(int argc, char** argv) {
     }
     ctx.show(t, "Ablation C: functional warmup vs cold start");
   }
-  return ctx.finish();
 }

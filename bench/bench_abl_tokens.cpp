@@ -6,6 +6,8 @@
 //   4. PTHT size.
 #include "bench_util.hpp"
 
+#include <initializer_list>
+
 #include "common/table.hpp"
 #include "power/power_model.hpp"
 
@@ -19,9 +21,7 @@ double aopb_pct(const RunResult& base, const RunResult& r) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::BenchContext ctx(argc, argv, "bench_abl_tokens", "Ablations",
-                          "PTB design-constant sensitivity");
+void bench::bench_abl_tokens(BenchContext& ctx) {
   const auto& fft = benchmark_by_name("fft");
   const auto& unstructured = benchmark_by_name("unstructured");
   const auto& ocean = benchmark_by_name("ocean");
@@ -29,58 +29,36 @@ int main(int argc, char** argv) {
 
   const TechniqueSpec ptb{"PTB", TechniqueKind::kTwoLevel, true,
                           PtbPolicy::kToAll, 0.0};
-  // Warm the three 8-core base runs concurrently; later sections hit the
-  // cache.
-  for (const auto* p : profiles) {
-    ctx.pool().submit(
-        [&cache = ctx.cache(), p] { return cache.get(*p, 8); });
-  }
-  ctx.pool().wait_all();
-
-  {
-    Table t({"wire bits", "fft AoPB %", "ocean AoPB %", "unstr AoPB %"});
-    const std::uint32_t widths[] = {2u, 4u, 8u};
-    for (std::uint32_t bits : widths) {
+  // Ablations 1 and 2 sweep one token-wire knob over the three profiles.
+  const auto sweep_wire = [&](const char* knob_name,
+                              std::uint32_t PtbConfig::*knob,
+                              std::initializer_list<std::uint32_t> values,
+                              const char* title) {
+    Table t({knob_name, "fft AoPB %", "ocean AoPB %", "unstr AoPB %"});
+    for (std::uint32_t v : values) {
       for (const auto* p : profiles) {
         SimConfig cfg = make_sim_config(8, ptb);
-        cfg.ptb.token_wire_bits = bits;
-        ctx.pool().submit(*p, cfg);
+        cfg.ptb.*knob = v;
+        ctx.submit(*p, cfg);
       }
     }
     const auto results = ctx.pool().wait_all();
     std::size_t idx = 0;
-    for (std::uint32_t bits : widths) {
+    for (std::uint32_t v : values) {
       const auto row = t.add_row();
-      t.set(row, 0, static_cast<std::int64_t>(bits));
+      t.set(row, 0, static_cast<std::int64_t>(v));
       for (std::size_t c = 0; c < 3; ++c) {
         t.set(row, c + 1,
               aopb_pct(ctx.cache().get(*profiles[c], 8), results[idx++]), 2);
       }
     }
-    ctx.show(t, "Ablation 1: token-wire width (8 cores; paper uses 4 bits)");
-  }
-  {
-    Table t({"wire latency", "fft AoPB %", "ocean AoPB %", "unstr AoPB %"});
-    const std::uint32_t latencies[] = {3u, 5u, 10u, 20u};
-    for (std::uint32_t lat : latencies) {
-      for (const auto* p : profiles) {
-        SimConfig cfg = make_sim_config(8, ptb);
-        cfg.ptb.wire_latency_override = lat;
-        ctx.pool().submit(*p, cfg);
-      }
-    }
-    const auto results = ctx.pool().wait_all();
-    std::size_t idx = 0;
-    for (std::uint32_t lat : latencies) {
-      const auto row = t.add_row();
-      t.set(row, 0, static_cast<std::int64_t>(lat));
-      for (std::size_t c = 0; c < 3; ++c) {
-        t.set(row, c + 1,
-              aopb_pct(ctx.cache().get(*profiles[c], 8), results[idx++]), 2);
-      }
-    }
-    ctx.show(t, "Ablation 2: balancer round-trip latency (cycles)");
-  }
+    ctx.show(t, title);
+  };
+  sweep_wire("wire bits", &PtbConfig::token_wire_bits, {2u, 4u, 8u},
+             "Ablation 1: token-wire width (8 cores; paper uses 4 bits)");
+  sweep_wire("wire latency", &PtbConfig::wire_latency_override,
+             {3u, 5u, 10u, 20u},
+             "Ablation 2: balancer round-trip latency (cycles)");
   {
     // Analytic (no simulation): stays on the calling thread.
     Table t({"k-means groups", "aggregate error %", "per-instr |error| %"});
@@ -102,7 +80,7 @@ int main(int argc, char** argv) {
     for (std::uint32_t entries : sizes) {
       SimConfig cfg = make_sim_config(8, ptb);
       cfg.power.ptht_entries = entries;
-      ctx.pool().submit(fft, cfg);
+      ctx.submit(fft, cfg);
     }
     const auto results = ctx.pool().wait_all();
     std::size_t idx = 0;
@@ -118,5 +96,4 @@ int main(int argc, char** argv) {
     }
     ctx.show(t, "Ablation 4: PTHT capacity (paper: 8K entries)");
   }
-  return ctx.finish();
 }

@@ -9,11 +9,7 @@
 
 using namespace ptb;
 
-int main(int argc, char** argv) {
-  bench::BenchContext ctx(argc, argv, "bench_ext_baselines",
-                          "Prior-art baselines",
-                          "thrifty barrier & meeting points vs PTB, 16 cores");
-
+void bench::bench_ext_baselines(BenchContext& ctx) {
   const std::vector<TechniqueSpec> techs{
       {"ThriftyBarrier", TechniqueKind::kThriftyBarrier, false,
        PtbPolicy::kToAll, 0.0},
@@ -27,11 +23,9 @@ int main(int argc, char** argv) {
 
   for (const char* bn : benchmarks) {
     const auto& profile = benchmark_by_name(bn);
-    ctx.pool().submit([&cache = ctx.cache(), &profile] {
-      return cache.get(profile, 16);
-    });
+    ctx.submit(profile, make_sim_config(16, base_technique()));
     for (const auto& t : techs) {
-      ctx.pool().submit(profile, make_sim_config(16, t));
+      ctx.submit(profile, make_sim_config(16, t));
     }
   }
   const std::vector<RunResult> results = ctx.pool().wait_all();
@@ -54,8 +48,6 @@ int main(int argc, char** argv) {
   }
   ctx.show(table,
            "Energy mechanisms do not match budgets (AoPB stays near 100%)");
-  std::printf(
-      "Thrifty barriers / meeting points cut synchronization energy but\n"
-      "cannot bound instantaneous power — the paper's case for PTB.\n");
-  return ctx.finish();
+  ctx.say("Thrifty barriers / meeting points cut synchronization energy but\n"
+          "cannot bound instantaneous power — the paper's case for PTB.\n");
 }

@@ -8,10 +8,7 @@
 
 using namespace ptb;
 
-int main(int argc, char** argv) {
-  bench::BenchContext ctx(argc, argv, "bench_ext_cluster", "Clustered PTB",
-                          "monolithic vs per-cluster balancers at 32 cores");
-
+void bench::bench_ext_cluster(BenchContext& ctx) {
   const TechniqueSpec ptb{"PTB", TechniqueKind::kTwoLevel, true,
                           PtbPolicy::kToAll, 0.0};
   struct Variant {
@@ -27,13 +24,11 @@ int main(int argc, char** argv) {
 
   for (const char* bn : benchmarks) {
     const auto& profile = benchmark_by_name(bn);
-    ctx.pool().submit([&cache = ctx.cache(), &profile] {
-      return cache.get(profile, 32);
-    });
+    ctx.submit(profile, make_sim_config(32, base_technique()));
     for (const auto& v : variants) {
       SimConfig cfg = make_sim_config(32, ptb);
       cfg.ptb.cluster_size = v.cluster;
-      ctx.pool().submit(profile, cfg);
+      ctx.submit(profile, cfg);
     }
   }
   const std::vector<RunResult> results = ctx.pool().wait_all();
@@ -57,7 +52,6 @@ int main(int argc, char** argv) {
     }
   }
   ctx.show(table, "32-core CMP, 50% budget");
-  std::printf("Clusters keep the short wire latency while retaining most of\n"
-              "the balancing benefit — the paper's >16-core scaling story.\n");
-  return ctx.finish();
+  ctx.say("Clusters keep the short wire latency while retaining most of\n"
+          "the balancing benefit — the paper's >16-core scaling story.\n");
 }

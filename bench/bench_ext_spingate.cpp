@@ -9,11 +9,7 @@
 
 using namespace ptb;
 
-int main(int argc, char** argv) {
-  bench::BenchContext ctx(argc, argv, "bench_ext_spingate",
-                          "Spin-gating extension",
-                          "PTB as a spin detector that gates spinning cores");
-
+void bench::bench_ext_spingate(BenchContext& ctx) {
   const TechniqueSpec ptb{"PTB", TechniqueKind::kTwoLevel, true,
                           PtbPolicy::kToAll, 0.0};
   const char* benchmarks[] = {"unstructured", "fluidanimate", "waternsq",
@@ -22,13 +18,11 @@ int main(int argc, char** argv) {
   // Per benchmark: base (through the cache), plain PTB, and gated PTB.
   for (const char* bn : benchmarks) {
     const auto& profile = benchmark_by_name(bn);
-    ctx.pool().submit([&cache = ctx.cache(), &profile] {
-      return cache.get(profile, 16);
-    });
-    ctx.pool().submit(profile, make_sim_config(16, ptb));
+    ctx.submit(profile, make_sim_config(16, base_technique()));
+    ctx.submit(profile, make_sim_config(16, ptb));
     SimConfig gated_cfg = make_sim_config(16, ptb);
     gated_cfg.ptb.gate_spinners = true;
-    ctx.pool().submit(profile, gated_cfg);
+    ctx.submit(profile, gated_cfg);
   }
   const std::vector<RunResult> results = ctx.pool().wait_all();
 
@@ -58,7 +52,6 @@ int main(int argc, char** argv) {
     ++n;
   }
   ctx.show(table, "PTB vs PTB + power-pattern spinner gating (16 cores)");
-  std::printf("Average energy: PTB %.2f%% -> with gating %.2f%%\n",
-              e0 / n, e1 / n);
-  return ctx.finish();
+  ctx.say("Average energy: PTB %.2f%% -> with gating %.2f%%\n",
+          e0 / n, e1 / n);
 }

@@ -10,11 +10,7 @@
 
 using namespace ptb;
 
-int main(int argc, char** argv) {
-  bench::BenchContext ctx(argc, argv, "bench_ext_thermal",
-                          "Thermal extension",
-                          "per-core temperature mean / stability, 16 cores");
-
+void bench::bench_ext_thermal(BenchContext& ctx) {
   std::vector<TechniqueSpec> techs{base_technique()};
   for (auto& t : standard_techniques(PtbPolicy::kDynamic))
     techs.push_back(t);
@@ -22,7 +18,7 @@ int main(int argc, char** argv) {
 
   for (const auto& tech : techs) {
     for (const char* bn : benchmarks) {
-      ctx.pool().submit(benchmark_by_name(bn), make_sim_config(16, tech));
+      ctx.submit(benchmark_by_name(bn), make_sim_config(16, tech));
     }
   }
   const std::vector<RunResult> results = ctx.pool().wait_all();
@@ -48,8 +44,7 @@ int main(int argc, char** argv) {
     table.set(row, 3, sd / n, 3);
   }
   ctx.show(table, "Average core temperature and stability by technique");
-  std::printf("PTB's per-cycle budget matching keeps the power curve "
-              "flatter, which the\nRC model turns into a lower, steadier "
-              "temperature than the base case.\n");
-  return ctx.finish();
+  ctx.say("PTB's per-cycle budget matching keeps the power curve "
+          "flatter, which the\nRC model turns into a lower, steadier "
+          "temperature than the base case.\n");
 }

@@ -8,10 +8,7 @@
 
 using namespace ptb;
 
-int main(int argc, char** argv) {
-  bench::BenchContext ctx(argc, argv, "bench_ext_variance", "Seed variance",
-                          "headline metrics across 5 seeds, 16 cores");
-
+void bench::bench_ext_variance(BenchContext& ctx) {
   const TechniqueSpec dvfs{"DVFS", TechniqueKind::kDvfs, false,
                            PtbPolicy::kToAll, 0.0};
   const TechniqueSpec ptb{"PTB+2Level", TechniqueKind::kTwoLevel, true,
@@ -26,7 +23,8 @@ int main(int argc, char** argv) {
     const auto& profile = benchmark_by_name(bn);
     for (const auto& tech : {dvfs, ptb}) {
       const ReplicatedResult r =
-          run_replicated(profile, 16, tech, kSeeds, ctx.pool());
+          run_replicated(profile, 16, tech, kSeeds, ctx.cache(),
+                         ctx.pool());
       const auto row = table.add_row();
       table.set(row, 0, profile.name);
       table.set(row, 1, tech.label);
@@ -38,5 +36,4 @@ int main(int argc, char** argv) {
   }
   ctx.show(table, "5-seed replication: the AoPB gap is far larger than the "
                   "seed noise");
-  return ctx.finish();
 }

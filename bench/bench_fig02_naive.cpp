@@ -6,12 +6,9 @@
 
 using namespace ptb;
 
-int main(int argc, char** argv) {
-  bench::BenchContext ctx(argc, argv, "bench_fig02_naive", "Figure 2",
-                          "naive equal power split, 16-core CMP, 50% budget");
+void bench::bench_fig02_naive(BenchContext& ctx) {
   FigureGrid grid =
       run_suite_grid(16, naive_techniques(), ctx.cache(), ctx.pool());
   grid.append_average();
   ctx.show_energy_aopb(grid, "Figure 2 (16 cores, naive split)");
-  return ctx.finish();
 }

@@ -6,9 +6,7 @@
 
 using namespace ptb;
 
-int main(int argc, char** argv) {
-  bench::BenchContext ctx(argc, argv, "bench_fig03_breakdown", "Figure 3",
-                          "execution time breakdown for 2-16 cores (%)");
+void bench::bench_fig03_breakdown(BenchContext& ctx) {
   Table table({"benchmark", "cores", "Lock-Acq", "Lock-Rel", "Barrier",
                "Busy"});
   const TechniqueSpec none = base_technique();
@@ -17,7 +15,7 @@ int main(int argc, char** argv) {
   // the results back in submission order.
   for (const auto& profile : benchmark_suite()) {
     for (std::uint32_t cores : core_counts) {
-      ctx.pool().submit(profile, make_sim_config(cores, none));
+      ctx.submit(profile, make_sim_config(cores, none));
     }
   }
   const std::vector<RunResult> results = ctx.pool().wait_all();
@@ -52,5 +50,4 @@ int main(int argc, char** argv) {
     }
   }
   ctx.show(table, "Figure 3: time in each execution state (% of core-cycles)");
-  return ctx.finish();
 }

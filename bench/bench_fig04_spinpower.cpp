@@ -7,15 +7,13 @@
 
 using namespace ptb;
 
-int main(int argc, char** argv) {
-  bench::BenchContext ctx(argc, argv, "bench_fig04_spinpower", "Figure 4",
-                          "spin power as % of total CMP energy");
+void bench::bench_fig04_spinpower(BenchContext& ctx) {
   Table table({"benchmark", "2 cores", "4 cores", "8 cores", "16 cores"});
   const TechniqueSpec none = base_technique();
   const std::uint32_t core_counts[] = {2u, 4u, 8u, 16u};
   for (const auto& profile : benchmark_suite()) {
     for (std::uint32_t cores : core_counts) {
-      ctx.pool().submit(profile, make_sim_config(cores, none));
+      ctx.submit(profile, make_sim_config(cores, none));
     }
   }
   const std::vector<RunResult> results = ctx.pool().wait_all();
@@ -38,5 +36,4 @@ int main(int argc, char** argv) {
   const double n = static_cast<double>(benchmark_suite().size());
   for (int c = 0; c < 4; ++c) table.set(row, c + 1, avg[c] / n, 1);
   ctx.show(table, "Figure 4: normalized spinlock power (%)");
-  return ctx.finish();
 }

@@ -10,13 +10,10 @@
 
 using namespace ptb;
 
-int main(int argc, char** argv) {
-  bench::BenchContext ctx(argc, argv, "bench_fig06_spintrace", "Figure 6",
-                          "per-cycle power of a spinning core");
-
+void bench::bench_fig06_spintrace(BenchContext& ctx) {
   // Lock-bound benchmark at 8 cores; core 0 spends long stretches spinning.
   // A single traced run — the simulator needs introspection after run(), so
-  // this bench stays on the calling thread regardless of --jobs.
+  // this figure stays on the calling thread, outside the run memo.
   SimConfig cfg = make_sim_config(8, base_technique());
   const WorkloadProfile& profile = benchmark_by_name("unstructured");
   CmpSimulator sim(cfg, profile);
@@ -26,10 +23,10 @@ int main(int argc, char** argv) {
 
   const double budget = sim.budgets().local_budget();
   const auto& trace = r.core_power_traces[0];
-  std::printf("core 0, %zu trace samples over %llu cycles; local budget "
-              "= %.1f tokens/cycle\n\n",
-              trace.size(), static_cast<unsigned long long>(r.cycles),
-              budget);
+  ctx.say("core 0, %zu trace samples over %llu cycles; local budget "
+          "= %.1f tokens/cycle\n\n",
+          trace.size(), static_cast<unsigned long long>(r.cycles),
+          budget);
 
   // Render an ASCII strip chart of a window containing a busy->spin edge:
   // find the steepest sustained drop in the trace.
@@ -53,29 +50,24 @@ int main(int argc, char** argv) {
   const std::size_t hi = std::min(v.size(), edge + 40);
   const double vmax = *std::max_element(v.begin() + lo, v.begin() + hi);
   Table window({"cycle", "tokens"});
-  std::printf("%-10s %-9s  power (each # ~ %.1f tokens; | = local budget)\n",
-              "cycle", "tokens", vmax / 40.0);
+  ctx.say("%-10s %-9s  power (each # ~ %.1f tokens; | = local budget)\n",
+          "cycle", "tokens", vmax / 40.0);
   for (std::size_t i = lo; i < hi; ++i) {
     const int bars = static_cast<int>(40.0 * v[i] / vmax);
     const int budget_col = static_cast<int>(40.0 * budget / vmax);
-    std::printf("%-10.0f %8.1f  ", trace.times()[i], v[i]);
+    ctx.say("%-10.0f %8.1f  ", trace.times()[i], v[i]);
     for (int b = 0; b < 41; ++b) {
-      if (b == budget_col) {
-        std::fputc('|', stdout);
-      } else {
-        std::fputc(b < bars ? '#' : ' ', stdout);
-      }
+      ctx.say("%c", b == budget_col ? '|' : b < bars ? '#' : ' ');
     }
-    std::fputc('\n', stdout);
+    ctx.say("\n");
     const auto row = window.add_row();
     window.set(row, 0, trace.times()[i], 0);
     window.set(row, 1, v[i], 1);
   }
-  std::printf("\nAfter the initial peak the spinning core stabilizes far "
-              "under its budget\n(the paper's Figure 6 signature) — those "
-              "are the tokens PTB redistributes.\n");
+  ctx.say("\nAfter the initial peak the spinning core stabilizes far "
+          "under its budget\n(the paper's Figure 6 signature) — those "
+          "are the tokens PTB redistributes.\n");
   ctx.report().set_meta("local_budget", format_double(budget, 1));
   ctx.report().add_table("Figure 6: busy->spin window (cycle, tokens)",
                          window);
-  return ctx.finish();
 }

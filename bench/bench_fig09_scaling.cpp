@@ -7,11 +7,7 @@
 
 using namespace ptb;
 
-int main(int argc, char** argv) {
-  bench::BenchContext ctx(argc, argv, "bench_fig09_scaling", "Figure 9",
-                          "suite averages for 2-16 cores and both PTB "
-                          "policies");
-
+void bench::bench_fig09_scaling(BenchContext& ctx) {
   Table energy({"configuration", "DVFS", "DFS", "2Level", "PTB+2Level"});
   Table aopb({"configuration", "DVFS", "DFS", "2Level", "PTB+2Level"});
   for (std::uint32_t cores : {2u, 4u, 8u, 16u}) {
@@ -40,5 +36,4 @@ int main(int argc, char** argv) {
   }
   ctx.show(energy, "Figure 9 (left): normalized energy (%)");
   ctx.show(aopb, "Figure 9 (right): normalized AoPB (%)");
-  return ctx.finish();
 }

@@ -4,12 +4,9 @@
 
 using namespace ptb;
 
-int main(int argc, char** argv) {
-  bench::BenchContext ctx(argc, argv, "bench_fig10_toall", "Figure 10",
-                          "16-core detail, PTB policy = ToAll");
+void bench::bench_fig10_toall(BenchContext& ctx) {
   FigureGrid grid = run_suite_grid(16, standard_techniques(PtbPolicy::kToAll),
                                    ctx.cache(), ctx.pool());
   grid.append_average();
   ctx.show_energy_aopb(grid, "Figure 10 (16 cores, ToAll)");
-  return ctx.finish();
 }

@@ -6,12 +6,9 @@
 
 using namespace ptb;
 
-int main(int argc, char** argv) {
-  bench::BenchContext ctx(argc, argv, "bench_fig11_toone", "Figure 11",
-                          "16-core detail, PTB policy = ToOne");
+void bench::bench_fig11_toone(BenchContext& ctx) {
   FigureGrid grid = run_suite_grid(16, standard_techniques(PtbPolicy::kToOne),
                                    ctx.cache(), ctx.pool());
   grid.append_average();
   ctx.show_energy_aopb(grid, "Figure 11 (16 cores, ToOne)");
-  return ctx.finish();
 }

@@ -5,13 +5,10 @@
 
 using namespace ptb;
 
-int main(int argc, char** argv) {
-  bench::BenchContext ctx(argc, argv, "bench_fig12_dynamic", "Figure 12",
-                          "16-core detail, dynamic ToOne/ToAll selector");
+void bench::bench_fig12_dynamic(BenchContext& ctx) {
   FigureGrid grid =
       run_suite_grid(16, standard_techniques(PtbPolicy::kDynamic), ctx.cache(),
                      ctx.pool());
   grid.append_average();
   ctx.show_energy_aopb(grid, "Figure 12 (16 cores, dynamic policy)");
-  return ctx.finish();
 }

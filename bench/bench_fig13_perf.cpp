@@ -6,13 +6,10 @@
 
 using namespace ptb;
 
-int main(int argc, char** argv) {
-  bench::BenchContext ctx(argc, argv, "bench_fig13_perf", "Figure 13",
-                          "performance slowdown, 16 cores, dynamic selector");
+void bench::bench_fig13_perf(BenchContext& ctx) {
   FigureGrid grid =
       run_suite_grid(16, standard_techniques(PtbPolicy::kDynamic), ctx.cache(),
                      ctx.pool());
   grid.append_average();
   ctx.show_slowdown(grid, "Figure 13 (16 cores, dynamic policy)");
-  return ctx.finish();
 }

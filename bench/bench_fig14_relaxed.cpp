@@ -9,10 +9,7 @@
 
 using namespace ptb;
 
-int main(int argc, char** argv) {
-  bench::BenchContext ctx(argc, argv, "bench_fig14_relaxed", "Figure 14",
-                          "relaxed-accuracy PTB (+20% threshold), 2-16 cores");
-
+void bench::bench_fig14_relaxed(BenchContext& ctx) {
   Table energy({"configuration", "DVFS", "DFS", "2Level", "PTB+2Level",
                 "Restricted PTB+2Level"});
   Table aopb({"configuration", "DVFS", "DFS", "2Level", "PTB+2Level",
@@ -48,5 +45,4 @@ int main(int argc, char** argv) {
   }
   ctx.show(energy, "Figure 14 (left): normalized energy (%)");
   ctx.show(aopb, "Figure 14 (right): normalized AoPB (%)");
-  return ctx.finish();
 }

@@ -11,10 +11,7 @@
 
 using namespace ptb;
 
-int main(int argc, char** argv) {
-  bench::BenchContext ctx(argc, argv, "bench_ivd_tdp", "Section IV.D",
-                          "cores per 100 W TDP from measured accuracy");
-
+void bench::bench_ivd_tdp(BenchContext& ctx) {
   const auto avg =
       run_suite_averages(16, standard_techniques(PtbPolicy::kDynamic),
                          ctx.cache(), ctx.pool());
@@ -42,7 +39,6 @@ int main(int argc, char** argv) {
   add("2Level", avg[2].aopb_pct);
   add("PTB+2Level", avg[3].aopb_pct);
   ctx.show(table, "Section IV.D: accuracy converts into cores under one TDP");
-  std::printf("(The paper's numbers with its errors: DVFS 19, 2Level 22, "
-              "PTB 29 cores.)\n");
-  return ctx.finish();
+  ctx.say("(The paper's numbers with its errors: DVFS 19, 2Level 22, "
+          "PTB 29 cores.)\n");
 }

@@ -11,10 +11,7 @@
 
 using namespace ptb;
 
-int main(int argc, char** argv) {
-  bench::BenchContext ctx(argc, argv, "bench_table2_workloads", "Table 2",
-                          "evaluated benchmarks and input sets");
-
+void bench::bench_table2_workloads(BenchContext& ctx) {
   Table table({"benchmark", "input size", "iters", "kops/iter", "locks",
                "cs/1k-ops", "imbalance", "mem %", "branch %"});
   // Short single-thread stream drives, far cheaper than a simulation —
@@ -68,5 +65,4 @@ int main(int argc, char** argv) {
                           static_cast<double>(total), 1);
   }
   ctx.show(table, "SPLASH-2 + PARSEC workload catalog (measured stream mix)");
-  return ctx.finish();
 }

@@ -1,37 +1,34 @@
-// Shared helpers for the per-figure bench binaries: the common flag table
-// (--jobs / --json / ...), the run pool, and the JSON report every binary can
-// emit next to its printed tables.
+// Shared pieces of ptb-figures (ptb_figures.cpp): the flag table (--jobs,
+// --out, ...), the row declarations, and the per-figure context that each
+// bench_<name>.cpp row function writes its tables into.
 //
-// Threading & determinism: the BenchContext owns one RunPool sized by
-// --jobs; grid helpers (sim/experiment.hpp) and hand-rolled bench loops
-// submit their independent runs to it and read the results back in
-// submission order, so every table and every JSON byte is identical at any
-// --jobs value (only the wall clock changes). Each simulation itself is
-// one serial cycle loop; see DESIGN.md "Threading model & determinism
-// contract".
+// Threading & determinism: the driver owns one RunPool sized by --jobs and
+// one run memo (BaseRunCache). Rows submit runs through the memo
+// (BenchContext::submit, or the sim/experiment.hpp grid helpers) and read
+// the results back in submission order, so every text and JSON byte is
+// identical at any --jobs value and for any selection of rows. See
+// DESIGN.md "Threading model & determinism contract".
 #pragma once
 
+#include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "common/file.hpp"
+#include "common/assert.hpp"
 #include "common/flags.hpp"
-#include "sim/checkpoint.hpp"
 #include "sim/experiment.hpp"
 #include "sim/reporting.hpp"
 #include "sim/run_pool.hpp"
-#include "stats/dump.hpp"
 #include "trace/trace.hpp"
 #include "workloads/suite.hpp"
 
 namespace ptb::bench {
 
-/// Options every bench binary accepts; bench_flag_rows documents each.
+/// Options ptb-figures accepts; bench_flag_rows documents each.
 struct BenchOptions {
   unsigned jobs = 0;  // 0 = RunPool::default_jobs()
-  std::string json_path;
+  std::string out_dir;  // empty = figure text to stdout, no JSON
   AuditLevel audit = AuditLevel::kOff;
   std::string only;  // empty = whole suite
   std::string trace_path;
@@ -45,7 +42,7 @@ struct BenchOptions {
 };
 
 /// The shared flags as a table over `opts`. --help and --list only set
-/// their switches; parse_bench_args acts on them.
+/// their switches; the driver acts on them.
 inline std::vector<FlagRow> bench_flag_rows(BenchOptions& opts, bool& help,
                                             bool& list) {
   return {
@@ -53,9 +50,10 @@ inline std::vector<FlagRow> bench_flag_rows(BenchOptions& opts, bool& help,
        {"worker threads for the run grid (default: all hardware",
         "threads); results are identical for any N"},
        flag_uint(opts.jobs, 1, 4096)},
-      {"--json", "", "PATH",
-       {"also write the results as machine-readable JSON"},
-       flag_string(opts.json_path)},
+      {"--out", "", "DIR",
+       {"write each figure's text to DIR/<name>.txt and its",
+        "JSON to DIR/<name>.json instead of printing the text"},
+       flag_string(opts.out_dir)},
       {"--audit", "", "LEVEL",
        {"run the invariant auditor on every simulation: off",
         "(default), cheap (per-core checks each cycle) or full",
@@ -71,11 +69,11 @@ inline std::vector<FlagRow> bench_flag_rows(BenchOptions& opts, bool& help,
       // PATH[:CATS]: the suffix after the last ':' is a category list only
       // if it parses as one; otherwise it is part of the path.
       {"--trace", "", "PATH[:CATS]",
-       {"additionally capture one event-traced reference run",
-        "(PTB+2Level, dynamic policy, 16 cores, the suite's first",
-        "benchmark) and write the binary trace to PATH (inspect",
-        "with ptb-trace). CATS is 'all' (default) or a comma list",
-        "of: token, policy, dvfs, spin, enforcer, sync, budget"},
+       {"capture one event-traced reference run (PTB+2Level,",
+        "dynamic policy, 16 cores, fft or the --only benchmark)",
+        "and write the binary trace to PATH (inspect with",
+        "ptb-trace). CATS is 'all' (default) or a comma list of:",
+        "token, policy, dvfs, spin, enforcer, sync, budget"},
        {[&opts](std::string_view v) {
           std::uint32_t cats = kTraceAll;
           const std::size_t colon = v.rfind(':');
@@ -93,11 +91,11 @@ inline std::vector<FlagRow> bench_flag_rows(BenchOptions& opts, bool& help,
       // only if it parses as a positive integer; otherwise it is part of
       // the path.
       {"--stats", "", "PATH[:EVERY]",
-       {"additionally capture one stats-instrumented reference",
-        "run (same configuration as --trace) and write the",
-        "registry dump to PATH (inspect with ptb-stats). EVERY",
-        "> 0 also samples every scalar stat every EVERY cycles",
-        "into the dump's time series"},
+       {"capture one stats-instrumented reference run (same",
+        "configuration as --trace) and write the registry dump",
+        "to PATH (inspect with ptb-stats). EVERY > 0 also",
+        "samples every scalar stat every EVERY cycles into the",
+        "dump's time series"},
        {[&opts](std::string_view v) {
           std::uint64_t every = 0;
           const std::size_t colon = v.rfind(':');
@@ -148,237 +146,97 @@ inline std::vector<FlagRow> bench_flag_rows(BenchOptions& opts, bool& help,
   };
 }
 
-/// Parses the shared flags; prints usage and exits on --help, --list or a
-/// bad argument. Call once, from main.
-inline BenchOptions parse_bench_args(int argc, char** argv) {
-  BenchOptions opts;
-  bool help = false;
-  bool list = false;
-  const std::vector<FlagRow> rows = bench_flag_rows(opts, help, list);
-  const FlagParse parsed = parse_flags(rows, argc, argv, 0);
-  if (!parsed.error.empty()) {
-    std::fprintf(stderr, "%s: %s (try --help)\n", argv[0],
-                 parsed.error.c_str());
-    std::exit(2);
-  }
-  if (help) {
-    std::printf("usage: %s [OPTIONS]\n%s", argv[0],
-                usage_rows(rows).c_str());
-    std::exit(0);
-  }
-  if (list) {
-    for (const std::string& n : full_benchmark_names())
-      std::printf("%s\n", n.c_str());
-    std::exit(0);
-  }
-  return opts;
-}
+/// One row of the driver's figure table.
+class BenchContext;
+struct FigureRow {
+  const char* name;    // results/ file stem and the JSON "bench" field
+  const char* figure;  // "Figure 10", "Table 2", ...
+  const char* what;    // one-line subtitle
+  void (*run)(BenchContext&);
+};
 
-/// Everything one bench main needs: parsed options, the worker pool, the
-/// base-run cache, and the JSON report. Construct first thing in main;
-/// return finish() last thing.
+// The row functions, one per bench_<name>.cpp, in the driver's table order.
+void bench_table2_workloads(BenchContext&);
+void bench_fig02_naive(BenchContext&);
+void bench_fig03_breakdown(BenchContext&);
+void bench_fig04_spinpower(BenchContext&);
+void bench_fig06_spintrace(BenchContext&);
+void bench_fig09_scaling(BenchContext&);
+void bench_fig10_toall(BenchContext&);
+void bench_fig11_toone(BenchContext&);
+void bench_fig12_dynamic(BenchContext&);
+void bench_fig13_perf(BenchContext&);
+void bench_fig14_relaxed(BenchContext&);
+void bench_ivd_tdp(BenchContext&);
+void bench_ext_variance(BenchContext&);
+void bench_ext_thermal(BenchContext&);
+void bench_ext_spingate(BenchContext&);
+void bench_ext_baselines(BenchContext&);
+void bench_ext_cluster(BenchContext&);
+void bench_abl_tokens(BenchContext&);
+void bench_abl_substrate(BenchContext&);
+
+/// Everything one figure needs: the driver's pool and run memo, the JSON
+/// report, and the text buffer the figure's tables are rendered into.
 class BenchContext {
  public:
-  /// Parses argv, prints the standard figure header, and spins up the
-  /// pool. `name` is the binary's canonical name (the JSON "bench" field).
-  BenchContext(int argc, char** argv, const char* name, const char* figure,
-               const char* what)
-      : opts_(parse_bench_args(argc, argv)),
-        pool_(opts_.jobs),
-        report_(name) {
-    // Applies to every config built through make_sim_config from here on;
-    // set before any run is submitted to the pool.
-    set_default_audit_level(opts_.audit);
-    // The suite filter must be installed before anything materializes the
-    // suite (the first benchmark_suite() call freezes it).
-    if (!set_suite_filter(opts_.only)) {
-      std::fprintf(stderr,
-                   "error: unknown benchmark '%s' for --only (try --list)\n",
-                   opts_.only.c_str());
-      std::exit(2);
-    }
-    std::printf("==========================================================\n");
-    std::printf("%s — %s\n", figure, what);
-    std::printf("(normalized to the no-power-control base case; budget = 50%%"
-                " of peak)\n");
-    std::printf("==========================================================\n\n");
+  /// Starts the text with the standard figure header.
+  BenchContext(const FigureRow& row, RunPool& pool, BaseRunCache& cache)
+      : pool_(pool), cache_(cache), report_(row.name) {
+    say("==========================================================\n"
+        "%s — %s\n"
+        "(normalized to the no-power-control base case; budget = 50%% of "
+        "peak)\n"
+        "==========================================================\n\n",
+        row.figure, row.what);
   }
 
   RunPool& pool() { return pool_; }
   BaseRunCache& cache() { return cache_; }
   BenchReport& report() { return report_; }
-  const BenchOptions& options() const { return opts_; }
+  const std::string& text() const { return text_; }
 
-  /// Print a table and record it in the JSON report.
+  /// Enqueues one run through the memo; returns its batch index.
+  std::size_t submit(const WorkloadProfile& profile, const SimConfig& cfg) {
+    return submit_cached(pool_, cache_, profile, cfg);
+  }
+
+  /// printf into the figure's text (at most 1023 bytes per call).
+  [[gnu::format(printf, 2, 3)]] void say(const char* fmt, ...) {
+    char line[1024];
+    va_list ap;
+    va_start(ap, fmt);
+    const int n = std::vsnprintf(line, sizeof(line), fmt, ap);
+    va_end(ap);
+    PTB_ASSERT(n >= 0 && n < static_cast<int>(sizeof(line)),
+               "say() line too long");
+    text_ += line;
+  }
+
+  /// Render a table and record it in the JSON report.
   void show(const Table& t, const std::string& title) {
-    t.print(title);
+    text_ += t.render(title);
     report_.add_table(title, t);
   }
 
-  /// Print a grid's energy/AoPB pair (the paper's paired-figure layout)
+  /// Render a grid's energy/AoPB pair (the paper's paired-figure layout)
   /// and record the grid in the JSON report.
   void show_energy_aopb(const FigureGrid& grid, const std::string& title) {
-    print_energy_aopb(grid, title);
+    text_ += render_energy_aopb(grid, title);
     report_.add_grid(title, grid);
   }
 
-  /// Print a grid's slowdown table (Figure 13 style) and record the grid.
+  /// Render a grid's slowdown table (Figure 13 style) and record the grid.
   void show_slowdown(const FigureGrid& grid, const std::string& title) {
-    print_slowdown(grid, title);
+    text_ += render_slowdown(grid, title);
     report_.add_grid(title, grid);
-  }
-
-  /// Writes the JSON report if --json was given and captures the --trace
-  /// reference run if requested. Returns main's exit code.
-  int finish() {
-    int rc = 0;
-    if (!opts_.trace_path.empty() && !write_trace()) rc = 1;
-    if (!opts_.stats_path.empty() && !write_stats()) rc = 1;
-    if (!opts_.checkpoint_path.empty() && !write_checkpoint()) rc = 1;
-    if (!opts_.restore_path.empty() && !run_restored()) rc = 1;
-    if (!opts_.json_path.empty() && !report_.write(opts_.json_path)) {
-      std::fprintf(stderr, "error: cannot write JSON to %s\n",
-                   opts_.json_path.c_str());
-      rc = 1;
-    }
-    return rc;
   }
 
  private:
-  /// The reference-run configuration shared by --trace, --stats,
-  /// --checkpoint-at and --restore-from: the paper's headline setup,
-  /// PTB+2Level under the dynamic policy selector on 16 cores.
-  static SimConfig reference_config() {
-    TechniqueSpec tech;
-    tech.label = "PTB+2Level(dyn)";
-    tech.kind = TechniqueKind::kTwoLevel;
-    tech.ptb = true;
-    tech.policy = PtbPolicy::kDynamic;
-    return make_sim_config(16, tech);
-  }
-
-  /// The --trace reference run on the first benchmark of the (possibly
-  /// --only-filtered) suite. Runs on the calling thread, so the trace
-  /// bytes are independent of --jobs.
-  bool write_trace() {
-    const SimConfig cfg = reference_config();
-    RunOptions ropts;
-    ropts.trace_categories = opts_.trace_categories;
-    const WorkloadProfile& prof = benchmark_suite().front();
-    const RunResult r = run_one(prof, cfg, ropts);
-    if (!r.trace || !r.trace->save(opts_.trace_path)) {
-      std::fprintf(stderr, "error: cannot write trace to %s\n",
-                   opts_.trace_path.c_str());
-      return false;
-    }
-    std::printf(
-        "\ntrace: %s on PTB+2Level(dyn)/16 cores -> %s (%llu events, %llu "
-        "dropped; categories %s)\n",
-        prof.name.c_str(), opts_.trace_path.c_str(),
-        static_cast<unsigned long long>(r.trace->total_events()),
-        static_cast<unsigned long long>(r.trace->total_dropped()),
-        trace_categories_string(r.trace->categories).c_str());
-    return true;
-  }
-
-  /// The --stats reference run: same configuration as --trace, run on the
-  /// calling thread with the stats registry enabled.
-  bool write_stats() {
-    const SimConfig cfg = reference_config();
-    RunOptions ropts;
-    ropts.stats = true;
-    ropts.stats_sample_every = opts_.stats_every;
-    const WorkloadProfile& prof = benchmark_suite().front();
-    const RunResult r = run_one(prof, cfg, ropts);
-    const std::string text =
-        opts_.stats_prom ? stats_prometheus(r) : stats_json(r);
-    if (text.empty() || !write_file(opts_.stats_path, text)) {
-      std::fprintf(stderr, "error: cannot write stats to %s\n",
-                   opts_.stats_path.c_str());
-      return false;
-    }
-    std::printf(
-        "\nstats: %s on PTB+2Level(dyn)/16 cores -> %s (%zu stats%s)\n",
-        prof.name.c_str(), opts_.stats_path.c_str(),
-        r.stats ? r.stats->scalars.size() : 0,
-        opts_.stats_every > 0 ? ", sampled" : "");
-    return true;
-  }
-
-  /// --checkpoint-at CYC:PATH: the reference run again, capturing a full
-  /// simulator checkpoint at cycle CYC and writing the frame to PATH, then
-  /// printing the completed run's "finished at cycle N (energy E)".
-  bool write_checkpoint() {
-    const SimConfig cfg = reference_config();
-    const WorkloadProfile& prof = benchmark_suite().front();
-    std::string frame;
-    RunOptions ropts;
-    ropts.checkpoint_at = opts_.checkpoint_at;
-    ropts.checkpoint_out = &frame;
-    const RunResult r = run_one(prof, cfg, ropts);
-    if (frame.empty()) {
-      std::fprintf(stderr,
-                   "error: run finished at cycle %llu before reaching "
-                   "--checkpoint-at cycle %llu\n",
-                   static_cast<unsigned long long>(r.cycles),
-                   static_cast<unsigned long long>(opts_.checkpoint_at));
-      return false;
-    }
-    std::string err;
-    if (!save_checkpoint_file(opts_.checkpoint_path, frame, &err)) {
-      std::fprintf(stderr, "error: cannot write checkpoint to %s: %s\n",
-                   opts_.checkpoint_path.c_str(), err.c_str());
-      return false;
-    }
-    std::printf(
-        "\ncheckpoint: %s on PTB+2Level(dyn)/16 cores at cycle %llu -> %s "
-        "(%zu bytes)\n",
-        prof.name.c_str(),
-        static_cast<unsigned long long>(opts_.checkpoint_at),
-        opts_.checkpoint_path.c_str(), frame.size());
-    // The capture run itself runs to completion; its summary matches the
-    // one --restore-from prints for a bit-identical resume.
-    std::printf(
-        "captured: %s on PTB+2Level(dyn)/16 cores -> finished at cycle %llu "
-        "(energy %.3f)\n",
-        prof.name.c_str(), static_cast<unsigned long long>(r.cycles),
-        r.energy);
-    return true;
-  }
-
-  /// --restore-from PATH: restore the reference run from a frame and run
-  /// it to completion. The resumed run is bit-identical to an
-  /// uninterrupted one; a frame from a different machine configuration,
-  /// seed, or benchmark is rejected with the validator's diagnostic.
-  bool run_restored() {
-    const SimConfig cfg = reference_config();
-    const WorkloadProfile& prof = benchmark_suite().front();
-    std::string frame;
-    std::string err;
-    if (!load_checkpoint_file(opts_.restore_path, frame, &err)) {
-      std::fprintf(stderr, "error: cannot read checkpoint %s: %s\n",
-                   opts_.restore_path.c_str(), err.c_str());
-      return false;
-    }
-    CmpSimulator sim(cfg, prof);
-    if (!sim.restore_checkpoint(frame, &err)) {
-      std::fprintf(stderr, "error: cannot restore from %s: %s\n",
-                   opts_.restore_path.c_str(), err.c_str());
-      return false;
-    }
-    const RunResult r = sim.run();
-    std::printf(
-        "\nrestored: %s on PTB+2Level(dyn)/16 cores from %s -> finished at "
-        "cycle %llu (energy %.3f)\n",
-        prof.name.c_str(), opts_.restore_path.c_str(),
-        static_cast<unsigned long long>(r.cycles), r.energy);
-    return true;
-  }
-
-  BenchOptions opts_;
-  RunPool pool_;
-  BaseRunCache cache_;
+  RunPool& pool_;
+  BaseRunCache& cache_;
   BenchReport report_;
+  std::string text_;
 };
 
 }  // namespace ptb::bench

@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Regenerate every file under results/: one .txt (human-readable tables) and
-# one .json (machine-readable, see src/sim/reporting.hpp) per bench binary.
+# one .json (machine-readable, see src/sim/reporting.hpp) per figure row of
+# ptb-figures, the ptb-stats regression golden, and the bench_micro snapshot.
+# All figures come from one ptb-figures call: one process, one run pool and
+# one run memo, so a simulation that several figures share runs once.
 #
 # Usage: scripts/regen_results.sh [-j N] [build-dir]
-#   -j N       worker threads per bench binary (default: all hardware threads)
+#   -j N       worker threads for ptb-figures (default: all hardware threads)
 #   build-dir  CMake build tree containing bench/ (default: build)
 #
 # Output is deterministic: the same sources produce byte-identical .txt and
@@ -31,50 +34,20 @@ if [[ ! -d "$bench_dir" ]]; then
   exit 1
 fi
 
-jobs_flag=()
-if [[ -n "$jobs" ]]; then
-  jobs_flag=(--jobs "$jobs")
-fi
-
+# Every figure row to results/<name>.{txt,json}, plus the ptb-stats
+# regression golden's source: the reference stats dump (the suite's first
+# benchmark, fft, on PTB+2Level(dyn)/16 cores, sampled every 4096 cycles).
+# The golden strips the volatile wall-clock gauges, so it is
+# machine-independent; CI's stats smoke step gates fresh dumps against it
+# with ptb-stats regress.
 mkdir -p "$results_dir"
-
-# Simulation-table benches: text tables to stdout, structured JSON via --json.
-benches=(
-  bench_table2_workloads
-  bench_fig02_naive
-  bench_fig03_breakdown
-  bench_fig04_spinpower
-  bench_fig06_spintrace
-  bench_fig09_scaling
-  bench_fig10_toall
-  bench_fig11_toone
-  bench_fig12_dynamic
-  bench_fig13_perf
-  bench_fig14_relaxed
-  bench_ivd_tdp
-  bench_ext_variance
-  bench_ext_thermal
-  bench_ext_spingate
-  bench_ext_baselines
-  bench_ext_cluster
-  bench_abl_tokens
-  bench_abl_substrate
-)
-
-for b in "${benches[@]}"; do
-  echo "== $b"
-  "$bench_dir/$b" "${jobs_flag[@]}" \
-      --json "$results_dir/$b.json" > "$results_dir/$b.txt"
-done
-
-# The ptb-stats regression golden: the Fig. 10 reference stats dump (fft,
-# PTB+2Level(dyn), 16 cores, sampled every 4096 cycles) with the volatile
-# wall-clock gauges stripped, so the golden is machine-independent. CI's
-# stats smoke step gates fresh dumps against it with ptb-stats regress.
+stats_tmp="$(mktemp)"
+trap 'rm -f "$stats_tmp"' EXIT
+echo "== ptb-figures (every figure row)"
+"$bench_dir/ptb-figures" ${jobs:+--jobs "$jobs"} --out "$results_dir" \
+    --stats "$stats_tmp:4096" all
 echo "== stats_fig10 (ptb-stats regression golden)"
-"$bench_dir/bench_fig10_toall" --only fft --jobs 2 \
-    --stats /tmp/ptb_stats_fig10.json:4096 > /dev/null
-"$build_dir/tools/ptb-stats" dump /tmp/ptb_stats_fig10.json --json \
+"$build_dir/tools/ptb-stats" dump "$stats_tmp" --json \
     --no-volatile > "$results_dir/stats_fig10.json"
 
 # bench_micro is a google-benchmark timing harness: its numbers are

@@ -98,9 +98,12 @@ std::string Table::to_csv() const {
   return out.str();
 }
 
+std::string Table::render(const std::string& title) const {
+  return to_text(title) + '\n';
+}
+
 void Table::print(const std::string& title) const {
-  std::fputs(to_text(title).c_str(), stdout);
-  std::fputc('\n', stdout);
+  std::fputs(render(title).c_str(), stdout);
 }
 
 }  // namespace ptb

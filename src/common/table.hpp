@@ -31,7 +31,9 @@ class Table {
   std::string to_text(const std::string& title = "") const;
   std::string to_csv() const;
 
-  /// Print `to_text` to stdout.
+  /// `to_text` plus the blank line that separates printed tables.
+  std::string render(const std::string& title = "") const;
+  /// Print `render` to stdout.
   void print(const std::string& title = "") const;
 
  private:

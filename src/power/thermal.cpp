@@ -8,12 +8,14 @@
 namespace ptb {
 
 ThermalModel::ThermalModel(const ThermalConfig& cfg, std::uint32_t num_cores)
-    : cfg_(cfg), temp_(num_cores, cfg.ambient_c), hist_(num_cores) {}
+    : cfg_(cfg),
+      decay_(std::exp(-static_cast<double>(kStepCycles) / cfg.tau_cycles)),
+      temp_(num_cores, cfg.ambient_c),
+      hist_(num_cores) {}
 
-void ThermalModel::step(CoreId c, double power, double cycles) {
+void ThermalModel::step(CoreId c, double power) {
   const double t_steady = cfg_.ambient_c + cfg_.r_thermal * power;
-  const double decay = std::exp(-cycles / cfg_.tau_cycles);
-  temp_[c] = t_steady + (temp_[c] - t_steady) * decay;
+  temp_[c] = t_steady + (temp_[c] - t_steady) * decay_;
   hist_[c].add(temp_[c]);
 }
 

@@ -18,12 +18,15 @@ class StatsRegistry;
 
 class ThermalModel {
  public:
+  /// Cycles per step(): the CMP steps every core once per this many cycles.
+  static constexpr Cycle kStepCycles = 64;
+
   ThermalModel(const ThermalConfig& cfg, std::uint32_t num_cores);
 
-  /// Advance core `c` by `cycles` with average power `power` over the step.
-  /// Exact exponential update of dT/dt = (T_steady - T)/tau with
+  /// Advance core `c` by kStepCycles with average power `power` over the
+  /// step. Exact exponential update of dT/dt = (T_steady - T)/tau with
   /// T_steady = ambient + R * power.
-  void step(CoreId c, double power, double cycles);
+  void step(CoreId c, double power);
 
   double temperature(CoreId c) const { return temp_[c]; }
   const RunningStat& history(CoreId c) const { return hist_[c]; }
@@ -52,6 +55,7 @@ class ThermalModel {
 
  private:
   ThermalConfig cfg_;
+  double decay_;  // exp(-kStepCycles / tau): one step's decay factor
   std::vector<double> temp_;
   std::vector<RunningStat> hist_;
 };

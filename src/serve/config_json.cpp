@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstddef>
+#include <string>
 #include <string_view>
 #include <utility>
 
@@ -172,6 +173,31 @@ bool validate(const SimConfig& cfg, std::string& err) {
     return bad(err, "ptb", "token_wire_bits", "expected 1..16");
   if (cfg.ptb.gate_spinners && cfg.ptb.spin_gate_period == 0)
     return bad(err, "ptb", "spin_gate_period", "expected a positive integer");
+  // Legal but huge: these size per-core tables, so one request body may
+  // grow each to at most 16x its Table 1 default.
+  const SimConfig t1;
+  const struct {
+    const char* section;
+    const char* key;
+    std::uint64_t value, table1;
+  } caps[] = {
+      {"core", "bp_table_bytes", cfg.core.bp_table_bytes,
+       t1.core.bp_table_bytes},
+      {"l1i", "size_bytes", cfg.l1i.size_bytes, t1.l1i.size_bytes},
+      {"l1d", "size_bytes", cfg.l1d.size_bytes, t1.l1d.size_bytes},
+      {"l2", "size_bytes_per_core", cfg.l2.size_bytes_per_core,
+       t1.l2.size_bytes_per_core},
+      {"power", "ptht_entries", cfg.power.ptht_entries, t1.power.ptht_entries},
+  };
+  for (const auto& c : caps) {
+    if (c.value > 16 * c.table1)
+      return bad(err, c.section, c.key,
+                 "at most " + std::to_string(16 * c.table1) +
+                     " (16x the Table 1 default)");
+  }
+  // The balancer's token ring has latency + 1 slots (u32 arithmetic).
+  if (cfg.ptb.wire_latency_override > 1024)
+    return bad(err, "ptb", "wire_latency_override", "at most 1024 cycles");
   return true;
 }
 

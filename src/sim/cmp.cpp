@@ -17,8 +17,6 @@ namespace ptb {
 namespace {
 // NoC activity energy per flit-hop (tokens); part of the uncore share.
 constexpr double kNocTokensPerFlitHop = 0.02;
-// Thermal model step granularity (cycles).
-constexpr Cycle kThermalStep = 64;
 // Spin-power detection threshold as a fraction of the local budget.
 constexpr double kSpinThresholdFrac = 0.30;
 // Spinner-gating threshold (between the spin plateau and busy power).
@@ -701,11 +699,10 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
                                      f.act_power[i]);
       }
     }
-    if ((now + 1) % kThermalStep == 0) {
+    if ((now + 1) % ThermalModel::kStepCycles == 0) {
       for (CoreId i = 0; i < n; ++i) {
-        thermal_.step(i,
-                      f.thermal_acc[i] / static_cast<double>(kThermalStep),
-                      static_cast<double>(kThermalStep));
+        thermal_.step(i, f.thermal_acc[i] /
+                             static_cast<double>(ThermalModel::kStepCycles));
         f.thermal_acc[i] = 0.0;
       }
     }

@@ -1,6 +1,7 @@
 #include "sim/experiment.hpp"
 
 #include "common/assert.hpp"
+#include "sim/reporting.hpp"
 #include "workloads/suite.hpp"
 
 namespace ptb {
@@ -33,8 +34,6 @@ AuditLevel g_default_audit_level = AuditLevel::kOff;
 void set_default_audit_level(AuditLevel level) {
   g_default_audit_level = level;
 }
-
-AuditLevel default_audit_level() { return g_default_audit_level; }
 
 SimConfig make_sim_config(std::uint32_t cores, const TechniqueSpec& tech,
                           std::uint64_t seed) {
@@ -108,33 +107,41 @@ void FigureGrid::append_average() {
 }
 
 const RunResult& BaseRunCache::get(const WorkloadProfile& profile,
-                                   std::uint32_t cores, std::uint64_t seed) {
+                                   const SimConfig& cfg) {
   Entry* entry;
   {
     MutexLock lock(mu_);
     // std::map nodes are never relocated, so the pointer stays valid after
     // the lock is dropped and across later insertions.
-    entry = &cache_[Key{profile.name, cores, seed}];
+    entry = &cache_[Key{config_fingerprint(cfg), profile.name}];
   }
   std::call_once(entry->once, [&] {
-    entry->result = run_one(profile, make_sim_config(cores, base_technique(),
-                                                     seed));
+    entry->result = run_one(profile, cfg);
     computed_.fetch_add(1);
   });
   return entry->result;
+}
+
+std::size_t submit_cached(RunPool& pool, BaseRunCache& cache,
+                          const WorkloadProfile& profile,
+                          const SimConfig& cfg) {
+  return pool.submit(
+      [&cache, &profile, cfg] { return cache.get(profile, cfg); });
 }
 
 FigureGrid run_suite_grid(std::uint32_t cores,
                           const std::vector<TechniqueSpec>& techs,
                           BaseRunCache& cache, RunPool& pool) {
   const auto& suite = benchmark_suite();
-  // Base runs first (through the cache, so a later bench section reuses
-  // them), then every (benchmark x technique) cell.
+  // Base runs first, then every (benchmark x technique) cell.
+  const SimConfig base_cfg = make_sim_config(cores, base_technique());
   for (const auto& profile : suite) {
-    pool.submit([&cache, &profile, cores] { return cache.get(profile, cores); });
+    submit_cached(pool, cache, profile, base_cfg);
   }
   for (const auto& profile : suite) {
-    for (const auto& t : techs) pool.submit(profile, make_sim_config(cores, t));
+    for (const auto& t : techs) {
+      submit_cached(pool, cache, profile, make_sim_config(cores, t));
+    }
   }
   const std::vector<RunResult> results = pool.wait_all();
 
@@ -165,14 +172,14 @@ std::vector<Normalized> run_suite_averages(
 ReplicatedResult run_replicated(const WorkloadProfile& profile,
                                 std::uint32_t cores,
                                 const TechniqueSpec& tech,
-                                std::uint32_t num_seeds, RunPool& pool,
-                                std::uint64_t first_seed) {
+                                std::uint32_t num_seeds, BaseRunCache& cache,
+                                RunPool& pool, std::uint64_t first_seed) {
   PTB_ASSERT(num_seeds >= 1, "need at least one seed");
   const TechniqueSpec none = base_technique();
   for (std::uint32_t s = 0; s < num_seeds; ++s) {
     const std::uint64_t seed = first_seed + s;
-    pool.submit(profile, make_sim_config(cores, none, seed));
-    pool.submit(profile, make_sim_config(cores, tech, seed));
+    submit_cached(pool, cache, profile, make_sim_config(cores, none, seed));
+    submit_cached(pool, cache, profile, make_sim_config(cores, tech, seed));
   }
   const std::vector<RunResult> results = pool.wait_all();
   ReplicatedResult out;

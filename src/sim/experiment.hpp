@@ -16,7 +16,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <tuple>
 #include <vector>
 
 #include "common/config.hpp"
@@ -53,12 +52,11 @@ SimConfig make_sim_config(std::uint32_t cores, const TechniqueSpec& tech,
                           std::uint64_t seed = 1);
 
 /// Process-wide audit level stamped into every config make_sim_config
-/// builds (default kOff). The bench binaries set it from --audit; since
+/// builds (default kOff). ptb-figures sets it from --audit; since
 /// audit_level never changes results (and is outside the fingerprint),
 /// this is a diagnostic knob, not an experiment parameter. Not
 /// thread-safe: set it before submitting work to a RunPool.
 void set_default_audit_level(AuditLevel level);
-AuditLevel default_audit_level();
 
 /// Figure-style normalization vs the no-control base case.
 struct Normalized {
@@ -98,19 +96,27 @@ struct FigureGrid {
   void append_average();
 };
 
-/// Cache of base (TechniqueKind::kNone) runs shared across techniques
-/// within one bench binary.
+/// Run memo: run_one(profile, cfg) once per (config_fingerprint(cfg),
+/// profile.name) key, for every figure of one ptb-figures process. An
+/// explicit object, never a process-global: a fresh memo (or run_one)
+/// always simulates. Observe-only knobs (audit_level, trace, RunOptions)
+/// are outside the key, so observed runs bypass the memo.
 ///
 /// Thread-safety contract: get() may be called concurrently from any
-/// number of pool workers. Each (benchmark, cores, seed) key is simulated
-/// exactly once — concurrent requests for a missing key block until the
-/// single computation finishes (per-entry std::call_once under a map
-/// guarded by a mutex; std::map's reference stability keeps returned
-/// references valid for the cache's lifetime).
+/// number of pool workers. Each key is simulated exactly once — concurrent
+/// requests for a missing key block until the single computation finishes
+/// (per-entry std::call_once under a map guarded by a mutex; std::map's
+/// reference stability keeps returned references valid for the memo's
+/// lifetime).
 class BaseRunCache {
  public:
+  const RunResult& get(const WorkloadProfile& profile, const SimConfig& cfg);
+
+  /// The no-control base run at (cores, seed).
   const RunResult& get(const WorkloadProfile& profile, std::uint32_t cores,
-                       std::uint64_t seed = 1);
+                       std::uint64_t seed = 1) {
+    return get(profile, make_sim_config(cores, base_technique(), seed));
+  }
 
   /// Number of simulations actually executed (cache misses); used by the
   /// tests to assert the once-per-key guarantee.
@@ -121,7 +127,7 @@ class BaseRunCache {
     std::once_flag once;
     RunResult result;
   };
-  using Key = std::tuple<std::string, std::uint32_t, std::uint64_t>;
+  using Key = std::pair<std::uint64_t, std::string>;
 
   // mu_ guards cache_ lookup/insert only, never the runs: get() drops the
   // lock before the per-entry call_once (std::map node stability keeps the
@@ -133,10 +139,16 @@ class BaseRunCache {
   std::atomic<std::size_t> computed_{0};
 };
 
+/// Enqueues cache.get(profile, cfg) on `pool`; returns its batch index.
+/// `profile` must outlive the batch (suite profiles are static).
+std::size_t submit_cached(RunPool& pool, BaseRunCache& cache,
+                          const WorkloadProfile& profile,
+                          const SimConfig& cfg);
+
 /// The canonical on-disk/over-the-wire artifact of one simulation run:
 /// the RunResult scalar summary plus (when the run carried a stats
 /// registry) the deterministic StatsDump JSON — schema v1, the same
-/// document a bench binary's --stats flag writes. Artifacts are a pure
+/// document ptb-figures' --stats flag writes. Artifacts are a pure
 /// function of (benchmark, config, seed): two runs of the same request
 /// serialize to byte-identical payloads, which is what lets the serve
 /// daemon answer repeat queries from DiskRunCache below and prove the
@@ -288,10 +300,10 @@ std::string cached_run_payload(const DiskRunCache& cache,
                                const RunObserver* observer);
 
 /// Runs every suite benchmark under each technique at `cores`, normalized
-/// against base runs from `cache`. All (benchmark x technique) cells plus
-/// any missing base runs are submitted to `pool` up front and execute
-/// concurrently; rows/columns follow suite/`techs` order regardless of
-/// completion order, so the output is identical at any worker count.
+/// against the base runs. Every run (base runs and cells) goes through
+/// `cache` via submit_cached and executes concurrently on `pool`;
+/// rows/columns follow suite/`techs` order regardless of completion order,
+/// so the output is identical at any worker count.
 /// The pool's current batch must be empty (wait_all drained) on entry.
 /// Returns the grid without the average row.
 FigureGrid run_suite_grid(std::uint32_t cores,
@@ -308,8 +320,8 @@ std::vector<Normalized> run_suite_averages(
 /// Multi-seed replication: runs (benchmark, technique) under several seeds,
 /// each normalized against its own-seed base run, and aggregates the
 /// normalized metrics. Used to put error bars on the headline results.
-/// All 2*num_seeds runs are submitted to `pool` up front; aggregation is
-/// in seed order, so the result is worker-count independent.
+/// All 2*num_seeds runs go through `cache` on `pool` up front; aggregation
+/// is in seed order, so the result is worker-count independent.
 struct ReplicatedResult {
   RunningStat energy_pct;
   RunningStat aopb_pct;
@@ -319,7 +331,7 @@ struct ReplicatedResult {
 ReplicatedResult run_replicated(const WorkloadProfile& profile,
                                 std::uint32_t cores,
                                 const TechniqueSpec& tech,
-                                std::uint32_t num_seeds, RunPool& pool,
-                                std::uint64_t first_seed = 1);
+                                std::uint32_t num_seeds, BaseRunCache& cache,
+                                RunPool& pool, std::uint64_t first_seed = 1);
 
 }  // namespace ptb

@@ -1,7 +1,6 @@
 #include "sim/reporting.hpp"
 
 #include "common/bytes.hpp"
-#include "common/file.hpp"
 #include "common/format.hpp"
 #include "common/json.hpp"
 #include "stats/dump.hpp"
@@ -10,8 +9,8 @@ namespace ptb {
 
 namespace {
 
-void print_metric(const FigureGrid& g, const std::string& title,
-                  double Normalized::*field) {
+std::string render_metric(const FigureGrid& g, const std::string& title,
+                          double Normalized::*field) {
   std::vector<std::string> header{"benchmark"};
   for (const auto& t : g.technique_labels) header.push_back(t);
   Table tbl(header);
@@ -22,7 +21,7 @@ void print_metric(const FigureGrid& g, const std::string& title,
       tbl.set(row, c + 1, g.grid[r][c].*field, 2);
     }
   }
-  tbl.print(title);
+  return tbl.render(title);
 }
 
 std::string metric_matrix_json(const FigureGrid& g,
@@ -72,15 +71,17 @@ struct FnvMixer {
 
 }  // namespace
 
-void print_energy_aopb(const FigureGrid& grid, const std::string& title) {
-  print_metric(grid, title + " — Normalized Energy (%)",
-               &Normalized::energy_pct);
-  print_metric(grid, title + " — Normalized AoPB (%)", &Normalized::aopb_pct);
+std::string render_energy_aopb(const FigureGrid& grid,
+                               const std::string& title) {
+  return render_metric(grid, title + " — Normalized Energy (%)",
+                       &Normalized::energy_pct) +
+         render_metric(grid, title + " — Normalized AoPB (%)",
+                       &Normalized::aopb_pct);
 }
 
-void print_slowdown(const FigureGrid& grid, const std::string& title) {
-  print_metric(grid, title + " — Performance Slowdown (%)",
-               &Normalized::slowdown_pct);
+std::string render_slowdown(const FigureGrid& grid, const std::string& title) {
+  return render_metric(grid, title + " — Performance Slowdown (%)",
+                       &Normalized::slowdown_pct);
 }
 
 std::uint64_t machine_fingerprint(const SimConfig& cfg) {
@@ -183,10 +184,6 @@ std::string BenchReport::to_json() const {
   }
   out += "]}\n";
   return out;
-}
-
-bool BenchReport::write(const std::string& path) const {
-  return write_file(path, to_json());
 }
 
 }  // namespace ptb

@@ -1,6 +1,6 @@
-// Figure/table rendering helpers shared by the bench binaries: each paper
-// figure becomes a printed table with the same rows/series, and — under
-// --json — a machine-readable document that CI can diff mechanically.
+// Figure/table rendering helpers shared by the figure driver: each paper
+// figure becomes a text table with the same rows/series, and a
+// machine-readable JSON document that CI can diff mechanically.
 #pragma once
 
 #include <cstdint>
@@ -13,10 +13,11 @@
 namespace ptb {
 
 /// Render the paper's paired figure (normalized energy % and AoPB %).
-void print_energy_aopb(const FigureGrid& grid, const std::string& title);
+std::string render_energy_aopb(const FigureGrid& grid,
+                               const std::string& title);
 
 /// Render a performance-slowdown table (Figure 13 style).
-void print_slowdown(const FigureGrid& grid, const std::string& title);
+std::string render_slowdown(const FigureGrid& grid, const std::string& title);
 
 /// Stable fingerprint of the simulated-machine configuration: FNV-1a over
 /// every entry of the SimConfig field table (for_each_field in
@@ -53,7 +54,7 @@ std::string figure_grid_json(const FigureGrid& grid,
 /// One Table as a JSON object: header plus rows of (preformatted) cells.
 std::string table_json(const Table& t, const std::string& title);
 
-/// Collects everything one bench binary produced — figure grids and ad-hoc
+/// Collects everything one figure row produced — figure grids and ad-hoc
 /// tables, in emission order — and renders one JSON document:
 ///
 ///   { "bench": ..., "schema_version": 1, "config_fingerprint": "...",
@@ -77,10 +78,6 @@ class BenchReport {
   void set_seeds(std::uint32_t seeds) { seeds_ = seeds; }
 
   std::string to_json() const;
-
-  /// Writes to_json() to `path`; returns false if the file is not
-  /// writable.
-  bool write(const std::string& path) const;
 
  private:
   std::string bench_name_;

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/assert.hpp"
-#include "sim/experiment.hpp"
 
 namespace ptb {
 
@@ -42,11 +41,6 @@ std::size_t RunPool::submit(Task task) {
   }
   work_cv_.notify_one();
   return index;
-}
-
-std::size_t RunPool::submit(const WorkloadProfile& profile,
-                            const SimConfig& cfg, const RunOptions& opts) {
-  return submit([&profile, cfg, opts] { return run_one(profile, cfg, opts); });
 }
 
 std::vector<RunResult> RunPool::wait_all() {

@@ -22,7 +22,6 @@
 
 #include "common/thread_annotations.hpp"
 #include "sim/cmp.hpp"
-#include "workloads/phases.hpp"
 
 namespace ptb {
 
@@ -45,14 +44,8 @@ class RunPool {
   RunPool& operator=(const RunPool&) = delete;
 
   /// Enqueues a task; returns its index in the current batch. Thread-safe,
-  /// but batches are normally built from one thread (the bench main).
+  /// but batches are normally built from one thread (the figure driver).
   std::size_t submit(Task task);
-
-  /// Convenience: enqueue one simulation run (copies cfg/opts; the profile
-  /// reference must stay valid until wait_all() returns — suite profiles
-  /// are static, so this holds for every bench).
-  std::size_t submit(const WorkloadProfile& profile, const SimConfig& cfg,
-                     const RunOptions& opts = {});
 
   /// Blocks until every task submitted since the last wait_all() has
   /// finished, then returns their results in submission order and resets

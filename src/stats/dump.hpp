@@ -1,6 +1,6 @@
 // Immutable snapshot of a run's stats registry — the artifact carried out
-// of a run (RunResult::stats), written to disk by the bench binaries'
-// --stats flag, and consumed by the ptb-stats CLI (dump | diff | regress).
+// of a run (RunResult::stats), written to disk by ptb-figures' --stats
+// flag, and consumed by the ptb-stats CLI (dump | diff | regress).
 //
 // Two expositions:
 //   - JSON (the on-disk interchange format; parse_json reads it back), with

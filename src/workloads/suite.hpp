@@ -17,7 +17,7 @@ namespace ptb {
 /// selected profile.
 const std::vector<WorkloadProfile>& benchmark_suite();
 
-/// Process-wide suite filter (the bench binaries' --only flag, same pattern
+/// Process-wide suite filter (ptb-figures' --only flag, same pattern
 /// as set_default_audit_level): after set_suite_filter("fft"),
 /// benchmark_suite() returns just that profile. Returns false on an unknown
 /// name (filter unchanged). Must be called before the first

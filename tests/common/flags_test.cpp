@@ -182,7 +182,7 @@ std::string bench_outcome(std::vector<const char*> args) {
     s += (s.empty() ? "" : " ") + field;
   };
   if (o.jobs != 0) add("jobs=" + std::to_string(o.jobs));
-  if (!o.json_path.empty()) add("json=" + o.json_path);
+  if (!o.out_dir.empty()) add("out=" + o.out_dir);
   if (!o.trace_path.empty()) {
     add("trace=" + o.trace_path + " cats=" +
         trace_categories_string(o.trace_categories));
@@ -206,7 +206,7 @@ TEST(Flags, BenchCompositeValues) {
       {{"--jobs", "2abc"}, "error: bad --jobs value '2abc' (expected 1..4096)"},
       {{"--jobs=4294967297"},
        "error: bad --jobs value '4294967297' (expected 1..4096)"},
-      {{"--json="}, "error: bad --json value '' (expected a non-empty value)"},
+      {{"--out="}, "error: bad --out value '' (expected a non-empty value)"},
       {{"--only="}, "error: bad --only value '' (expected a non-empty value)"},
       {{"--list=1"}, "error: --list takes no value"},
       {{"--list", "--help"}, "help list"},

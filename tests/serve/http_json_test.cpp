@@ -315,6 +315,14 @@ TEST(ConfigCodec, RejectsOutOfDomainValues) {
        "ptb.token_wire_bits"},
       {R"({"ptb":{"gate_spinners":true,"spin_gate_period":0}})",
        "ptb.spin_gate_period"},
+      // Legal-but-huge sizes: at most 16x the Table 1 default.
+      {R"({"core":{"bp_table_bytes":2097152}})", "core.bp_table_bytes"},
+      {R"({"l1i":{"size_bytes":2097152}})", "l1i.size_bytes"},
+      {R"({"l1d":{"size_bytes":2097152}})", "l1d.size_bytes"},
+      {R"({"l2":{"size_bytes_per_core":33554432}})", "l2.size_bytes_per_core"},
+      {R"({"power":{"ptht_entries":2147483648}})", "power.ptht_entries"},
+      {R"({"ptb":{"wire_latency_override":4294967295}})",
+       "ptb.wire_latency_override"},
   };
   for (const auto& row : rows) {
     SimConfig cfg;
@@ -323,10 +331,13 @@ TEST(ConfigCodec, RejectsOutOfDomainValues) {
     EXPECT_EQ(err.rfind(std::string(row.field) + ": ", 0), 0u)
         << row.body << " -> " << err;
   }
-  // Conditional rules bind only where the simulator uses the field.
+  // Conditional rules bind only where the simulator uses the field; the
+  // caps admit their bound itself.
   for (const char* ok : {R"({"mem":{"row_bytes":32}})",
                          R"({"ptb":{"token_wire_bits":0}})",
-                         R"({"ptb":{"spin_gate_period":0}})"}) {
+                         R"({"ptb":{"spin_gate_period":0}})",
+                         R"({"power":{"ptht_entries":131072}})",
+                         R"({"ptb":{"wire_latency_override":1024}})"}) {
     parse_or_die(ok);
   }
 }

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "sim/reporting.hpp"
+#include "sim/run_pool.hpp"
 #include "workloads/suite.hpp"
 
 namespace ptb {
@@ -70,6 +75,47 @@ TEST(BaseRunCache, CachesByBenchmarkAndCores) {
   EXPECT_EQ(&a, &b);  // same object: cached
   const RunResult& c = cache.get(p, 4);
   EXPECT_NE(&a, &c);
+}
+
+// One memo across figures: two grids that share cells, submitted to one
+// pool, simulate each (config_fingerprint, benchmark) key once, and every
+// memoized result is the run_one result byte for byte. A fresh memo holds
+// nothing, so it simulates again.
+TEST(BaseRunCache, SharedGridsSimulateEachKeyOnce) {
+  std::vector<WorkloadProfile> profiles(2);
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    profiles[i].name = "memo" + std::to_string(i);
+    profiles[i].iterations = 1;
+    profiles[i].ops_per_iteration = 1500 + 500 * i;
+    profiles[i].barrier_per_iter = false;
+  }
+  const std::vector<TechniqueSpec> all = standard_techniques(PtbPolicy::kToAll);
+  // Grid A: base, DVFS, 2Level; grid B: base, 2Level, PTB+2Level.
+  const std::vector<TechniqueSpec> grids[] = {
+      {base_technique(), all[0], all[2]},
+      {base_technique(), all[2], all[3]},
+  };
+  std::vector<std::pair<const WorkloadProfile*, SimConfig>> cells;
+  for (const auto& techs : grids) {
+    for (const auto& p : profiles) {
+      for (const auto& t : techs) cells.emplace_back(&p, make_sim_config(2, t));
+    }
+  }
+  RunPool pool(3);
+  BaseRunCache memo;
+  for (const auto& [p, cfg] : cells) submit_cached(pool, memo, *p, cfg);
+  const std::vector<RunResult> results = pool.wait_all();
+  EXPECT_EQ(memo.computed(), 8u);  // 4 distinct techniques x 2 benchmarks
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const auto& [p, cfg] = cells[i];
+    SCOPED_TRACE(i);
+    EXPECT_EQ(RunArtifact::from_result(p->name, cfg, results[i]).to_payload(),
+              RunArtifact::from_result(p->name, cfg, run_one(*p, cfg))
+                  .to_payload());
+  }
+  BaseRunCache fresh;
+  fresh.get(*cells[0].first, cells[0].second);
+  EXPECT_EQ(fresh.computed(), 1u);
 }
 
 TEST(FigureGrid, AverageRow) {

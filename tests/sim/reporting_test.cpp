@@ -33,10 +33,8 @@ TEST(Reporting, PrintFunctionsDoNotCrash) {
   // Smoke: the renderers must handle a normal grid without aborting.
   FigureGrid g = sample_grid();
   g.append_average();
-  testing::internal::CaptureStdout();
-  print_energy_aopb(g, "Test figure");
-  print_slowdown(g, "Test figure");
-  const std::string out = testing::internal::GetCapturedStdout();
+  const std::string out = render_energy_aopb(g, "Test figure") +
+                          render_slowdown(g, "Test figure");
   EXPECT_NE(out.find("Test figure"), std::string::npos);
   EXPECT_NE(out.find("Normalized Energy"), std::string::npos);
   EXPECT_NE(out.find("Normalized AoPB"), std::string::npos);
@@ -55,7 +53,8 @@ TEST(ReplicatedResult, AggregatesAcrossSeeds) {
   TechniqueSpec t{"2l", TechniqueKind::kTwoLevel, false, PtbPolicy::kToAll,
                   0.0};
   RunPool pool(2);
-  const ReplicatedResult r = run_replicated(p, 2, t, 2, pool);
+  BaseRunCache cache;
+  const ReplicatedResult r = run_replicated(p, 2, t, 2, cache, pool);
   EXPECT_EQ(r.energy_pct.count(), 2u);
   EXPECT_EQ(r.aopb_pct.count(), 2u);
   EXPECT_EQ(r.slowdown_pct.count(), 2u);

@@ -130,7 +130,9 @@ TEST(RunPool, OneWorkerAndManyWorkersBitIdentical) {
     RunPool pool(jobs);
     for (const auto* p : {&fft, &black}) {
       for (const auto& t : techs) {
-        pool.submit(*p, make_sim_config(4, t));
+        pool.submit([p, cfg = make_sim_config(4, t)] {
+          return run_one(*p, cfg);
+        });
       }
     }
     return pool.wait_all();

@@ -1,19 +1,20 @@
 #!/usr/bin/env bash
 # Strict command lines, end to end: malformed numbers, out-of-range values
-# and empty values given to the real bench, ptb-serve, ptb-trace and
+# and empty values given to the real ptb-figures, ptb-serve, ptb-trace and
 # ptb-stats binaries must each exit 2 with the offending flag named on
-# stderr — never run with a truncated, wrapped or empty setting. Every
+# stderr — never run with a truncated, wrapped or empty setting; so must
+# an unknown figure name, which ptb-figures names on stderr. Every
 # case fails before any simulation, socket or file is touched; the timeout
 # turns a binary that accepts its flags (and starts running or serving)
 # into a failure rather than a hang.
 #
-# Usage: cli_flags_test.sh <bench_fig10_toall> <ptb-serve> <ptb-trace>
-#                         <ptb-stats>
+# Usage: cli_flags_test.sh <ptb-figures> <ptb-serve> <ptb-trace> <ptb-stats>
 # Exit: 0 when every case behaves, 1 otherwise.
 set -u
 
 [[ $# -eq 4 ]] || {
-  echo "usage: cli_flags_test.sh <bench> <ptb-serve> <ptb-trace> <ptb-stats>"
+  echo "usage: cli_flags_test.sh <ptb-figures> <ptb-serve> <ptb-trace>" \
+    "<ptb-stats>"
   exit 1
 }
 # Absolute paths: the cases run inside a scratch directory, so a daemon
@@ -49,8 +50,9 @@ run_case() {
 
 run_case --jobs "$bench" --jobs 2abc
 run_case --jobs "$bench" --jobs=4294967297
-run_case --json "$bench" --json=
+run_case --out "$bench" --out=
 run_case --only "$bench" --only=
+run_case bench_fig99_bogus "$bench" bench_fig99_bogus
 run_case --jobs "$serve" --jobs 4294967297
 run_case --jobs "$serve" --jobs -4294967295
 run_case --cache-max-bytes "$serve" --cache-max-bytes -1

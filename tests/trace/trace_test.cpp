@@ -387,7 +387,9 @@ TEST(TraceEndToEnd, TraceBytesIdenticalAcrossJobs) {
   const SimConfig cfg = traced_cfg(4, PtbPolicy::kDynamic);
   auto batch = [&](unsigned jobs) {
     RunPool pool(jobs);
-    for (int i = 0; i < 6; ++i) pool.submit(p, cfg, traced_opts());
+    for (int i = 0; i < 6; ++i) {
+      pool.submit([&] { return run_one(p, cfg, traced_opts()); });
+    }
     std::vector<std::string> bytes;
     for (const RunResult& r : pool.wait_all()) {
       EXPECT_NE(r.trace, nullptr);

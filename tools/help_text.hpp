@@ -29,14 +29,14 @@ inline constexpr char kTraceUsage[] =
     "  serve TRACE OUT          ptb-serve span log (GET /v1/trace) to "
     "Perfetto\n"
     "                           JSON: one thread track per request trace\n"
-    "TRACE is a file written by a bench binary's --trace flag (for `serve`: "
+    "TRACE is a file written by ptb-figures' --trace flag (for `serve`: "
     "the\n"
     "bytes of GET /v1/trace); OUT may be '-'\n"
     "for stdout. Traces carry a format version; a trace written by a "
     "different\n"
     "(older or newer) build is rejected as unparseable rather than "
     "misread —\n"
-    "re-record it with this build's bench binaries.\n"
+    "re-record it with this build's ptb-figures.\n"
     "exit status: 0 ok, 1 unreadable/corrupt/version-mismatched trace, "
     "2 usage.\n";
 
@@ -51,7 +51,7 @@ inline constexpr char kStatsUsage[] =
     "  regress NEW GOLDEN [--tol FRAC]      CI gate: NEW vs golden, "
     "default\n"
     "                                       --tol 0.02\n"
-    "FILE/A/B/NEW/GOLDEN are JSON dumps from a bench binary's --stats "
+    "FILE/A/B/NEW/GOLDEN are JSON dumps from ptb-figures' --stats "
     "flag.\n"
     "Every dump embeds the config fingerprint of the run that produced it:\n"
     "`diff` prints a note when the fingerprints differ (you are comparing "
