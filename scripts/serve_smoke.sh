@@ -7,7 +7,8 @@
 #      simulator would abort on (l1d.assoc = 0, 64 cores) must be a 400
 #      naming the field, with /healthz still answering 200 afterwards;
 #   3. POST /v1/sweep?wait=1 twice: the second may contain no "miss";
-#   4. scrape /metrics and check the request/cache/queue/stage series, and
+#   4. scrape /metrics and check the request/cache/queue/stage series, that
+#      the soak's repeat hits came from the in-process memory tier, and
 #      that the misses left no warm-checkpoint images or series behind;
 #   5. stream GET /v1/jobs/{id}/events for a fresh async run: progress
 #      events must arrive before the terminal one;
@@ -15,8 +16,11 @@
 #      JSON is copied to $SERVE_SMOKE_ARTIFACT_DIR when set, for CI upload);
 #   7. check the structured JSON access log (one line per request);
 #   8. SIGTERM -> graceful drain, clean exit;
-#   9. restart on the same cache dir: the very first request must be a hit
-#      with the same bytes — the cache, not the process, owns the results.
+#   9. flip one bit of a digit in one sweep unit's cache entry, then
+#      restart on the same cache dir: the very first request must be a hit
+#      with the same bytes — the cache, not the process, owns the results —
+#      and re-posting the sweep must re-simulate exactly the corrupted unit
+#      (a miss, counted as corrupt) into the same artifact bytes.
 #
 # Dependency-free: HTTP via bash /dev/tcp (the daemon closes after each
 # response, so reading to EOF is a complete exchange; streamed responses
@@ -138,6 +142,7 @@ expect_rejected num_cores '{"num_cores":64}'
 
 http POST '/v1/sweep?wait=1' "$sweep_body" "$tmp/s1"
 check "first sweep is 200" grep -q '^HTTP/1.1 200' "$tmp/s1"
+body_of "$tmp/s1" "$tmp/s1.body"
 http POST '/v1/sweep?wait=1' "$sweep_body" "$tmp/s2"
 body_of "$tmp/s2" "$tmp/s2.body"
 check "second sweep is all hits" bash -c \
@@ -152,6 +157,7 @@ done
 http GET '/metrics' '' "$tmp/m"
 body_of "$tmp/m" "$tmp/m.body"
 for series in ptb_serve_http_requests ptb_serve_cache_hits \
+              ptb_serve_cache_memory_hits \
               ptb_serve_cache_misses ptb_serve_queue_depth \
               ptb_serve_jobs_in_flight ptb_serve_http_request_ms \
               ptb_serve_http_streams ptb_serve_stage_simulate_ms \
@@ -160,6 +166,10 @@ for series in ptb_serve_http_requests ptb_serve_cache_hits \
 done
 check "no corrupt entries seen" grep -q '^ptb_serve_cache_corrupt 0' \
   "$tmp/m.body"
+# The soak's 10 repeat hits re-read nothing: the key was verified once.
+memory_hits=$(sed -n 's/^ptb_serve_cache_memory_hits \([0-9]*\).*/\1/p' \
+              "$tmp/m.body")
+check "soak hits served from memory (>= 10)" test "${memory_hits:-0}" -ge 10
 
 # Every miss replays functional warmup: the daemon writes no warm-checkpoint
 # images and exports no warm-image series or stage.
@@ -223,12 +233,45 @@ for line in open(sys.argv[1]):
         json.loads(line)' "$tmp/access1.log"
 fi
 
+# --- corrupt one sweep unit's entry on disk ---------------------------------
+# One bit of the first digit after "cycles": (a digit XOR 1 stays a digit,
+# so the payload still parses); only the frame checksum can catch it. The
+# radix unit, not r1's key, so the post-restart hit below still stands.
+radix_key=$(grep -o '"key":"[0-9a-f]\{16\}","cache":"[a-z]*","artifact":{"schema_version":[0-9]*,"benchmark":"radix"' \
+            "$tmp/s1.body" | sed -n 's/^"key":"\([0-9a-f]*\)".*/\1/p')
+check "first sweep names the radix key" test -n "$radix_key"
+entry="$tmp/cache/$radix_key.run"
+off=$(grep -abo '"cycles":' "$entry" | head -1 | cut -d: -f1)
+check "radix entry has a cycles field" test -n "$off"
+if [[ -n "$off" ]]; then
+  off=$((off + 9))
+  digit=$(dd if="$entry" bs=1 skip="$off" count=1 2>/dev/null)
+  printf '%s' "$((digit ^ 1))" |
+    dd of="$entry" bs=1 seek="$off" conv=notrunc 2>/dev/null
+fi
+
 # --- second daemon, same cache dir: restart keeps the bytes -----------------
 start_daemon "$tmp/serve2.log" "$tmp/access2.log"
 http POST '/v1/run?wait=1' "$run_body" "$tmp/r3"
 check "post-restart run is a hit" grep -qi '^x-ptb-cache: hit' "$tmp/r3"
 body_of "$tmp/r3" "$tmp/r3.body"
 check "post-restart bytes identical" cmp -s "$tmp/r1.body" "$tmp/r3.body"
+
+http POST '/v1/sweep?wait=1' "$sweep_body" "$tmp/s3"
+body_of "$tmp/s3" "$tmp/s3.body"
+check "corrupted unit is the one miss" test \
+  "$(grep -o '"cache":"miss"' "$tmp/s3.body" | wc -l)" -eq 1
+check "corrupted unit re-simulated" grep -q \
+  "\"key\":\"$radix_key\",\"cache\":\"miss\"" "$tmp/s3.body"
+# The first sweep had the same hit/miss pattern (fft hit, radix miss), so
+# apart from the job id the two bodies must match byte for byte.
+check "re-simulated artifact identical" cmp -s \
+  <(sed 's/^{"job":"[^"]*"//' "$tmp/s1.body") \
+  <(sed 's/^{"job":"[^"]*"//' "$tmp/s3.body")
+http GET '/metrics' '' "$tmp/m2"
+body_of "$tmp/m2" "$tmp/m2.body"
+check "corrupt entry counted" grep -q '^ptb_serve_cache_corrupt 1' \
+  "$tmp/m2.body"
 stop_daemon "$tmp/serve2.log"
 
 if [[ $fail -ne 0 ]]; then

@@ -81,6 +81,9 @@ void Service::register_metrics() {
                        [this] { return double(units_failed_.load()); });
   registry_.counter_fn("serve.cache.hits", "disk cache hits",
                        [this] { return double(cache_.hits()); });
+  registry_.counter_fn("serve.cache.memory_hits",
+                       "disk cache hits served from the in-process tier",
+                       [this] { return double(cache_.memory_hits()); });
   registry_.counter_fn("serve.cache.misses", "disk cache misses",
                        [this] { return double(cache_.misses()); });
   registry_.counter_fn("serve.cache.corrupt",

@@ -2,20 +2,28 @@
 // BaseRunCache): the persistent, content-addressed run cache behind the
 // ptb-serve daemon.
 //
-// On-disk format, written with the shared little-endian codec
+// On-disk format (frame v2), written with the shared little-endian codec
 // (common/bytes.hpp) in its corrupt-rejecting idiom: a 24-byte frame header
-// [magic "PTBR" | u32 format version | u64 payload length | u64 run key]
-// followed by the RunArtifact JSON payload bytes. Every field is checked on
-// read — wrong magic, foreign version, short/long payload or a key that
-// does not match the requested address all reject the entry (it is counted,
-// unlinked, and reads as a miss), so a truncated write or a bit-flip can
-// never serve wrong bytes; the caller re-simulates and the overwrite heals
-// the slot. Writes publish through common/file.hpp's write_file (unique
-// temp file beside the entry, then rename()), so readers only ever see
-// complete entries.
+// [magic "PTBR" | u32 format version | u64 payload length | u64 run key],
+// the RunArtifact JSON payload bytes, then a u64 FNV-1a checksum of the
+// payload (checkpoint_checksum, the PTBC frame's hash). Every field is
+// checked on read — wrong magic, foreign version (v1 entries of older
+// builds included), short/long payload, checksum mismatch, an unparseable
+// artifact or one naming another key all reject the entry (it is counted,
+// unlinked, and reads as a miss), so a truncated write or a bit flip is
+// never served; the caller re-simulates and the overwrite heals the slot.
+// Writes publish through common/file.hpp's write_file (unique temp file
+// beside the entry, then rename()), so readers only ever see complete
+// entries.
+//
+// Memory tier: payloads that passed those checks in this process sit in a
+// byte-bounded LRU (kMemoryTierBytes) keyed by run key, so a repeat hit
+// skips the file read, the checksum and the artifact parse. Stores do not
+// fill it and quota eviction empties the evicted keys out of it.
 #include <algorithm>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -34,7 +42,7 @@ namespace ptb {
 namespace {
 
 constexpr char kMagic[4] = {'P', 'T', 'B', 'R'};
-constexpr std::uint32_t kFrameVersion = 1;
+constexpr std::uint32_t kFrameVersion = 2;
 
 }  // namespace
 
@@ -168,6 +176,11 @@ std::string DiskRunCache::path_for(std::uint64_t key) const {
 }
 
 bool DiskRunCache::load(std::uint64_t key, std::string& payload) const {
+  if (tier_get(key, payload)) {
+    memory_hits_.fetch_add(1);
+    hits_.fetch_add(1);
+    return true;
+  }
   const std::string path = path_for(key);
   std::string raw;
   if (!read_file(path, raw)) {
@@ -186,13 +199,18 @@ bool DiskRunCache::load(std::uint64_t key, std::string& payload) const {
     return corrupt();
   }
   const std::uint64_t len = r.u64();
-  if (r.u64() != key || !r.ok() || r.remaining() != len) return corrupt();
-  // The payload must still be a valid schema-v1 artifact for this very
-  // key — framing alone cannot catch a payload-level bit flip.
-  const std::string_view body = r.raw(r.remaining());
+  if (r.u64() != key || !r.ok() || r.remaining() < sizeof(std::uint64_t) ||
+      r.remaining() - sizeof(std::uint64_t) != len) {
+    return corrupt();
+  }
+  const std::string_view body = r.raw(len);
+  if (r.u64() != checkpoint_checksum(body)) return corrupt();
+  // The checksum proves the bytes are the ones stored; the payload must
+  // also still be a valid artifact for this very key.
   RunArtifact a;
   if (!RunArtifact::parse(body, a) || a.key != key) return corrupt();
   payload = std::string(body);
+  tier_put(key, body);
   hits_.fetch_add(1);
   return true;
 }
@@ -204,10 +222,48 @@ bool DiskRunCache::store(std::uint64_t key, std::string_view payload) const {
   w.u64(payload.size());
   w.u64(key);
   w.raw(payload.data(), payload.size());
+  w.u64(checkpoint_checksum(payload));
   if (!write_file(path_for(key), w.data())) return false;
   stores_.fetch_add(1);
   enforce_quota();
   return true;
+}
+
+// ---------------------------------------------------------------------------
+// Memory tier
+// ---------------------------------------------------------------------------
+
+bool DiskRunCache::tier_get(std::uint64_t key, std::string& payload) const {
+  MutexLock lock(tier_mu_);
+  const auto it = tier_index_.find(key);
+  if (it == tier_index_.end()) return false;
+  tier_.splice(tier_.begin(), tier_, it->second);  // most recent first
+  payload = it->second->second;
+  return true;
+}
+
+void DiskRunCache::tier_put(std::uint64_t key,
+                            std::string_view payload) const {
+  MutexLock lock(tier_mu_);
+  // Two readers can verify one key concurrently; the second finds it here.
+  if (tier_index_.count(key) != 0) return;
+  tier_.emplace_front(key, std::string(payload));
+  tier_index_.emplace(key, tier_.begin());
+  tier_bytes_ += payload.size();
+  while (tier_bytes_ > kMemoryTierBytes) {
+    tier_bytes_ -= tier_.back().second.size();
+    tier_index_.erase(tier_.back().first);
+    tier_.pop_back();
+  }
+}
+
+void DiskRunCache::tier_drop(std::uint64_t key) const {
+  MutexLock lock(tier_mu_);
+  const auto it = tier_index_.find(key);
+  if (it == tier_index_.end()) return;
+  tier_bytes_ -= it->second->second.size();
+  tier_.erase(it->second);
+  tier_index_.erase(it);
 }
 
 // ---------------------------------------------------------------------------
@@ -299,6 +355,12 @@ void DiskRunCache::enforce_quota() const {
     if (std::filesystem::remove(dir_ + "/" + e.name, rec) && !rec) {
       total -= e.size;
       evicted_.fetch_add(1);
+      // An evicted key must read as a miss in this process too.
+      std::uint64_t key = 0;
+      if (e.name.ends_with(".run") &&
+          parse_hex16(std::string_view(e.name).substr(0, 16), key)) {
+        tier_drop(key);
+      }
     }
   }
 }

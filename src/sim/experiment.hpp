@@ -11,11 +11,15 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/config.hpp"
@@ -193,17 +197,23 @@ struct RunArtifact {
 /// Persistent, content-addressed run cache: RunArtifact payloads on disk,
 /// one file per run key (the config-fingerprint-derived run_key), written
 /// atomically (temp file + rename) and framed with a little-endian
-/// magic/version/length/key header in the trace subsystem's corrupt-
-/// rejecting idiom — a truncated, bit-flipped or foreign file fails
-/// validation and reads as a miss (the caller re-simulates and the next
-/// store overwrites the bad entry).
+/// magic/version/length/key header plus an FNV-1a payload checksum — a
+/// truncated, bit-flipped or foreign file fails validation and reads as a
+/// miss (the caller re-simulates and the next store overwrites the bad
+/// entry). In front of the disk sits a byte-bounded in-process LRU of
+/// payloads that already passed that validation, so a repeat hit is a
+/// memory lookup instead of a re-read and re-parse.
 ///
 /// Thread-safety: all methods may be called concurrently from any thread.
 /// Loads and stores race benignly through the filesystem (rename is
 /// atomic, so a reader sees either the old complete entry or the new
-/// one); the hit/miss/corrupt counters are atomics.
+/// one); the memory tier is behind one mutex; the counters are atomics.
 class DiskRunCache {
  public:
+  /// Byte cap of the memory tier (payload bytes): about 90 of the
+  /// largest, 16-core artifacts (~90 KB each).
+  static constexpr std::size_t kMemoryTierBytes = std::size_t{8} << 20;
+
   /// Opens (and creates, including parents) the cache directory. Aborts
   /// if the directory cannot be created — a service without its cache
   /// directory cannot meet its contract.
@@ -219,14 +229,18 @@ class DiskRunCache {
   static std::uint64_t run_key(std::string_view benchmark,
                                const SimConfig& cfg);
 
-  /// Loads the payload for `key`. False on miss *or* on a corrupt entry
-  /// (bad magic/version/length/key or unparseable artifact) — corrupt
-  /// entries bump the corrupt counter and are unlinked so the slot heals
-  /// on the next store.
+  /// Loads the payload for `key`: from the memory tier when this process
+  /// already verified it, else from disk. False on miss *or* on a corrupt
+  /// entry (bad magic/version/length/key/checksum or an artifact that does
+  /// not parse or names another key) — corrupt entries bump the corrupt
+  /// counter and are unlinked so the slot heals on the next store. A disk
+  /// entry that passes every check enters the memory tier; both paths
+  /// count in hits(), the tier path also in memory_hits().
   bool load(std::uint64_t key, std::string& payload) const;
 
   /// Atomically persists `payload` under `key` (write temp + rename).
-  /// Returns false when the directory is not writable.
+  /// Returns false when the directory is not writable. Does not fill the
+  /// memory tier: only a verified disk read does.
   bool store(std::uint64_t key, std::string_view payload) const;
 
   std::string path_for(std::uint64_t key) const;
@@ -237,9 +251,9 @@ class DiskRunCache {
   /// unbounded. When a publish pushes the directory total over the
   /// quota, entries are evicted oldest-first (last write time, filename
   /// tie-break for determinism) until the total fits — the just-published
-  /// entry included when the quota is smaller than it. Evicted keys read
-  /// as misses and simply re-simulate. Not thread-safe: set at
-  /// construction time, before the cache is shared.
+  /// entry included when the quota is smaller than it. Evicted keys leave
+  /// the memory tier too, read as misses and simply re-simulate. Not
+  /// thread-safe: set at construction time, before the cache is shared.
   void set_max_bytes(std::uint64_t max_bytes) { max_bytes_ = max_bytes; }
   std::uint64_t max_bytes() const { return max_bytes_; }
 
@@ -254,6 +268,8 @@ class DiskRunCache {
   std::string warm_checkpoint_path(std::uint64_t ckpt_fp) const;
 
   std::uint64_t hits() const { return hits_.load(); }
+  /// The subset of hits() answered from the memory tier.
+  std::uint64_t memory_hits() const { return memory_hits_.load(); }
   std::uint64_t misses() const { return misses_.load(); }
   std::uint64_t corrupt() const { return corrupt_.load(); }
   std::uint64_t stores() const { return stores_.load(); }
@@ -266,9 +282,22 @@ class DiskRunCache {
   /// Oldest-first eviction down to max_bytes_; called after every publish.
   void enforce_quota() const;
 
+  // Memory tier: verified payloads, most recently used first, indexed by
+  // run key; tier_bytes_ sums the payload sizes (<= kMemoryTierBytes).
+  using TierList = std::list<std::pair<std::uint64_t, std::string>>;
+  bool tier_get(std::uint64_t key, std::string& payload) const;
+  void tier_put(std::uint64_t key, std::string_view payload) const;
+  void tier_drop(std::uint64_t key) const;
+
   std::string dir_;
   std::uint64_t max_bytes_ = 0;
+  mutable Mutex tier_mu_;
+  mutable TierList tier_ PTB_GUARDED_BY(tier_mu_);
+  mutable std::unordered_map<std::uint64_t, TierList::iterator> tier_index_
+      PTB_GUARDED_BY(tier_mu_);
+  mutable std::size_t tier_bytes_ PTB_GUARDED_BY(tier_mu_) = 0;
   mutable std::atomic<std::uint64_t> hits_{0};
+  mutable std::atomic<std::uint64_t> memory_hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
   mutable std::atomic<std::uint64_t> corrupt_{0};
   mutable std::atomic<std::uint64_t> stores_{0};
@@ -278,8 +307,8 @@ class DiskRunCache {
   mutable std::atomic<std::uint64_t> evicted_{0};
 };
 
-/// Convenience get-or-run on top of DiskRunCache: answers from disk when
-/// the artifact for (benchmark, cfg) is present and valid, otherwise
+/// Convenience get-or-run on top of DiskRunCache: answers from the cache
+/// when the artifact for (benchmark, cfg) is present and valid, otherwise
 /// simulates on the calling thread (run_one with a stats registry, so the
 /// artifact carries the StatsDump) and persists the result. `hit` reports
 /// which path was taken.
@@ -289,7 +318,7 @@ std::string cached_run_payload(const DiskRunCache& cache,
 
 /// Observed variant: identical semantics, counters and bytes, but
 /// brackets the pipeline's host-level stages through `observer` —
-/// "cache_probe" around the disk lookup, then on a miss "simulate"
+/// "cache_probe" around the cache lookup, then on a miss "simulate"
 /// (run_one), "serialize" and "cache_publish" — and threads the observer
 /// into RunOptions so its progress callback fires from the cycle loop.
 /// A null observer skips every hook; the plain overload above is this one

@@ -2,10 +2,14 @@
 // persistent content-addressed store behind ptb-serve. The cases pin the
 // contract the daemon's byte-identity guarantee rests on:
 //   - a cached answer is byte-identical to a live re-simulation;
-//   - a truncated or bit-flipped entry is rejected (counted, unlinked) and
-//     transparently re-simulated — corrupt bytes are never served;
+//   - a truncated or bit-flipped entry (even a one-bit digit change that
+//     still parses) or a frame of an older format is rejected (counted,
+//     unlinked) and transparently re-simulated — corrupt bytes are never
+//     served;
+//   - the memory tier serves repeat loads, forgets quota-evicted keys and
+//     stays inside its byte cap;
 //   - concurrent readers/writers of one key race benignly (the TSan preset
-//     chews on the hammer case).
+//     chews on the hammer case, which runs through the memory tier).
 #include "sim/experiment.hpp"
 
 #include <gtest/gtest.h>
@@ -20,7 +24,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/config.hpp"
+#include "common/file.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/cmp.hpp"
 #include "sim/reporting.hpp"
@@ -180,8 +186,8 @@ TEST(DiskRunCache, BitFlipAndForeignFileRejected) {
   cached_run_payload(cache, p, cfg, hit);
   const std::string path = cache.path_for(key);
 
-  // Payload-level bit flip: framing is intact, so only the artifact-parse
-  // backstop can catch it. '\0' mid-JSON is unparseable by construction.
+  // Payload-level corruption: framing is intact, so the payload checksum
+  // (and behind it the artifact parse) must catch it.
   corrupt_file_at(path, 24 + 5, '\0');
   std::string payload;
   EXPECT_FALSE(cache.load(key, payload));
@@ -198,6 +204,135 @@ TEST(DiskRunCache, BitFlipAndForeignFileRejected) {
   std::filesystem::rename(path, cache.path_for(key ^ 1));
   EXPECT_FALSE(cache.load(key ^ 1, payload));
   EXPECT_EQ(cache.corrupt(), 3u);
+}
+
+TEST(DiskRunCache, DigitFlipInPayloadRejected) {
+  // A one-bit flip of a digit (12879 -> 02879 cycles here) leaves an
+  // artifact that still parses under the right key: only the payload
+  // checksum can tell.
+  const DiskRunCache cache(temp_cache_dir("digitflip"));
+  const WorkloadProfile p = fast_profile();
+  const SimConfig cfg = fast_config();
+  const std::uint64_t key = DiskRunCache::run_key(p.name, cfg);
+
+  bool hit = true;
+  const std::string good = cached_run_payload(cache, p, cfg, hit);
+  ASSERT_FALSE(hit);
+  const std::string field = "\"cycles\":";
+  const std::size_t at = good.find(field);
+  ASSERT_NE(at, std::string::npos);
+  const std::string path = cache.path_for(key);
+  flip_byte_at(path, 24 + at + field.size());
+
+  std::string payload;
+  EXPECT_FALSE(cache.load(key, payload)) << "bit-flipped payload served";
+  EXPECT_EQ(cache.corrupt(), 1u);
+  EXPECT_FALSE(std::filesystem::exists(path)) << "corrupt entry not healed";
+  EXPECT_EQ(cached_run_payload(cache, p, cfg, hit), good);
+  EXPECT_FALSE(hit);
+}
+
+TEST(DiskRunCache, OlderFrameVersionReadsCorruptOnceThenHeals) {
+  // A v1 entry (same header, no checksum) left by an older build.
+  const DiskRunCache cache(temp_cache_dir("v1frame"));
+  const WorkloadProfile p = fast_profile();
+  const SimConfig cfg = fast_config();
+  const std::uint64_t key = DiskRunCache::run_key(p.name, cfg);
+  RunOptions opts;
+  opts.stats = true;
+  const std::string good =
+      RunArtifact::from_result(p.name, cfg, run_one(p, cfg, opts))
+          .to_payload();
+  ByteWriter w;
+  w.raw("PTBR", 4);
+  w.u32(1);
+  w.u64(good.size());
+  w.u64(key);
+  w.raw(good.data(), good.size());
+  ASSERT_TRUE(write_file(cache.path_for(key), w.data()));
+
+  bool hit = true;
+  EXPECT_EQ(cached_run_payload(cache, p, cfg, hit), good);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(cache.corrupt(), 1u);
+  EXPECT_EQ(cached_run_payload(cache, p, cfg, hit), good);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(cache.corrupt(), 1u);
+}
+
+// A valid artifact for `key` whose payload is about `pad` bytes long.
+std::string synthetic_payload(std::uint64_t key, std::size_t pad) {
+  RunArtifact a;
+  a.benchmark = "tier";
+  a.num_cores = 2;
+  a.key = key;  // load() cross-checks the embedded key
+  a.summary_kv = "pad=" + std::string(pad, 'x');
+  return a.to_payload();
+}
+
+TEST(DiskRunCache, RepeatLoadServedFromMemoryTier) {
+  const DiskRunCache cache(temp_cache_dir("tier"));
+  const std::uint64_t key = 0xb000000000000001ull;
+  const std::string payload = synthetic_payload(key, 100);
+  ASSERT_TRUE(cache.store(key, payload));
+
+  std::string first;
+  std::string second;
+  ASSERT_TRUE(cache.load(key, first));
+  EXPECT_EQ(cache.memory_hits(), 0u) << "a store must not fill the tier";
+  ASSERT_TRUE(cache.load(key, second));
+  EXPECT_EQ(cache.memory_hits(), 1u);
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(first, payload);
+  EXPECT_EQ(second, first);
+}
+
+TEST(DiskRunCache, QuotaEvictionDropsKeyFromMemoryTier) {
+  DiskRunCache cache(temp_cache_dir("tierquota"));
+  namespace fs = std::filesystem;
+  const std::uint64_t k1 = 0xc000000000000001ull;
+  const std::uint64_t k2 = 0xc000000000000002ull;
+  ASSERT_TRUE(cache.store(k1, synthetic_payload(k1, 1000)));
+  std::string got;
+  ASSERT_TRUE(cache.load(k1, got));  // k1 now sits in the memory tier
+  const std::uint64_t entry = fs::file_size(cache.path_for(k1));
+  fs::last_write_time(cache.path_for(k1),
+                      fs::last_write_time(cache.path_for(k1)) -
+                          std::chrono::minutes(1));
+
+  // Room for one entry: publishing k2 evicts k1 from disk and tier.
+  cache.set_max_bytes(entry + entry / 2);
+  ASSERT_TRUE(cache.store(k2, synthetic_payload(k2, 1000)));
+  EXPECT_EQ(cache.evicted(), 1u);
+  EXPECT_FALSE(cache.load(k1, got)) << "evicted key served from memory";
+  EXPECT_EQ(cache.memory_hits(), 0u);
+  EXPECT_TRUE(cache.load(k2, got));
+}
+
+TEST(DiskRunCache, MemoryTierEvictsLeastRecentPastCap) {
+  const DiskRunCache cache(temp_cache_dir("tiercap"));
+  // Four entries of just over a quarter of the cap: the fourth load pushes
+  // the tier past it and drops the least recently used key (k[0]).
+  const std::size_t pad = DiskRunCache::kMemoryTierBytes / 4;
+  std::vector<std::uint64_t> keys;
+  std::vector<std::string> payloads;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    keys.push_back(0xd000000000000000ull + i);
+    payloads.push_back(synthetic_payload(keys.back(), pad));
+    ASSERT_TRUE(cache.store(keys.back(), payloads.back()));
+  }
+  std::string got;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(cache.load(keys[i], got));
+  }
+  ASSERT_EQ(cache.memory_hits(), 0u);
+
+  ASSERT_TRUE(cache.load(keys[0], got));
+  EXPECT_EQ(cache.memory_hits(), 0u) << "tier kept more than its cap";
+  EXPECT_EQ(got, payloads[0]);
+  ASSERT_TRUE(cache.load(keys[3], got));  // most recent: still in memory
+  EXPECT_EQ(cache.memory_hits(), 1u);
+  EXPECT_EQ(got, payloads[3]);
 }
 
 TEST(DiskRunCache, ConcurrentReadersAndWritersOneKey) {

@@ -143,7 +143,8 @@ TEST(ServeE2E, MetricsExposeRequestCacheAndQueueSeries) {
   EXPECT_NE(m.content_type.find("text/plain"), std::string::npos);
   for (const char* series :
        {"ptb_serve_http_requests", "ptb_serve_jobs_submitted",
-        "ptb_serve_cache_hits", "ptb_serve_cache_misses",
+        "ptb_serve_cache_hits", "ptb_serve_cache_memory_hits",
+        "ptb_serve_cache_misses",
         "ptb_serve_cache_corrupt", "ptb_serve_queue_depth",
         "ptb_serve_jobs_in_flight", "ptb_serve_admission_host_tokens",
         "ptb_serve_http_request_ms"}) {
