@@ -1,22 +1,22 @@
 #!/usr/bin/env bash
 # Static checks for the simulator:
-#   1. determinism rules (grep-based, always run): the result path must not
-#      use wall-clock time, hardware entropy, or iteration-order-dependent
-#      containers — every table/JSON byte must be reproducible at any
-#      worker count (see sim/run_pool.hpp and scripts/regen_results.sh);
-#      hashing, JSON escaping and file publishing have one implementation,
-#      in src/common/; FP contraction stays off;
+#   1. one-implementation rules (grep-based, always run): hashing, JSON
+#      escaping and file publishing have one implementation, in
+#      src/common/; FP contraction stays off. The determinism rules proper
+#      (no wall clock, entropy, environment reads or unordered iteration
+#      in src/, bench/ and examples/) are ptb-lint's token-exact
+#      `wallclock` and `unordered-iter` checkers, run in section 4 and in
+#      ctest (LintRealTree.SourceTreeHasNoFindings);
 #   2. doc drift (always run): every CLI flag the shared bench harness
 #      (bench/bench_util.hpp) advertises must be documented in
 #      EXPERIMENTS.md, and every flag EXPERIMENTS.md's bench-flag table
 #      documents must exist in the harness;
 #   3. clang-tidy with the repo's .clang-tidy profile, when clang-tidy and
-#      a compile database are available (skipped with a warning otherwise —
-#      the GCC-only container still gets the determinism checks);
-#   4. ptb-lint (tools/ptb_lint.cpp), the token-level contract checkers the
-#      greps above cannot express (fingerprint coverage, cycle-loop FP
-#      reductions); runs from the build tree and
-#      is skipped with a warning when the binary has not been built.
+#      a compile database are available (skipped with a warning otherwise);
+#   4. ptb-lint (tools/ptb_lint.cpp), the token-level contract checkers
+#      (wall clock / entropy, unordered iteration, fingerprint coverage,
+#      cycle-loop FP reductions); runs from the build tree and is skipped
+#      with a warning when the binary has not been built.
 #
 # Usage: scripts/lint.sh [build-dir]
 #   build-dir  build tree with compile_commands.json (default: build)
@@ -31,9 +31,6 @@ repo_root="${PTB_LINT_ROOT:-$(cd "$(dirname "$0")/.." && pwd)}"
 build_dir="${1:-$repo_root/build}"
 cd "$repo_root" || exit 2
 
-# Sources whose output feeds results/ (simulation + reporting); tests and
-# tools may use whatever they like.
-result_paths=(src bench examples)
 fail=0
 
 note() { printf '%s\n' "$*"; }
@@ -43,61 +40,7 @@ finding() {
   fail=1
 }
 
-# --- 1. determinism rules ---------------------------------------------------
-
-# Hardware entropy / wall-clock time: a simulator result must be a pure
-# function of (config, seed).
-out=$(grep -rn --include='*.cpp' --include='*.hpp' \
-  -e 'std::random_device' \
-  -e '\bsrand(' -e '\brand()' \
-  -e '\btime(nullptr)' -e '\btime(NULL)' -e '\btime(0)' \
-  -e 'std::chrono::system_clock' \
-  -e 'high_resolution_clock' \
-  "${result_paths[@]}" || true)
-if [[ -n "$out" ]]; then
-  finding "non-deterministic source in a result path (entropy/wall clock):" \
-    "$out"
-fi
-
-# Environment reads are a hidden config channel: a run's result must be a
-# pure function of (config, seed), never of the invoking shell.
-out=$(grep -rn --include='*.cpp' --include='*.hpp' \
-  -e '\bgetenv *(' -e 'std::getenv' \
-  "${result_paths[@]}" || true)
-if [[ -n "$out" ]]; then
-  finding "environment read in a result path (results must be a pure \
-function of config and seed; plumb it through SimConfig/CLI instead):" "$out"
-fi
-
-# steady_clock is fine for profiling prints but must never steer a run;
-# allow it only in run_pool (idle accounting), bench timing harnesses,
-# lines explicitly annotated `lint:allowed-wallclock` (the simulator's
-# volatile self-profiling stats, which deterministic dumps exclude), and
-# the serve HTTP transport (src/serve/http.*): a daemon legitimately
-# measures request latency and socket timeouts, and its single wall-clock
-# site (now_ms) is architecturally unable to reach simulation results —
-# the simulator consumes only (profile, config, seed). The rest of
-# src/serve (scheduler, codec, admission) stays under the rule: nothing
-# that picks or builds a simulation may read the clock.
-out=$(grep -rn --include='*.cpp' --include='*.hpp' \
-  -e 'steady_clock' "${result_paths[@]}" \
-  | grep -v -e 'run_pool' -e 'bench/' -e 'lint:allowed-wallclock' \
-            -e 'src/serve/http\.' || true)
-if [[ -n "$out" ]]; then
-  finding "steady_clock outside the allow-listed timing harnesses:" "$out"
-fi
-
-# Iterating an unordered container feeds pointer-hash order into whatever
-# consumes the loop; on a result path that breaks byte-identical output.
-# Keyed lookup is fine, so flag only range-for over unordered containers
-# and ordered-output helpers applied to them.
-out=$(grep -rn --include='*.cpp' --include='*.hpp' -A 2 \
-  -e 'for *( *\(const *\)\?auto *&* *\[*[A-Za-z_].*: *[A-Za-z_]*unordered' \
-  "${result_paths[@]}" || true)
-if [[ -n "$out" ]]; then
-  finding "range-for over an unordered container in a result path \
-(iteration order is unspecified; use std::map/std::set or sort first):" "$out"
-fi
+# --- 1. grep rules: one implementation per job, FP contraction off ---------
 
 # One mechanism per job: the FNV-1a loop lives in src/common/bytes.hpp and
 # the JSON string escaper in src/common/json.cpp. The FNV prime or the
@@ -190,17 +133,18 @@ if command -v clang-tidy >/dev/null 2>&1; then
          "clang-tidy (configure with -DCMAKE_EXPORT_COMPILE_COMMANDS=ON)"
   fi
 else
-  note "warning: clang-tidy not installed; skipping static analysis" \
-       "(determinism checks still ran)"
+  note "warning: clang-tidy not installed; skipping static analysis"
 fi
 
 # --- 4. ptb-lint: the token-level contract checkers --------------------------
 
-# The checks grep cannot express: SimConfig fingerprint coverage,
-# cycle-loop FP reductions, token-exact wall-clock/unordered-iteration
-# findings. The
-# binary is dependency-free (tools/lint/), so "not built yet" is the only
-# skip reason — CI builds it and treats findings as errors.
+# The determinism rules and the checks grep cannot express: token-exact
+# wall-clock/entropy/getenv and unordered-iteration findings over src/,
+# bench/ and examples/ (an allow marker, not a path list, exempts the
+# serve transport's clock and the self-profiler), SimConfig fingerprint
+# coverage, cycle-loop FP reductions. The binary is dependency-free
+# (tools/lint/), so "not built yet" is the only skip reason — CI builds it
+# first and treats findings as errors.
 ptb_lint="${PTB_LINT_BIN:-$build_dir/tools/ptb-lint}"
 if [[ -x "$ptb_lint" ]]; then
   note "running ptb-lint ..."

@@ -297,8 +297,13 @@ class Parser {
     const std::size_t start = i_;
     if (i_ < s_.size() && s_[i_] == '-') ++i_;
     const std::size_t digits0 = i_;
-    while (i_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[i_])))
-      ++i_;
+    if (i_ < s_.size() && s_[i_] == '0') {
+      ++i_;  // RFC 8259: a leading 0 is the whole integer part ("02" fails)
+    } else {
+      while (i_ < s_.size() &&
+             std::isdigit(static_cast<unsigned char>(s_[i_])))
+        ++i_;
+    }
     if (i_ == digits0) return fail("expected a value");
     if (i_ < s_.size() && s_[i_] == '.') {
       ++i_;

@@ -4,7 +4,6 @@
 
 #include "common/format.hpp"
 #include "common/json.hpp"
-#include "trace/serve_span.hpp"
 
 namespace ptb::serve {
 
@@ -70,7 +69,7 @@ void Server::stop() {
 
 HttpResponse Server::handle(const HttpRequest& req) {
   SpanRecorder* rec = service_.spans();
-  Service::TraceCtx ctx;
+  TraceCtx ctx;
   const double t0 = req.ingress_ms > 0.0 ? req.ingress_ms : now_ms();
   if (rec != nullptr) {
     ctx.trace_id = rec->begin_trace();
@@ -91,8 +90,7 @@ HttpResponse Server::handle(const HttpRequest& req) {
       parse.name = "parse";
       parse.start_ms = t0;
       parse.end_ms = req.parsed_ms;
-      rec->emit(parse);
-      service_.record_stage("parse", parse.end_ms - parse.start_ms);
+      service_.close_span(std::move(parse));
     }
     ServeSpan root;
     root.trace_id = ctx.trace_id;
@@ -103,7 +101,7 @@ HttpResponse Server::handle(const HttpRequest& req) {
     root.end_ms = t1;
     root.note =
         req.method + " " + req.path + " -> " + std::to_string(resp.status);
-    rec->emit(root);
+    service_.close_span(std::move(root));
     resp.headers.emplace_back("X-Ptb-Trace", hex16(ctx.trace_id));
   }
 
@@ -128,7 +126,7 @@ HttpResponse Server::handle(const HttpRequest& req) {
       line += ",\"job\":\"" + *job + "\"";
       if (log.level() == LogLevel::kDebug) {
         std::uint32_t tokens_held = 0;
-        std::vector<std::pair<std::string, double>> stages;
+        Service::StageTimes stages;
         if (service_.job_observed(*job, tokens_held, stages)) {
           line += ",\"tokens_held\":" + std::to_string(tokens_held);
           line += ",\"stages\":{";
@@ -148,7 +146,7 @@ HttpResponse Server::handle(const HttpRequest& req) {
 }
 
 HttpResponse Server::dispatch(const HttpRequest& req,
-                              const Service::TraceCtx& ctx) {
+                              const TraceCtx& ctx) {
   // --- POST /v1/run ------------------------------------------------------
   if (req.path == "/v1/run" || req.path == "/v1/sweep") {
     if (req.method != "POST") return error_response(405, "POST required");
@@ -292,15 +290,8 @@ HttpResponse Server::dispatch(const HttpRequest& req,
     if (service_.spans() == nullptr) {
       return error_response(404, "tracing disabled (--trace-spans 0)");
     }
-    const ServeSpanLog log = service_.trace_snapshot();
     HttpResponse r;
-    if (req.query_param("format") == "json") {
-      r.content_type = "application/json";
-      r.body = serve_spans_chrome_json(log);
-    } else {
-      r.content_type = "application/octet-stream";
-      r.body = log.serialize();
-    }
+    r.body = spans_chrome_json(service_.spans()->snapshot());
     return r;
   }
 

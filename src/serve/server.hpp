@@ -15,8 +15,8 @@
 //                           happen, ": heartbeat" comments between.
 //   GET  /v1/results/{key}  artifact by run key (hex16) straight from the
 //                           persistent cache; 404 on miss/corrupt.
-//   GET  /v1/trace          span-log snapshot (binary; ?format=json for
-//                           Perfetto). 404 when --trace-spans is 0.
+//   GET  /v1/trace          request-span snapshot as Perfetto JSON. 404
+//                           when --trace-spans is 0.
 //   GET  /metrics           Prometheus exposition of the daemon registry.
 //   GET  /healthz           {"ok":true} once the listener is up.
 //
@@ -25,7 +25,7 @@
 // exercise routing without sockets.
 //
 // Observability wrapper: when tracing is on, handle() mints the trace id,
-// emits the per-request "request" root span (+ "parse" when transport
+// closes the per-request "request" root span (+ "parse" when transport
 // timestamps are present) and answers with X-Ptb-Trace; when --log-file
 // is set it appends one JSON access-log line per request.
 #pragma once
@@ -59,7 +59,7 @@ class Server {
   /// The routes themselves; `trace` carries the request's minted trace
   /// linkage into submit() (zero-valued when tracing is off).
   HttpResponse dispatch(const HttpRequest& req,
-                        const Service::TraceCtx& trace);
+                        const TraceCtx& trace);
 
   Service service_;
   HttpServer http_;

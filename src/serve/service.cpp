@@ -117,12 +117,6 @@ void Service::register_metrics() {
 
 bool Service::submit(const std::string& tenant,
                      std::vector<RunRequest> requests, Submitted& out,
-                     std::string& err) {
-  return submit(tenant, std::move(requests), out, err, TraceCtx{});
-}
-
-bool Service::submit(const std::string& tenant,
-                     std::vector<RunRequest> requests, Submitted& out,
                      std::string& err, const TraceCtx& trace) {
   PTB_ASSERT(!requests.empty(), "submit requires at least one request");
   Submitted result;
@@ -249,35 +243,34 @@ void Service::worker_loop() {
     const bool tracing = rec != nullptr && trace_id != 0;
     const bool want_progress = opts_.progress_every_cycles > 0;
 
-    // Per-stage durations accumulate worker-locally during the unlocked
-    // simulate window and are assigned into the Unit only after relocking.
-    std::vector<std::pair<std::string, double>> stage_ms;
+    // Stage spans close worker-locally during the unlocked simulate window;
+    // their durations are assigned into the Unit only after relocking. Every
+    // stage is a direct child of the request's root span.
+    StageTimes stage_ms;
+    const auto close_stage = [&](std::uint32_t span_id, std::string name,
+                                 double start_ms, double end_ms) {
+      ServeSpan s;
+      s.trace_id = trace_id;
+      s.span_id = span_id;
+      s.parent_id = root_span;
+      s.name = std::move(name);
+      s.start_ms = start_ms;
+      s.end_ms = end_ms;
+      close_span(std::move(s), &stage_ms);
+    };
 
     if (tracing) {
       // Scheduler spans. Both are always emitted — admission_wait is
       // zero-length when the unit was never denied — so two identical
       // requests produce structurally identical span trees regardless of
       // scheduler timing.
-      ServeSpan s;
-      s.trace_id = trace_id;
-      s.parent_id = root_span;
-      s.span_id = rec->next_span_id();
-      s.name = "queue_wait";
-      s.start_ms = enqueued;
-      s.end_ms = picked;
-      rec->emit(s);
-      record_stage("queue_wait", picked - enqueued);
-      stage_ms.emplace_back("queue_wait", picked - enqueued);
-      s.span_id = rec->next_span_id();
-      s.name = "admission_wait";
-      s.start_ms = blocked == 0.0 ? picked : blocked;
-      rec->emit(s);
-      record_stage("admission_wait", s.end_ms - s.start_ms);
-      stage_ms.emplace_back("admission_wait", s.end_ms - s.start_ms);
+      close_stage(rec->next_span_id(), "queue_wait", enqueued, picked);
+      close_stage(rec->next_span_id(), "admission_wait",
+                  blocked == 0.0 ? picked : blocked, picked);
     }
 
     // Host-stage observer: cached_run_payload's stages run one after
-    // another, each a direct child of the request's root span.
+    // another, so one open stage at a time.
     struct StageOpen {
       std::string name;
       double begin_ms = 0.0;
@@ -290,16 +283,8 @@ void Service::worker_loop() {
         open = StageOpen{std::string(stage), now_ms(), rec->next_span_id()};
       };
       observer.stage_exit = [&](std::string_view) {
-        ServeSpan s;
-        s.trace_id = trace_id;
-        s.span_id = open.span_id;
-        s.parent_id = root_span;
-        s.name = open.name;
-        s.start_ms = open.begin_ms;
-        s.end_ms = now_ms();
-        rec->emit(s);
-        record_stage(open.name, s.end_ms - s.start_ms);
-        stage_ms.emplace_back(open.name, s.end_ms - s.start_ms);
+        close_stage(open.span_id, std::move(open.name), open.begin_ms,
+                    now_ms());
       };
       obs_ptr = &observer;
     }
@@ -499,20 +484,20 @@ void Service::record_http_stream() {
   http_streams_.fetch_add(1);
 }
 
-void Service::record_stage(std::string_view stage, double ms) {
-  MutexLock lock(metrics_mu_);
-  const auto it = stage_hists_.find(stage);
-  if (it != stage_hists_.end()) it->second->add(ms);
-}
-
-ServeSpanLog Service::trace_snapshot() {
-  return spans_ != nullptr ? spans_->snapshot() : ServeSpanLog{};
+void Service::close_span(ServeSpan span, StageTimes* stages) {
+  PTB_ASSERT(spans_ != nullptr, "close_span with tracing off");
+  const double ms = span.end_ms - span.start_ms;
+  {
+    MutexLock lock(metrics_mu_);
+    const auto it = stage_hists_.find(span.name);
+    if (it != stage_hists_.end()) it->second->add(ms);
+  }
+  if (stages != nullptr) stages->emplace_back(span.name, ms);
+  spans_->emit(std::move(span));
 }
 
 bool Service::job_observed(const std::string& job_id,
-                           std::uint32_t& tokens_held,
-                           std::vector<std::pair<std::string, double>>&
-                               stages) {
+                           std::uint32_t& tokens_held, StageTimes& stages) {
   MutexLock lock(mu_);
   const auto it = jobs_.find(job_id);
   if (it == jobs_.end()) return false;

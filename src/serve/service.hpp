@@ -30,7 +30,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -65,6 +64,14 @@ struct ServiceOptions {
   LogLevel log_level = LogLevel::kInfo;  // --log-level
 };
 
+/// Trace linkage carried from HTTP ingress into the job table: worker-side
+/// spans (queue wait, simulate stages) parent under the submitting
+/// request's root span. Zero-valued when tracing is off.
+struct TraceCtx {
+  std::uint64_t trace_id = 0;
+  std::uint32_t root_span = 0;
+};
+
 class Service {
  public:
   explicit Service(ServiceOptions opts);
@@ -78,14 +85,6 @@ class Service {
   struct Submitted {
     std::string job_id;
     std::vector<std::string> unit_keys;
-  };
-
-  /// Trace linkage carried from HTTP ingress into the job table: worker-
-  /// side spans (queue wait, simulate stages) parent under the submitting
-  /// request's root span. Zero-valued when tracing is off.
-  struct TraceCtx {
-    std::uint64_t trace_id = 0;
-    std::uint32_t root_span = 0;
   };
 
   /// One entry of a job's event feed (progress / unit / terminal), already
@@ -103,13 +102,15 @@ class Service {
     kGone,     // unknown job, or its feed is fully consumed and closed
   };
 
-  /// Enqueues one job for `tenant`. False (with `err`) when the queue is
-  /// full or the service is stopping — the caller answers 429/503.
+  /// Per-stage durations (ms) in completion order: a unit's closed stage
+  /// spans, or a job's sums of them (job_observed).
+  using StageTimes = std::vector<std::pair<std::string, double>>;
+
+  /// Enqueues one job for `tenant`, carrying the submitting request's
+  /// trace linkage. False (with `err`) when the queue is full or the
+  /// service is stopping — the caller answers 429/503.
   bool submit(const std::string& tenant, std::vector<RunRequest> requests,
-              Submitted& out, std::string& err);
-  /// As above, carrying the submitting request's trace linkage.
-  bool submit(const std::string& tenant, std::vector<RunRequest> requests,
-              Submitted& out, std::string& err, const TraceCtx& trace);
+              Submitted& out, std::string& err, const TraceCtx& trace = {});
 
   /// Blocks until the job has finished (done or failed). False when the
   /// id is unknown.
@@ -146,16 +147,15 @@ class Service {
   /// skip the latency histogram — their duration is the stream lifetime).
   void record_http_stream();
 
-  /// Adds one observation to the per-stage latency histogram (ms). Only
-  /// the pre-registered stage taxonomy is recorded; unknown names are
-  /// dropped. Thread-safe.
-  void record_stage(std::string_view stage, double ms);
-
   /// The span recorder, or nullptr when tracing is off (trace_spans == 0).
   SpanRecorder* spans() { return spans_.get(); }
 
-  /// Snapshot of the span ring for GET /v1/trace (empty log when off).
-  ServeSpanLog trace_snapshot();
+  /// Closes one span — the only way a span or a stage timing is recorded:
+  /// pushes it to the span ring, adds its duration to the stage's
+  /// /metrics histogram (pre-registered stage names only; "request" roots
+  /// have none) and, when `stages` is given, appends it there. Requires
+  /// tracing on (spans() != nullptr). Thread-safe.
+  void close_span(ServeSpan span, StageTimes* stages = nullptr);
 
   /// The structured access log (disabled unless --log-file was given).
   AccessLog& access_log() { return access_log_; }
@@ -166,7 +166,7 @@ class Service {
   /// admission tokens its tenant held while its units ran, and the summed
   /// per-stage durations across its units. False when the id is unknown.
   bool job_observed(const std::string& job_id, std::uint32_t& tokens_held,
-                    std::vector<std::pair<std::string, double>>& stages);
+                    StageTimes& stages);
 
   const DiskRunCache& cache() const { return cache_; }
   const TokenAdmission& admission() const { return admission_; }
@@ -188,9 +188,9 @@ class Service {
     double enqueued_ms = 0.0;  // entered its tenant queue
     double blocked_ms = 0.0;   // first denied by admission (0: never)
     double picked_ms = 0.0;    // claimed by a worker
-    // Per-stage durations, written by the owning worker after the unit
+    // Closed stage spans, written by the owning worker after the unit
     // completes (while holding mu_) — feeds job_observed / access log.
-    std::vector<std::pair<std::string, double>> stage_ms;
+    StageTimes stage_ms;
   };
 
   struct Job {
@@ -251,7 +251,7 @@ class Service {
   Histogram* latency_hist_ PTB_PT_GUARDED_BY(metrics_mu_) =
       nullptr;  // registry-owned
   // Pre-registered per-stage latency histograms (the span taxonomy);
-  // registry-owned, looked up by stage name in record_stage.
+  // registry-owned, looked up by span name in close_span.
   std::map<std::string, Histogram*, std::less<>> stage_hists_
       PTB_GUARDED_BY(metrics_mu_);
 

@@ -1,10 +1,22 @@
 #include "serve/span.hpp"
 
+#include <map>
+#include <sstream>
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/format.hpp"
+#include "common/json.hpp"
 
 namespace ptb::serve {
+
+namespace {
+
+/// Microseconds as a decimal literal (Perfetto `ts`/`dur` unit), printed
+/// with a pinned format so the export is locale-independent.
+std::string usec(double ms) { return format_fixed(ms * 1000.0, 3); }
+
+}  // namespace
 
 SpanRecorder::SpanRecorder(std::size_t capacity) : capacity_(capacity) {
   PTB_ASSERT(capacity_ >= 1, "a zero-capacity recorder means 'tracing off'");
@@ -20,13 +32,53 @@ void SpanRecorder::emit(ServeSpan span) {
   }
 }
 
-ServeSpanLog SpanRecorder::snapshot() const {
+SpanSnapshot SpanRecorder::snapshot() const {
   MutexLock lock(mu_);
-  ServeSpanLog log;
-  log.emitted = emitted_;
-  log.dropped = dropped_;
-  log.spans.assign(ring_.begin(), ring_.end());
-  return log;
+  SpanSnapshot snap;
+  snap.emitted = emitted_;
+  snap.dropped = dropped_;
+  snap.spans.assign(ring_.begin(), ring_.end());
+  return snap;
+}
+
+std::string spans_chrome_json(const SpanSnapshot& snap) {
+  // One Perfetto thread track per trace id, in first-seen (completion)
+  // order, so concurrent requests render side by side. The track label
+  // carries the root span's note (method/route/status) when present.
+  std::map<std::uint64_t, std::uint32_t> tid_of;
+  std::map<std::uint64_t, std::string> label_of;
+  for (const ServeSpan& s : snap.spans) {
+    if (tid_of.find(s.trace_id) == tid_of.end()) {
+      tid_of[s.trace_id] = static_cast<std::uint32_t>(tid_of.size()) + 1;
+    }
+    if (s.parent_id == 0 && !s.note.empty()) label_of[s.trace_id] = s.note;
+  }
+
+  std::ostringstream out;
+  out << "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"spans_emitted\":"
+      << snap.emitted << ",\"spans_dropped\":" << snap.dropped
+      << "},\"traceEvents\":[\n";
+  out << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
+         "\"args\":{\"name\":\"ptb-serve (ts = host ms)\"}}";
+  for (const auto& [trace_id, tid] : tid_of) {
+    std::string label = "trace " + hex16(trace_id);
+    const auto l = label_of.find(trace_id);
+    if (l != label_of.end()) label += " " + l->second;
+    out << ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":"
+        << tid << ",\"args\":{\"name\":\"" << json::escape(label) << "\"}}";
+  }
+  for (const ServeSpan& s : snap.spans) {
+    out << ",\n{\"name\":\"" << json::escape(s.name)
+        << "\",\"ph\":\"X\",\"pid\":0,\"tid\":" << tid_of[s.trace_id]
+        << ",\"ts\":" << usec(s.start_ms)
+        << ",\"dur\":" << usec(s.end_ms - s.start_ms)
+        << ",\"args\":{\"trace\":\"" << hex16(s.trace_id)
+        << "\",\"span\":" << s.span_id << ",\"parent\":" << s.parent_id;
+    if (!s.note.empty()) out << ",\"note\":\"" << json::escape(s.note) << "\"";
+    out << "}}";
+  }
+  out << "\n]}\n";
+  return out.str();
 }
 
 }  // namespace ptb::serve

@@ -1,33 +1,62 @@
-// SpanRecorder: the ptb-serve daemon's thread-safe, bounded span sink —
-// the service-plane twin of the simulator's EventTrace rings. Transport
-// threads (serve/server.cpp, per-request root and parse spans) and
-// simulation workers (serve/service.cpp, per-unit stage spans) emit
-// completed ServeSpans; the recorder keeps the newest `capacity` of them
-// and counts what the ring overwrote, so a long-lived daemon's trace is
-// always the recent past, never an OOM.
+// Serve-plane request tracing: the ServeSpan record, SpanRecorder — the
+// ptb-serve daemon's thread-safe, bounded span sink — and the Perfetto
+// rendering GET /v1/trace answers with.
 //
-// Identity minting: begin_trace() hands out the per-request trace id at
-// HTTP ingress; next_span_id() hands out span ids (unique for the
-// recorder's lifetime) so spans emitted concurrently from different
+// A span is one timed stage of one HTTP request — parse, queue_wait,
+// admission_wait, cache_probe, simulate, serialize, cache_publish — hung
+// under a per-request root span ("request") by parent id. Spans share the
+// trace id minted at HTTP ingress, so a whole request reads as a single
+// tree even though its stages execute on transport and simulation-worker
+// threads alike. Service::close_span is the one place a span is closed: it
+// feeds the ring here, the stage's /metrics histogram and the unit's
+// access-log stage list from the same record.
+//
+// The recorder keeps the newest `capacity` spans and counts what the ring
+// overwrote, so a long-lived daemon's trace is always the recent past,
+// never an OOM. Identity minting: begin_trace() hands out the per-request
+// trace id at HTTP ingress; next_span_id() hands out span ids (unique for
+// the recorder's lifetime) so spans emitted concurrently from different
 // threads never collide. Trees are linked by parent id, not emission
 // order — snapshot() order is completion order.
 //
 // Zero cost when off: the Service allocates no recorder at all when
-// ServiceOptions::trace_spans is 0, and every emit site is a null check.
-// Spans observe requests only (timestamps come from serve/http.cpp
-// now_ms()); simulation results are byte-identical with tracing on or off
-// (asserted in tests/serve/serve_e2e_test.cpp).
+// ServiceOptions::trace_spans is 0, and every close_span call sits behind
+// a null check.
+// Timestamps are serve/http.cpp now_ms() milliseconds — monotonic host
+// time, the service plane's single sanctioned wall-clock site. Spans
+// observe requests only; simulation results are byte-identical with
+// tracing on or off (asserted in tests/serve/serve_e2e_test.cpp).
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <string>
+#include <vector>
 
 #include "common/thread_annotations.hpp"
-#include "trace/serve_span.hpp"
 
 namespace ptb::serve {
+
+/// One completed stage of one request. parent_id 0 marks a root span.
+struct ServeSpan {
+  std::uint64_t trace_id = 0;  // minted per request at HTTP ingress
+  std::uint32_t span_id = 0;   // unique within one recorder's lifetime
+  std::uint32_t parent_id = 0;
+  double start_ms = 0.0;  // now_ms() timebase (monotonic host ms)
+  double end_ms = 0.0;
+  std::string name;  // stage: "request", "parse", "simulate", ...
+  std::string note;  // detail: "POST /v1/run -> 200", ...
+};
+
+/// A recorder's snapshot: the retained spans (completion order —
+/// reconstruct trees via parent_id, not position) plus drop accounting.
+struct SpanSnapshot {
+  std::uint64_t emitted = 0;  // spans ever emitted (>= spans.size())
+  std::uint64_t dropped = 0;  // oldest spans overwritten by the ring
+  std::vector<ServeSpan> spans;
+};
 
 class SpanRecorder {
  public:
@@ -47,7 +76,7 @@ class SpanRecorder {
   void emit(ServeSpan span);
 
   /// Copy of the retained spans + drop accounting (GET /v1/trace).
-  ServeSpanLog snapshot() const;
+  SpanSnapshot snapshot() const;
 
  private:
   const std::size_t capacity_;
@@ -59,5 +88,14 @@ class SpanRecorder {
   std::uint64_t emitted_ PTB_GUARDED_BY(mu_) = 0;
   std::uint64_t dropped_ PTB_GUARDED_BY(mu_) = 0;
 };
+
+/// Chrome trace-event / Perfetto JSON (the GET /v1/trace body): one
+/// process, one thread track per trace id (first-seen order), every span a
+/// complete "X" event with ts/dur in microseconds (now_ms x 1000) and its
+/// trace/span/parent ids in args; the snapshot's drop accounting rides in
+/// the top-level "otherData":{"spans_emitted","spans_dropped"}. Load the
+/// output in https://ui.perfetto.dev to see each request as a tree of
+/// stage slices.
+std::string spans_chrome_json(const SpanSnapshot& snap);
 
 }  // namespace ptb::serve

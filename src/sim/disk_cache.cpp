@@ -367,12 +367,6 @@ void DiskRunCache::enforce_quota() const {
 
 std::string cached_run_payload(const DiskRunCache& cache,
                                const WorkloadProfile& profile,
-                               const SimConfig& cfg, bool& hit) {
-  return cached_run_payload(cache, profile, cfg, hit, nullptr);
-}
-
-std::string cached_run_payload(const DiskRunCache& cache,
-                               const WorkloadProfile& profile,
                                const SimConfig& cfg, bool& hit,
                                const RunObserver* observer) {
   // load bumps hit/miss/corrupt, store bumps stores + quota enforcement;

@@ -311,22 +311,15 @@ class DiskRunCache {
 /// when the artifact for (benchmark, cfg) is present and valid, otherwise
 /// simulates on the calling thread (run_one with a stats registry, so the
 /// artifact carries the StatsDump) and persists the result. `hit` reports
-/// which path was taken.
-std::string cached_run_payload(const DiskRunCache& cache,
-                               const WorkloadProfile& profile,
-                               const SimConfig& cfg, bool& hit);
-
-/// Observed variant: identical semantics, counters and bytes, but
-/// brackets the pipeline's host-level stages through `observer` —
-/// "cache_probe" around the cache lookup, then on a miss "simulate"
-/// (run_one), "serialize" and "cache_publish" — and threads the observer
-/// into RunOptions so its progress callback fires from the cycle loop.
-/// A null observer skips every hook; the plain overload above is this one
-/// with a null observer.
+/// which path was taken. A non-null `observer` brackets the pipeline's
+/// host-level stages — "cache_probe" around the cache lookup, then on a
+/// miss "simulate" (run_one), "serialize" and "cache_publish" — and is
+/// threaded into RunOptions so its progress callback fires from the cycle
+/// loop; counters and bytes are the same with or without it.
 std::string cached_run_payload(const DiskRunCache& cache,
                                const WorkloadProfile& profile,
                                const SimConfig& cfg, bool& hit,
-                               const RunObserver* observer);
+                               const RunObserver* observer = nullptr);
 
 /// Runs every suite benchmark under each technique at `cores`, normalized
 /// against the base runs. Every run (base runs and cells) goes through

@@ -1,5 +1,6 @@
 // Tests for the shared codec kit in src/common: hex16 / parse_hex16
-// (format.hpp), the FNV-1a helper (bytes.hpp) and whole-file IO (file.hpp).
+// (format.hpp), the FNV-1a helper (bytes.hpp), whole-file IO (file.hpp)
+// and the JSON number grammar (json.hpp).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,6 +10,7 @@
 #include "common/bytes.hpp"
 #include "common/file.hpp"
 #include "common/format.hpp"
+#include "common/json.hpp"
 
 namespace ptb {
 namespace {
@@ -24,6 +26,20 @@ TEST(Codec, Hex16RoundTripsAndParsesStrictly) {
     v = 7;
     EXPECT_FALSE(parse_hex16(bad, v)) << bad;
     EXPECT_EQ(v, 7u) << bad;
+  }
+}
+
+TEST(Codec, JsonNumbersFollowRfc8259) {
+  json::Value v;
+  std::string err;
+  for (const char* ok : {"0", "-0", "0.5", "10", "1e5"}) {
+    EXPECT_TRUE(json::parse(ok, v, err)) << ok << ": " << err;
+    EXPECT_EQ(v.number_raw(), ok);
+  }
+  // A leading zero is the whole integer part: the digits after it are
+  // trailing garbage, at top level and inside a document alike.
+  for (const char* bad : {"02879", "-01", "00", "{\"cycles\":02879}"}) {
+    EXPECT_FALSE(json::parse(bad, v, err)) << bad;
   }
 }
 

@@ -17,6 +17,9 @@ double fixture_wallclock() {
   const char* level = std::getenv("PTB_LEVEL");         // FINDING
   int r = rand();                                       // FINDING
   std::time_t now = time(nullptr);                      // FINDING
+  srand(42);                                            // FINDING
+  auto t2 = std::chrono::system_clock::now();           // FINDING
+  auto t3 = std::chrono::steady_clock::now();           // FINDING
 
   // Token-exact: substring lookalikes must NOT fire.
   double steady_state = 1.0;
@@ -26,10 +29,17 @@ double fixture_wallclock() {
 
   // Justified exemption (profiling-only): must NOT fire.
   auto t1 = std::chrono::steady_clock::now();  // lint:allowed-wallclock
+  // ptb-lint: allow-begin(wallclock) -- a marked block (the serve
+  // transport's clock reads): must NOT fire.
+  auto t4 = std::chrono::steady_clock::now();
+  // ptb-lint: allow-end
   (void)t0;
   (void)t1;
   (void)rd;
   (void)level;
   (void)now;
+  (void)t2;
+  (void)t3;
+  (void)t4;
   return steady_state + fetch_time + static_cast<double>(r);
 }

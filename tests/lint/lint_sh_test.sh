@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
-# Self-test for scripts/lint.sh: each determinism/doc-drift rule must fire
-# on a seeded violation, and a clean scaffold tree must pass. Uses the
+# Self-test for scripts/lint.sh: each grep/doc-drift rule must fire on a
+# seeded violation, and a clean scaffold tree must pass. Uses the
 # PTB_LINT_ROOT / PTB_LINT_BIN overrides lint.sh exposes for exactly this.
+# The determinism rules (wall clock, entropy, getenv, unordered iteration)
+# are ptb-lint checkers; their fault-injection cases are the fixtures under
+# tests/lint/fixtures/, run by ptb_lint_test.
 #
 # Usage: lint_sh_test.sh <repo-root> <ptb-lint-binary>
 #   repo-root        checkout containing scripts/lint.sh
@@ -66,79 +69,6 @@ run_case() {
 # --- clean scaffold passes (sections 3 and 4 skip with warnings) ------------
 make_tree "$tmp/tree"
 run_case "clean-tree" 0 "lint: OK" "/nonexistent-ptb-lint"
-
-# --- section 1: entropy / wall clock ----------------------------------------
-make_tree "$tmp/tree"
-cat >> "$tmp/tree/src/clean.cpp" <<'EOF'
-#include <random>
-int seed_from_hw() { std::random_device rd; return static_cast<int>(rd()); }
-EOF
-run_case "entropy" 1 "non-deterministic source" "/nonexistent-ptb-lint"
-
-# --- section 1: environment read --------------------------------------------
-make_tree "$tmp/tree"
-cat >> "$tmp/tree/src/clean.cpp" <<'EOF'
-#include <cstdlib>
-const char* hidden_knob() { return std::getenv("PTB_KNOB"); }
-EOF
-run_case "getenv" 1 "environment read in a result path" "/nonexistent-ptb-lint"
-
-# --- section 1: steady_clock outside the allow list -------------------------
-make_tree "$tmp/tree"
-cat >> "$tmp/tree/src/clean.cpp" <<'EOF'
-#include <chrono>
-long stamp() { return std::chrono::steady_clock::now().time_since_epoch().count(); }
-EOF
-run_case "steady-clock" 1 "steady_clock outside" "/nonexistent-ptb-lint"
-
-# --- section 1: the lint:allowed-wallclock escape hatch still works ---------
-make_tree "$tmp/tree"
-cat >> "$tmp/tree/src/clean.cpp" <<'EOF'
-#include <chrono>
-long stamp() { return std::chrono::steady_clock::now().time_since_epoch().count(); }  // lint:allowed-wallclock
-EOF
-run_case "steady-clock-allowed" 0 "lint: OK" "/nonexistent-ptb-lint"
-
-# --- section 1: the serve HTTP transport is wallclock-exempt ----------------
-# src/serve/http.* may read steady_clock (request latency, socket
-# timeouts); see the guard comment on the rule in lint.sh.
-make_tree "$tmp/tree"
-mkdir -p "$tmp/tree/src/serve"
-cat > "$tmp/tree/src/serve/http.cpp" <<'EOF'
-#include <chrono>
-double now_ms() {
-  return static_cast<double>(
-      std::chrono::steady_clock::now().time_since_epoch().count());
-}
-EOF
-run_case "serve-http-exempt" 0 "lint: OK" "/nonexistent-ptb-lint"
-
-# --- section 1: the exemption is the transport only, not all of src/serve ---
-# The scheduler/codec side of the daemon picks and builds simulations; a
-# clock read there is exactly the steering the rule exists to catch.
-make_tree "$tmp/tree"
-mkdir -p "$tmp/tree/src/serve"
-cat > "$tmp/tree/src/serve/service.cpp" <<'EOF'
-#include <chrono>
-long pick_seed() {
-  return std::chrono::steady_clock::now().time_since_epoch().count();
-}
-EOF
-run_case "serve-nontransport-fires" 1 "steady_clock outside" \
-  "/nonexistent-ptb-lint"
-
-# --- section 1: range-for over an unordered container -----------------------
-make_tree "$tmp/tree"
-cat >> "$tmp/tree/src/clean.cpp" <<'EOF'
-#include <unordered_map>
-int walk(const std::unordered_map<int, int>& unordered_hist) {
-  int s = 0;
-  for (const auto& [k, v] : unordered_hist) s += v;
-  return s;
-}
-EOF
-run_case "unordered-range-for" 1 "range-for over an unordered container" \
-  "/nonexistent-ptb-lint"
 
 # --- section 1: private FNV-1a / JSON-escape copies ------------------------
 make_tree "$tmp/tree"
@@ -239,9 +169,9 @@ EOF
 run_case "doc-drift-stale" 1 "missing from bench/bench_util.hpp" \
   "/nonexistent-ptb-lint"
 
-# --- section 4: ptb-lint catches what the greps cannot ----------------------
-# `time (nullptr)` defeats the \btime(nullptr) grep but not the token-level
-# checker, so this case passes only if lint.sh really runs the binary.
+# --- section 4: lint.sh runs ptb-lint ---------------------------------------
+# No grep rule fires on a host-time read, so this case passes only if
+# lint.sh really runs the binary.
 make_tree "$tmp/tree"
 cat >> "$tmp/tree/src/clean.cpp" <<'EOF'
 #include <ctime>

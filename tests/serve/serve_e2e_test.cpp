@@ -33,9 +33,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/format.hpp"
 #include "common/json.hpp"
 #include "serve/http.hpp"
-#include "trace/serve_span.hpp"
+#include "serve/span.hpp"
 
 namespace ptb::serve {
 namespace {
@@ -277,12 +278,53 @@ std::uint64_t trace_id_of(const HttpResponse& r) {
   return t == nullptr ? 0 : std::strtoull(t->c_str(), nullptr, 16);
 }
 
+// The GET /v1/trace body, parsed back: every "X" event's name and its
+// args.trace/span/parent linkage, plus otherData's drop accounting.
+struct TraceDoc {
+  std::vector<ServeSpan> spans;
+  std::uint64_t emitted = 0;
+};
+
+TraceDoc parse_trace(const std::string& body) {
+  TraceDoc out;
+  json::Value doc;
+  std::string err;
+  EXPECT_TRUE(json::parse(body, doc, err)) << err;
+  const json::Value* other = doc.find("otherData");
+  const json::Value* emitted =
+      other == nullptr ? nullptr : other->find("spans_emitted");
+  EXPECT_TRUE(emitted != nullptr && emitted->as_u64(out.emitted)) << body;
+  const json::Value* events = doc.find("traceEvents");
+  EXPECT_TRUE(events != nullptr && events->is_array()) << body;
+  if (events == nullptr) return out;
+  for (const json::Value& ev : events->array()) {
+    const json::Value* ph = ev.find("ph");
+    if (ph == nullptr || ph->as_string() != "X") continue;
+    const json::Value* name = ev.find("name");
+    const json::Value* args = ev.find("args");
+    const json::Value* trace = args == nullptr ? nullptr : args->find("trace");
+    const json::Value* span = args == nullptr ? nullptr : args->find("span");
+    const json::Value* parent =
+        args == nullptr ? nullptr : args->find("parent");
+    ServeSpan s;
+    if (name == nullptr || trace == nullptr || span == nullptr ||
+        parent == nullptr || !parse_hex16(trace->as_string(), s.trace_id) ||
+        !span->as_u32(s.span_id) || !parent->as_u32(s.parent_id)) {
+      ADD_FAILURE() << "X event without name/args.trace/span/parent";
+      continue;
+    }
+    s.name = name->as_string();
+    out.spans.push_back(std::move(s));
+  }
+  return out;
+}
+
 // Sorted root-relative name paths ("request/simulate/...") of every span
 // in `trace_id`: the tree's *structure*, with all timing erased.
-std::vector<std::string> span_paths(const ServeSpanLog& log,
+std::vector<std::string> span_paths(const TraceDoc& trace,
                                     std::uint64_t trace_id) {
   std::map<std::uint32_t, const ServeSpan*> by_id;
-  for (const ServeSpan& s : log.spans) {
+  for (const ServeSpan& s : trace.spans) {
     if (s.trace_id == trace_id) by_id[s.span_id] = &s;
   }
   std::vector<std::string> paths;
@@ -491,11 +533,9 @@ TEST(ServeE2E, SpanTreesAreStructurallyDeterministic) {
 
   const HttpResponse tr = must_request(server.port(), "GET", "/v1/trace");
   ASSERT_EQ(tr.status, 200);
-  EXPECT_NE(tr.content_type.find("application/octet-stream"),
-            std::string::npos);
-  ServeSpanLog log;
-  ASSERT_TRUE(ServeSpanLog::deserialize(tr.body, log))
-      << "GET /v1/trace bytes must round-trip through ServeSpanLog";
+  EXPECT_NE(tr.content_type.find("application/json"), std::string::npos);
+  const TraceDoc log = parse_trace(tr.body);
+  EXPECT_GE(log.emitted, log.spans.size());
 
   // The miss ran the full pipeline: every stage nests under the root (the
   // acceptance bar is >= 6 nested stage spans for a cache-miss run).
@@ -527,15 +567,51 @@ TEST(ServeE2E, SpanTreesAreStructurallyDeterministic) {
     EXPECT_EQ(p.find("simulate"), std::string::npos)
         << "a cache hit must not simulate: " << p;
   }
-
-  // The Perfetto rendering of the same snapshot names the stages.
-  const HttpResponse pj =
-      must_request(server.port(), "GET", "/v1/trace?format=json");
-  ASSERT_EQ(pj.status, 200);
-  EXPECT_NE(pj.content_type.find("application/json"), std::string::npos);
-  EXPECT_NE(pj.body.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(pj.body.find("\"name\":\"simulate\""), std::string::npos);
   server.stop();
+}
+
+TEST(ServeE2E, StageHistogramsCountExactlyTheClosedSpans) {
+  // Spans, /metrics stage histograms and the access log's stages are
+  // views of one record (Service::close_span): after one miss and two
+  // hits, every ptb_serve_stage_<s>_ms_count equals the number of <s>
+  // spans in the trace. The trace and metrics are read through handle()
+  // — hand-built requests carry no transport stamps, so reading them
+  // closes no parse span of its own.
+  Server server(test_opts(fresh_cache_dir("stagecount")), "127.0.0.1", 0,
+                2);
+  std::string err;
+  ASSERT_TRUE(server.start(err)) << err;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(must_request(server.port(), "POST", "/v1/run?wait=1", kRunBody)
+                  .status,
+              200);
+  }
+
+  HttpRequest get;
+  get.method = "GET";
+  get.path = "/v1/trace";
+  const HttpResponse tr = server.handle(get);
+  ASSERT_EQ(tr.status, 200);
+  get.path = "/metrics";
+  const HttpResponse metrics = server.handle(get);
+  ASSERT_EQ(metrics.status, 200);
+  server.stop();
+
+  std::map<std::string, std::uint64_t> spans_named;
+  for (const ServeSpan& s : parse_trace(tr.body).spans) ++spans_named[s.name];
+  EXPECT_EQ(spans_named["parse"], 3u);
+  EXPECT_EQ(spans_named["simulate"], 1u) << "one miss simulates";
+  for (const char* stage :
+       {"parse", "queue_wait", "admission_wait", "cache_probe", "simulate",
+        "serialize", "cache_publish"}) {
+    const std::string series =
+        std::string("ptb_serve_stage_") + stage + "_ms_count ";
+    const std::size_t at = metrics.body.find("\n" + series);
+    ASSERT_NE(at, std::string::npos) << series << "\n" << metrics.body;
+    const std::uint64_t count = std::strtoull(
+        metrics.body.c_str() + at + 1 + series.size(), nullptr, 10);
+    EXPECT_EQ(count, spans_named[stage]) << stage;
+  }
 }
 
 TEST(ServeE2E, TracingOnOffProducesByteIdenticalArtifacts) {

@@ -1,20 +1,18 @@
-// Serve-plane tracing data model and recorder: ServeSpanLog round-trip and
-// corrupt-rejection (trace/serve_span.hpp — the byte-stable frame idiom of
-// the trace subsystem) plus the SpanRecorder ring (serve/span.hpp —
-// bounded, thread-safe, drop-accounted). The end-to-end span *content*
-// (what a real request records) is covered in serve_e2e_test.cpp; this
-// file pins the container semantics.
+// Serve-plane tracing containers (serve/span.hpp): the SpanRecorder ring
+// (bounded, thread-safe, drop-accounted), id minting, and the Perfetto
+// rendering GET /v1/trace serves. The end-to-end span *content* (what a
+// real request records) is covered in serve_e2e_test.cpp; this file pins
+// the container semantics.
 #include "serve/span.hpp"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstddef>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "trace/serve_span.hpp"
+#include "common/json.hpp"
 
 namespace ptb::serve {
 namespace {
@@ -33,96 +31,18 @@ ServeSpan span(std::uint64_t trace, std::uint32_t id, std::uint32_t parent,
   return s;
 }
 
-TEST(ServeSpanLog, SerializeRoundTripsEveryField) {
-  ServeSpanLog log;
-  log.emitted = 5;
-  log.dropped = 2;
-  log.spans.push_back(span(7, 2, 1, "simulate", 10.25, 42.75, "fft"));
-  log.spans.push_back(
-      span(7, 1, 0, "request", 10.0, 43.0, "POST /v1/run -> 200"));
-  log.spans.push_back(span(8, 3, 0, "request", 50.5, 51.5));
-
-  ServeSpanLog back;
-  ASSERT_TRUE(ServeSpanLog::deserialize(log.serialize(), back));
-  EXPECT_EQ(back.emitted, 5u);
-  EXPECT_EQ(back.dropped, 2u);
-  ASSERT_EQ(back.spans.size(), 3u);
-  EXPECT_EQ(back.spans[0].trace_id, 7u);
-  EXPECT_EQ(back.spans[0].span_id, 2u);
-  EXPECT_EQ(back.spans[0].parent_id, 1u);
-  EXPECT_EQ(back.spans[0].start_ms, 10.25);
-  EXPECT_EQ(back.spans[0].end_ms, 42.75);
-  EXPECT_EQ(back.spans[0].name, "simulate");
-  EXPECT_EQ(back.spans[0].note, "fft");
-  EXPECT_EQ(back.spans[1].note, "POST /v1/run -> 200");
-  EXPECT_TRUE(back.spans[2].note.empty());
-
-  // Byte-stable: equal logical state serializes to equal bytes.
-  EXPECT_EQ(log.serialize(), back.serialize());
-}
-
-TEST(ServeSpanLog, DeserializeRejectsCorruptInput) {
-  ServeSpanLog log;
-  log.emitted = 1;
-  log.spans.push_back(span(1, 1, 0, "request", 0.0, 1.0));
-  const std::string bytes = log.serialize();
-
-  ServeSpanLog out;
-  EXPECT_FALSE(ServeSpanLog::deserialize("", out));
-  EXPECT_FALSE(ServeSpanLog::deserialize("not a span log", out));
-
-  std::string wrong_magic = bytes;
-  wrong_magic[0] = 'X';
-  EXPECT_FALSE(ServeSpanLog::deserialize(wrong_magic, out));
-
-  std::string wrong_version = bytes;
-  wrong_version[8] = static_cast<char>(0x7f);
-  EXPECT_FALSE(ServeSpanLog::deserialize(wrong_version, out));
-
-  // Every truncation point rejects — no partial parse is ever accepted.
-  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    EXPECT_FALSE(
-        ServeSpanLog::deserialize(std::string_view(bytes).substr(0, cut),
-                                  out))
-        << "accepted a prefix of " << cut << " bytes";
-  }
-  EXPECT_FALSE(ServeSpanLog::deserialize(bytes + "x", out))
-      << "trailing bytes must reject";
-
-  // An implausible span count (larger than the remaining bytes could ever
-  // hold) must reject before reserving memory.
-  std::string huge_count = bytes.substr(0, 8 + 4 + 8 + 8);
-  for (int i = 0; i < 8; ++i) huge_count += static_cast<char>(0xff);
-  EXPECT_FALSE(ServeSpanLog::deserialize(huge_count, out));
-}
-
-TEST(ServeSpanLog, SaveLoadRoundTripsThroughDisk) {
-  ServeSpanLog log;
-  log.emitted = 2;
-  log.spans.push_back(span(1, 1, 0, "request", 0.0, 1.0, "GET /healthz"));
-  log.spans.push_back(span(1, 2, 1, "parse", 0.0, 0.5));
-
-  const std::string path = testing::TempDir() + "/ptb_serve_span_log_" +
-                           std::to_string(::getpid()) + ".bin";
-  ASSERT_TRUE(log.save(path));
-  ServeSpanLog back;
-  ASSERT_TRUE(ServeSpanLog::load(path, back));
-  EXPECT_EQ(back.serialize(), log.serialize());
-  EXPECT_FALSE(ServeSpanLog::load(path + ".does-not-exist", back));
-}
-
 TEST(SpanRecorder, RingKeepsNewestAndCountsDrops) {
   SpanRecorder rec(3);
   for (std::uint32_t i = 1; i <= 5; ++i) {
     rec.emit(span(1, i, 0, "request", i, i + 1.0));
   }
-  const ServeSpanLog log = rec.snapshot();
-  EXPECT_EQ(log.emitted, 5u);
-  EXPECT_EQ(log.dropped, 2u);
-  ASSERT_EQ(log.spans.size(), 3u);
+  const SpanSnapshot snap = rec.snapshot();
+  EXPECT_EQ(snap.emitted, 5u);
+  EXPECT_EQ(snap.dropped, 2u);
+  ASSERT_EQ(snap.spans.size(), 3u);
   // Oldest dropped first: spans 3,4,5 survive in emission order.
-  EXPECT_EQ(log.spans[0].span_id, 3u);
-  EXPECT_EQ(log.spans[2].span_id, 5u);
+  EXPECT_EQ(snap.spans[0].span_id, 3u);
+  EXPECT_EQ(snap.spans[2].span_id, 5u);
 }
 
 TEST(SpanRecorder, IdsAreUniqueAcrossThreads) {
@@ -140,13 +60,13 @@ TEST(SpanRecorder, IdsAreUniqueAcrossThreads) {
   }
   for (std::thread& t : threads) t.join();
 
-  const ServeSpanLog log = rec.snapshot();
-  ASSERT_EQ(log.spans.size(),
+  const SpanSnapshot snap = rec.snapshot();
+  ASSERT_EQ(snap.spans.size(),
             static_cast<std::size_t>(kThreads * kPerThread));
-  EXPECT_EQ(log.dropped, 0u);
+  EXPECT_EQ(snap.dropped, 0u);
   std::vector<bool> seen_span(kThreads * kPerThread + 1, false);
   std::vector<bool> seen_trace(kThreads * kPerThread + 1, false);
-  for (const ServeSpan& s : log.spans) {
+  for (const ServeSpan& s : snap.spans) {
     ASSERT_GE(s.span_id, 1u);
     ASSERT_LE(s.span_id, static_cast<std::uint32_t>(kThreads * kPerThread));
     EXPECT_FALSE(seen_span[s.span_id]) << "duplicate span id " << s.span_id;
@@ -160,15 +80,24 @@ TEST(SpanRecorder, IdsAreUniqueAcrossThreads) {
 }
 
 TEST(ServeSpanChromeJson, RendersTracksAndCompleteEvents) {
-  ServeSpanLog log;
-  log.emitted = 3;
-  log.spans.push_back(span(9, 2, 1, "simulate", 1.0, 2.0, "fft"));
-  log.spans.push_back(
+  SpanSnapshot snap;
+  snap.emitted = 3;
+  snap.spans.push_back(span(9, 2, 1, "simulate", 1.0, 2.0, "fft"));
+  snap.spans.push_back(
       span(9, 1, 0, "request", 0.5, 2.5, "POST /v1/run -> 200"));
-  log.spans.push_back(span(12, 3, 0, "request", 3.0, 4.0));
+  snap.spans.push_back(span(12, 3, 0, "request", 3.0, 4.0));
 
-  const std::string json = serve_spans_chrome_json(log);
+  snap.dropped = 1;
+  const std::string json = spans_chrome_json(snap);
+  json::Value doc;
+  std::string err;
+  ASSERT_TRUE(json::parse(json, doc, err)) << err << "\n" << json;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+  // Drop accounting rides in otherData.
+  EXPECT_NE(json.find("\"otherData\":{\"spans_emitted\":3,"
+                      "\"spans_dropped\":1}"),
+            std::string::npos)
+      << json;
   EXPECT_NE(json.find("\"ph\":\"M\""), std::string::npos);  // metadata
   // Track label carries the trace id and the root note.
   EXPECT_NE(json.find("trace 0000000000000009 POST /v1/run -> 200"),

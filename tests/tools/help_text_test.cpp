@@ -55,7 +55,7 @@ TEST(HelpText, TraceHelpDocumentsEverySubcommand) {
   const std::string h = rendered(ptb::tools::kTraceUsage);
   // One entry per dispatch branch in tools/ptb_trace.cpp main().
   for (const char* cmd : {"summary", "flows", "dvfs", "spin", "deficit",
-                          "export-json", "export-csv", "serve"}) {
+                          "export-json", "export-csv"}) {
     EXPECT_NE(h.find(cmd), std::string::npos) << cmd;
   }
   EXPECT_NE(h.find("--core"), std::string::npos);
@@ -130,7 +130,7 @@ TEST(HelpText, GoldenShape) {
   const std::string trace = rendered(ptb::tools::kTraceUsage);
   const std::string stats = rendered(ptb::tools::kStatsUsage);
   const std::string serve = ptb::tools::serve_usage("ptb-tool");
-  EXPECT_EQ(lines_of(trace).size(), 16u);
+  EXPECT_EQ(lines_of(trace).size(), 13u);
   EXPECT_EQ(lines_of(stats).size(), 14u);
   EXPECT_EQ(lines_of(serve).size(), 31u);
 }

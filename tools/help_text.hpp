@@ -26,13 +26,9 @@ inline constexpr char kTraceUsage[] =
     "  export-json TRACE OUT    Chrome trace-event / Perfetto JSON\n"
     "  export-csv TRACE OUT     flat CSV (cycle,category,event,core,arg,"
     "value)\n"
-    "  serve TRACE OUT          ptb-serve span log (GET /v1/trace) to "
-    "Perfetto\n"
-    "                           JSON: one thread track per request trace\n"
-    "TRACE is a file written by ptb-figures' --trace flag (for `serve`: "
-    "the\n"
-    "bytes of GET /v1/trace); OUT may be '-'\n"
-    "for stdout. Traces carry a format version; a trace written by a "
+    "TRACE is a file written by ptb-figures' --trace flag; OUT may be '-' "
+    "for\n"
+    "stdout. Traces carry a format version; a trace written by a "
     "different\n"
     "(older or newer) build is rejected as unparseable rather than "
     "misread —\n"
@@ -71,9 +67,9 @@ inline constexpr char kStatsUsage[] =
 inline constexpr char kServeNotes[] =
     "Serves POST /v1/run, POST /v1/sweep, GET /v1/jobs/{id},\n"
     "GET /v1/jobs/{id}/events (live progress stream, chunked SSE framing),\n"
-    "GET /v1/results/{key}, GET /v1/trace (request-span log; ?format=json "
-    "for\n"
-    "Perfetto), GET /metrics (Prometheus), GET /healthz.\n"
+    "GET /v1/results/{key}, GET /v1/trace (request spans as Perfetto "
+    "JSON),\n"
+    "GET /metrics (Prometheus), GET /healthz.\n"
     "Repeat requests are answered from the cache byte-identically; corrupt\n"
     "cache entries are rejected and re-simulated, never served. "
     "SIGINT/SIGTERM\n"

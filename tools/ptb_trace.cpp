@@ -11,7 +11,6 @@
 #include "tool_util.hpp"
 #include "trace/analysis.hpp"
 #include "trace/export.hpp"
-#include "trace/serve_span.hpp"
 #include "trace/trace.hpp"
 
 namespace {
@@ -31,25 +30,6 @@ int main(int argc, char** argv) {
   if (argc < 3) return usage(argv[0], 2);
   const std::string cmd = argv[1];
   std::string path = argv[2];
-
-  // The serve span log is a different binary format (PTBSPANL, not the
-  // simulator's event trace): dispatch before the EventTrace parse.
-  if (cmd == "serve") {
-    if (argc != 4) return usage(argv[0], 2);
-    ptb::ServeSpanLog log;
-    if (!ptb::ServeSpanLog::load(path, log)) {
-      std::fprintf(stderr,
-                   "%s: cannot parse '%s' as a ptb-serve span log (fetch "
-                   "one with GET /v1/trace)\n",
-                   argv[0], path.c_str());
-      return 1;
-    }
-    if (!ptb::tools::write_text(argv[3], ptb::serve_spans_chrome_json(log))) {
-      std::fprintf(stderr, "%s: cannot write '%s'\n", argv[0], argv[3]);
-      return 1;
-    }
-    return 0;
-  }
 
   // spin's --core is a usage error before the trace is read.
   std::uint32_t only_core = ptb::kNoCore;
