@@ -10,8 +10,8 @@
 #   4. scrape /metrics and check the request/cache/queue/stage series, that
 #      the soak's repeat hits came from the in-process memory tier, and
 #      that the misses left no warm-checkpoint images or series behind;
-#   5. stream GET /v1/jobs/{id}/events for a fresh async run: progress
-#      events must arrive before the terminal one;
+#   5. POST /v1/run (async) for a fresh config and poll GET /v1/jobs/{id}
+#      until it is done: one unit, completed, a cache miss;
 #   6. GET /v1/trace must be valid Perfetto JSON naming the simulate stage
 #      (copied to $SERVE_SMOKE_ARTIFACT_DIR when set, for CI upload);
 #   7. check the structured JSON access log (one line per request);
@@ -23,8 +23,7 @@
 #      (a miss, counted as corrupt) into the same artifact bytes.
 #
 # Dependency-free: HTTP via bash /dev/tcp (the daemon closes after each
-# response, so reading to EOF is a complete exchange; streamed responses
-# end at the terminal event, so the same read works there too).
+# response, so reading to EOF is a complete exchange).
 #
 # Usage: scripts/serve_smoke.sh [build-dir]   (default: build)
 # Exit: 0 all checks pass, 1 otherwise.
@@ -146,8 +145,7 @@ for series in ptb_serve_http_requests ptb_serve_cache_hits \
               ptb_serve_cache_memory_hits \
               ptb_serve_cache_misses ptb_serve_queue_depth \
               ptb_serve_jobs_in_flight ptb_serve_http_request_ms \
-              ptb_serve_http_streams ptb_serve_stage_simulate_ms \
-              ptb_serve_stage_cache_probe_ms; do
+              ptb_serve_stage_simulate_ms ptb_serve_stage_cache_probe_ms; do
   check "metrics expose $series" grep -q "$series" "$tmp/m.body"
 done
 check "no corrupt entries seen" grep -q '^ptb_serve_cache_corrupt 0' \
@@ -165,26 +163,27 @@ check "metrics expose no warm-image series" bash -c \
   '! grep -qE "ptb_serve_cache_warm_|ptb_serve_stage_warm_restore_ms" "$1"' \
   -- "$tmp/m.body"
 
-# --- live progress stream ---------------------------------------------------
-# A config no earlier request used, so the run really simulates and emits
-# progress events (a cache hit has nothing to report). The stream blocks
-# until the terminal event, so reading to EOF captures the whole feed.
-events_body='{"benchmark":"fft","config":{"num_cores":2,"max_cycles":26000}}'
-http POST '/v1/run' "$events_body" "$tmp/ev202"
-check "async run accepted (202)" grep -q '^HTTP/1.1 202' "$tmp/ev202"
-body_of "$tmp/ev202" "$tmp/ev202.body"
-job=$(sed -n 's/.*"job":"\([^"]*\)".*/\1/p' "$tmp/ev202.body")
+# --- async run, polled to completion ---------------------------------------
+# A config no earlier request used, so the job really queues and simulates
+# before the status document says done.
+async_body='{"benchmark":"fft","config":{"num_cores":2,"max_cycles":26000}}'
+http POST '/v1/run' "$async_body" "$tmp/a202"
+check "async run accepted (202)" grep -q '^HTTP/1.1 202' "$tmp/a202"
+body_of "$tmp/a202" "$tmp/a202.body"
+job=$(sed -n 's/.*"job":"\([^"]*\)".*/\1/p' "$tmp/a202.body")
 check "202 body names the job" test -n "$job"
-http GET "/v1/jobs/$job/events" '' "$tmp/ev"
-check "events stream is chunked SSE" grep -qi '^transfer-encoding: chunked' \
-  "$tmp/ev"
-check "stream carries progress events" grep -q '^event: progress' "$tmp/ev"
-check "stream ends with a terminal event" grep -qE '^event: (done|aborted)' \
-  "$tmp/ev"
-check "progress precedes the terminal event" bash -c \
-  'p=$(grep -n "^event: progress" "$1" | head -1 | cut -d: -f1)
-   t=$(grep -nE "^event: (done|aborted)" "$1" | head -1 | cut -d: -f1)
-   [[ -n "$p" && -n "$t" && "$p" -lt "$t" ]]' -- "$tmp/ev"
+for _ in $(seq 1 600); do
+  http GET "/v1/jobs/$job" '' "$tmp/job"
+  grep -qE '"state":"(done|failed)"' "$tmp/job" && break
+  sleep 0.05
+done
+body_of "$tmp/job" "$tmp/job.body"
+check "polled job reaches done" grep -q '"state":"done","total":1' \
+  "$tmp/job.body"
+check "polled job completed its unit" grep -q '"total":1,"completed":1' \
+  "$tmp/job.body"
+check "polled unit was simulated (miss)" grep -q '"cache":"miss"' \
+  "$tmp/job.body"
 
 # --- request-span trace export ----------------------------------------------
 http GET '/v1/trace' '' "$tmp/tr"

@@ -1,7 +1,7 @@
 #include "serve/http.hpp"
 
 #include <cerrno>
-#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include <arpa/inet.h>
@@ -45,6 +45,15 @@ std::string_view trim(std::string_view s) {
   while (!s.empty() && (s.back() == ' ' || s.back() == '\t'))
     s.remove_suffix(1);
   return s;
+}
+
+/// A Content-Length value: decimal digits with no overflow. False on
+/// anything else.
+bool parse_content_length(const std::string& value, unsigned long long& out) {
+  errno = 0;
+  char* end = nullptr;
+  out = std::strtoull(value.c_str(), &end, 10);
+  return errno == 0 && end != value.c_str() && *end == '\0';
 }
 
 void set_io_timeouts(int fd) {
@@ -230,77 +239,6 @@ std::string render_http_response(const HttpResponse& r) {
   out += "\r\n\r\n";
   out += r.body;
   return out;
-}
-
-std::string render_http_stream_head(const HttpResponse& r) {
-  std::string out = "HTTP/1.1 " + std::to_string(r.status) + " ";
-  out += http_status_reason(r.status);
-  out += "\r\nContent-Type: " + r.content_type;
-  out += "\r\nTransfer-Encoding: chunked";
-  out += "\r\nConnection: close";
-  for (const auto& [k, v] : r.headers) {
-    out += "\r\n" + k + ": " + v;
-  }
-  out += "\r\n\r\n";
-  return out;
-}
-
-bool http_dechunk(std::string_view raw, std::string& out, std::string& err) {
-  std::string body;
-  std::size_t pos = 0;
-  while (true) {
-    const std::size_t nl = raw.find("\r\n", pos);
-    if (nl == std::string_view::npos) {
-      err = "chunked body: missing size line terminator";
-      return false;
-    }
-    std::string_view size_line = raw.substr(pos, nl - pos);
-    // Chunk extensions (";name=value") are legal; ignore them.
-    const std::size_t semi = size_line.find(';');
-    if (semi != std::string_view::npos) size_line = size_line.substr(0, semi);
-    size_line = trim(size_line);
-    if (size_line.empty()) {
-      err = "chunked body: empty chunk size";
-      return false;
-    }
-    std::size_t len = 0;
-    for (const char c : size_line) {
-      unsigned digit;
-      if (c >= '0' && c <= '9') {
-        digit = static_cast<unsigned>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        digit = static_cast<unsigned>(c - 'a') + 10;
-      } else if (c >= 'A' && c <= 'F') {
-        digit = static_cast<unsigned>(c - 'A') + 10;
-      } else {
-        err = "chunked body: bad chunk size";
-        return false;
-      }
-      if (len > (kMaxBodyBytes >> 4)) {
-        err = "chunked body: chunk too large";
-        return false;
-      }
-      len = (len << 4) | digit;
-    }
-    pos = nl + 2;
-    if (len == 0) {
-      // Terminal chunk; any trailers up to the final blank line are
-      // discarded. A truncated trailer section is tolerated — the peer
-      // already sent every payload byte.
-      out = std::move(body);
-      return true;
-    }
-    if (pos + len + 2 > raw.size()) {
-      err = "chunked body: truncated chunk data";
-      return false;
-    }
-    body.append(raw.data() + pos, len);
-    if (raw.substr(pos + len, 2) != "\r\n") {
-      err = "chunked body: missing chunk data terminator";
-      return false;
-    }
-    pos += len + 2;
-  }
 }
 
 // ptb-lint: allow-begin(wallclock) -- the single wall-clock read site of
@@ -489,12 +427,10 @@ void HttpServer::handle_connection(int fd) {
       std::size_t content_length = 0;
       const std::string* cl = req.header("content-length");
       if (cl != nullptr) {
-        errno = 0;
-        char* end = nullptr;
-        const unsigned long long v = std::strtoull(cl->c_str(), &end, 10);
-        if (errno != 0 || end == cl->c_str() || *end != '\0' ||
-            v > kMaxBodyBytes) {
-          resp.status = v > kMaxBodyBytes && errno == 0 ? 413 : 400;
+        unsigned long long v = 0;
+        const bool parsed = parse_content_length(*cl, v);
+        if (!parsed || v > kMaxBodyBytes) {
+          resp.status = parsed ? 413 : 400;
           resp.body = "{\"error\":\"bad content-length\"}";
           send_all(fd, render_http_response(resp));
           ::close(fd);
@@ -517,26 +453,6 @@ void HttpServer::handle_connection(int fd) {
 
   if (have_request) {
     resp = handler_(req);
-  }
-  if (resp.stream) {
-    // Streaming response: chunked framing, producer-driven. The sink
-    // reports peer hangup so the producer can stop early; the terminal
-    // zero-length chunk is best-effort (the peer may already be gone).
-    if (send_all(fd, render_http_stream_head(resp))) {
-      const HttpResponse::ChunkSink sink = [fd](std::string_view chunk) {
-        if (chunk.empty()) return true;  // zero-size would terminate
-        char size_line[32];
-        std::snprintf(size_line, sizeof(size_line), "%zx\r\n", chunk.size());
-        return send_all(fd, size_line) && send_all(fd, chunk) &&
-               send_all(fd, "\r\n");
-      };
-      resp.stream(sink);
-      send_all(fd, "0\r\n\r\n");
-    }
-    ::close(fd);
-    served_.fetch_add(1);
-    if (stream_hook_) stream_hook_();
-    return;
   }
   send_all(fd, render_http_response(resp));
   ::close(fd);
@@ -621,7 +537,8 @@ bool http_request(const std::string& host, std::uint16_t port,
   }
   HttpResponse resp;
   resp.status = std::atoi(status_line.c_str() + sp + 1);
-  bool chunked = false;
+  bool has_length = false;
+  std::string content_length;
   std::size_t pos = status_line_end + 2;
   while (pos < head_end) {
     const std::size_t nl = raw.find("\r\n", pos);
@@ -633,25 +550,33 @@ bool http_request(const std::string& host, std::uint16_t port,
     const std::string name = lower(trim(std::string_view(line).substr(0,
                                                                       colon)));
     const std::string value(trim(std::string_view(line).substr(colon + 1)));
+    if (name == "transfer-encoding") {
+      err = "unsupported Transfer-Encoding '" + value + "'";
+      return false;
+    }
     if (name == "content-type") {
       resp.content_type = value;
     } else {
-      if (name == "transfer-encoding" &&
-          lower(value).find("chunked") != std::string::npos) {
-        chunked = true;
+      if (name == "content-length") {
+        has_length = true;
+        content_length = value;
       }
       resp.headers.emplace_back(name, value);
     }
   }
-  if (chunked) {
-    std::string decoded;
-    if (!http_dechunk(std::string_view(raw).substr(head_end + 4), decoded,
-                      err)) {
+  resp.body = raw.substr(head_end + 4);
+  if (has_length) {
+    unsigned long long v = 0;
+    if (!parse_content_length(content_length, v)) {
+      err = "bad Content-Length '" + content_length + "'";
       return false;
     }
-    resp.body = std::move(decoded);
-  } else {
-    resp.body = raw.substr(head_end + 4);
+    if (v > resp.body.size()) {
+      err = "truncated response body (" + std::to_string(resp.body.size()) +
+            " of " + std::to_string(v) + " bytes)";
+      return false;
+    }
+    resp.body.resize(static_cast<std::size_t>(v));
   }
   out = std::move(resp);
   return true;

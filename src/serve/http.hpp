@@ -59,17 +59,6 @@ struct HttpResponse {
   std::string content_type = "application/json";
   std::vector<std::pair<std::string, std::string>> headers;  // extras
   std::string body;
-
-  /// Writes one chunk to the peer; false when the peer hung up (the
-  /// producer should stop).
-  using ChunkSink = std::function<bool(std::string_view)>;
-
-  /// When set, the response streams: the transport sends the head with
-  /// `Transfer-Encoding: chunked` (body ignored), then invokes this from
-  /// the worker thread with a sink that frames each chunk, and finally
-  /// terminates the chunk stream when it returns. Used by the job
-  /// event-stream route; everything else leaves it empty.
-  std::function<void(const ChunkSink&)> stream;
 };
 
 /// Standard reason phrase for the handful of statuses the service emits.
@@ -83,15 +72,6 @@ bool parse_http_head(std::string_view head, HttpRequest& out,
 
 /// Serializes a response (adds Content-Length and Connection: close).
 std::string render_http_response(const HttpResponse& r);
-
-/// Serializes only the head of a streaming response: no Content-Length,
-/// `Transfer-Encoding: chunked` instead; the body field is ignored.
-std::string render_http_stream_head(const HttpResponse& r);
-
-/// Decodes a chunked transfer-encoded body (`raw` is everything after the
-/// head) into `out`. Trailers are tolerated and discarded. False with `err`
-/// set on malformed framing. Exposed for the client and the unit tests.
-bool http_dechunk(std::string_view raw, std::string& out, std::string& err);
 
 /// Monotonic host milliseconds for latency measurement — the single
 /// wall-clock read site of the serve subsystem.
@@ -115,8 +95,9 @@ class HttpServer {
 
   /// First half of stop(): closes the accept side only — joins the
   /// acceptor thread so no new connections arrive, but leaves the workers
-  /// running so in-flight requests (including open event streams) can
-  /// still observe state changes made between this call and stop().
+  /// running so in-flight requests (a `?wait=1` handler blocked on its
+  /// job) can still observe state changes made between this call and
+  /// stop().
   /// Idempotent; stop() calls it implicitly.
   void stop_accepting();
 
@@ -131,17 +112,9 @@ class HttpServer {
   std::uint64_t requests_served() const;
 
   /// Optional per-request latency hook (milliseconds, parse + handler +
-  /// write). Set before start(); called from worker threads. Streaming
-  /// responses do not report here (their duration measures the stream's
-  /// lifetime, not service latency) — they hit the stream hook instead.
+  /// write). Set before start(); called from worker threads.
   void set_latency_hook(std::function<void(double)> hook) {
     latency_hook_ = std::move(hook);
-  }
-
-  /// Optional hook invoked once per completed streaming response. Set
-  /// before start(); called from worker threads.
-  void set_stream_hook(std::function<void()> hook) {
-    stream_hook_ = std::move(hook);
   }
 
  private:
@@ -155,7 +128,6 @@ class HttpServer {
   unsigned num_workers_;
   Handler handler_;
   std::function<void(double)> latency_hook_;
-  std::function<void()> stream_hook_;
 
   int listen_fd_ = -1;
   std::atomic<bool> stop_{false};
@@ -173,10 +145,11 @@ class HttpServer {
 };
 
 /// Minimal blocking HTTP/1.1 client (Connection: close): one request, reads
-/// to EOF. Chunked transfer-encoded responses are decoded transparently
-/// (out.body holds the reassembled payload). For the tests and in-repo
-/// harnesses only. Returns false with `err` set on connect/IO/parse
-/// failure.
+/// to EOF. The body is the first Content-Length bytes after the head (all
+/// of it when the header is absent). For the tests and in-repo harnesses
+/// only. Returns false with `err` set on connect/IO/parse failure, on a
+/// Transfer-Encoding response (the server never sends one) and on a body
+/// shorter than its Content-Length.
 bool http_request(const std::string& host, std::uint16_t port,
                   const std::string& method, const std::string& target,
                   const std::string& body,

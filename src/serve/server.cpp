@@ -52,16 +52,16 @@ Server::Server(ServiceOptions service_opts, std::string listen_addr,
             [this](const HttpRequest& req) { return handle(req); }) {
   http_.set_latency_hook(
       [this](double ms) { service_.record_http_request(ms); });
-  http_.set_stream_hook([this] { service_.record_http_stream(); });
 }
 
 bool Server::start(std::string& err) { return http_.start(err); }
 
 void Server::stop() {
-  // Order matters for open event streams: close the accept side first (no
-  // new requests), then drain the service — its terminal "aborted" events
-  // unblock any stream still held by an HTTP worker — and only then join
-  // the workers. Joining first would deadlock on a live stream.
+  // Order matters for ?wait=1 requests: close the accept side first (no
+  // new requests), then drain the service — failing the queued units
+  // releases every handler blocked in Service::wait on an HTTP worker —
+  // and only then join the workers. Joining first would hold stop() until
+  // every queued unit had simulated.
   http_.stop_accepting();
   service_.stop();  // drain in-flight simulations, fail queued
   http_.stop();
@@ -211,50 +211,6 @@ HttpResponse Server::dispatch(const HttpRequest& req,
     HttpResponse r;
     r.body = std::move(body);
     r.headers.emplace_back("X-Ptb-Job", submitted.job_id);
-    return r;
-  }
-
-  // --- GET /v1/jobs/{id}/events ------------------------------------------
-  // Must be matched before the plain jobs route (same prefix). The
-  // response streams: the producer lambda runs on the HTTP worker thread,
-  // blocking in next_job_event between events and emitting a comment
-  // heartbeat on every timeout so a proxy (or a patient human) can tell
-  // the stream is alive. Terminates on the job's terminal event, on
-  // ": gone" (job pruned / feed consumed), or when the peer hangs up.
-  if (req.path.rfind("/v1/jobs/", 0) == 0 && req.path.size() > 16 &&
-      req.path.compare(req.path.size() - 7, 7, "/events") == 0) {
-    if (req.method != "GET") return error_response(405, "GET required");
-    const std::string id = req.path.substr(9, req.path.size() - 16);
-    if (service_.job_status_json(id).empty()) {
-      return error_response(404, "unknown job '" + id + "'");
-    }
-    const double heartbeat_ms = service_.options().stream_heartbeat_ms;
-    Service* svc = &service_;
-    HttpResponse r;
-    r.content_type = "text/event-stream";
-    r.headers.emplace_back("Cache-Control", "no-store");
-    r.stream = [svc, id, heartbeat_ms](const HttpResponse::ChunkSink& sink) {
-      std::uint64_t last_seq = 0;
-      for (;;) {
-        Service::JobEvent ev;
-        switch (svc->next_job_event(id, last_seq, heartbeat_ms, ev)) {
-          case Service::EventWait::kGone:
-            sink(": gone\n\n");
-            return;
-          case Service::EventWait::kTimeout:
-            if (!sink(": heartbeat\n\n")) return;  // peer hung up
-            break;
-          case Service::EventWait::kEvent: {
-            last_seq = ev.seq;
-            const std::string frame = "event: " + ev.kind +
-                                      "\nid: " + std::to_string(ev.seq) +
-                                      "\ndata: " + ev.data + "\n\n";
-            if (!sink(frame) || ev.terminal) return;
-            break;
-          }
-        }
-      }
-    };
     return r;
   }
 

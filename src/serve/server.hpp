@@ -10,9 +10,6 @@
 //                           above; ?wait=1: 200 {"job","results":[...]}
 //                           with each artifact embedded verbatim.
 //   GET  /v1/jobs/{id}      job status/progress document, 404 unknown.
-//   GET  /v1/jobs/{id}/events  live event stream (chunked, SSE framing):
-//                           progress / unit / terminal events as they
-//                           happen, ": heartbeat" comments between.
 //   GET  /v1/results/{key}  artifact by run key (hex16) straight from the
 //                           persistent cache; 404 on miss/corrupt.
 //   GET  /v1/trace          request-span snapshot as Perfetto JSON. 404

@@ -10,23 +10,12 @@
 #include "stats/dump.hpp"
 #include "workloads/suite.hpp"
 
-// ptb-lint: allow-begin(wallclock) -- event-stream timeouts only: the
-// condition-variable wait below bounds how long a streaming client blocks
-// between heartbeats; no simulation state is derived from it.
-#include <chrono>
-// ptb-lint: allow-end
-
 namespace ptb::serve {
 
 namespace {
 
 // Finished jobs retained for polling before the oldest are pruned.
 constexpr std::size_t kMaxRetainedJobs = 1024;
-
-// Per-job event feed cap: oldest events are dropped first (the client sees
-// the gap in the seq numbers). Terminal events are always the newest, so
-// they are never dropped.
-constexpr std::size_t kMaxJobEvents = 256;
 
 // The host-stage taxonomy: every span name the service can emit below the
 // per-request root, and the set of per-stage latency histograms
@@ -68,9 +57,6 @@ void Service::register_metrics() {
   registry_.counter_fn("serve.http.requests",
                        "HTTP requests completed (all statuses)",
                        [this] { return double(http_requests_.load()); });
-  registry_.counter_fn("serve.http.streams",
-                       "streaming (chunked) responses completed",
-                       [this] { return double(http_streams_.load()); });
   registry_.counter_fn("serve.jobs.submitted", "jobs accepted by submit()",
                        [this] { return double(jobs_submitted_.load()); });
   registry_.counter_fn("serve.units.completed",
@@ -236,12 +222,10 @@ void Service::worker_loop() {
     const double enqueued = u.enqueued_ms;
     const double blocked = u.blocked_ms;
     const double picked = u.picked_ms;
-    const std::size_t unit_index = ref.unit_index;
     lock.unlock();
 
     SpanRecorder* rec = spans_.get();
     const bool tracing = rec != nullptr && trace_id != 0;
-    const bool want_progress = opts_.progress_every_cycles > 0;
 
     // Stage spans close worker-locally during the unlocked simulate window;
     // their durations are assigned into the Unit only after relocking. Every
@@ -288,24 +272,6 @@ void Service::worker_loop() {
       };
       obs_ptr = &observer;
     }
-    if (want_progress) {
-      observer.progress_every = opts_.progress_every_cycles;
-      observer.progress = [&](const RunProgress& p) {
-        char buf[256];
-        std::snprintf(
-            buf, sizeof(buf),
-            "{\"unit\":%zu,\"cycle\":%llu,\"max_cycles\":%llu,"
-            "\"committed\":%llu,\"ipc\":%.4f,\"watts\":%.2f,"
-            "\"cores_finished\":%u,\"cores\":%u}",
-            unit_index, static_cast<unsigned long long>(p.cycle),
-            static_cast<unsigned long long>(p.max_cycles),
-            static_cast<unsigned long long>(p.committed), p.ipc, p.watts,
-            p.cores_finished, p.num_cores);
-        MutexLock plock(mu_);
-        push_event_locked(*job, "progress", buf, false);
-      };
-      obs_ptr = &observer;
-    }
 
     bool hit = false;
     std::string payload =
@@ -321,66 +287,9 @@ void Service::worker_loop() {
     units_running_.fetch_sub(1);
     units_completed_.fetch_add(1);
     ++job->completed;
-    {
-      std::string data = "{\"unit\":" + std::to_string(unit_index) +
-                         ",\"benchmark\":\"" + json::escape(req.benchmark) +
-                         "\",\"state\":\"done\",\"cache\":\"" +
-                         (hit ? "hit" : "miss") + "\",\"key\":\"" +
-                         hex16(u.key) + "\"}";
-      push_event_locked(*job, "unit", std::move(data), false);
-    }
-    if (job->finished()) {
-      bool any_failed = false;
-      for (const Unit& ju : job->units) {
-        if (ju.state == Unit::State::kFailed) any_failed = true;
-      }
-      const char* kind = any_failed ? "failed" : "done";
-      std::string data = "{\"id\":\"" + job->id + "\",\"state\":\"" + kind +
-                         "\",\"total\":" + std::to_string(job->units.size()) +
-                         "}";
-      push_event_locked(*job, kind, std::move(data), true);
-      done_cv_.notify_all();
-    }
+    if (job->finished()) done_cv_.notify_all();
     // Admission headroom changed: another tenant's unit may now start.
     work_cv_.notify_all();
-  }
-}
-
-void Service::push_event_locked(Job& job, const char* kind, std::string data,
-                                bool terminal) {
-  JobEvent ev;
-  ev.seq = job.next_event_seq++;
-  ev.kind = kind;
-  ev.data = std::move(data);
-  ev.terminal = terminal;
-  job.events.push_back(std::move(ev));
-  while (job.events.size() > kMaxJobEvents) job.events.pop_front();
-  if (terminal) job.terminal_emitted = true;
-  event_cv_.notify_all();
-}
-
-Service::EventWait Service::next_job_event(const std::string& job_id,
-                                           std::uint64_t after_seq,
-                                           double timeout_ms, JobEvent& out) {
-  if (timeout_ms < 0.0) timeout_ms = 0.0;
-  MutexLock lock(mu_);
-  bool timed_out = false;
-  for (;;) {
-    const auto it = jobs_.find(job_id);
-    if (it == jobs_.end()) return EventWait::kGone;
-    const Job& job = *it->second;
-    for (const JobEvent& ev : job.events) {
-      if (ev.seq > after_seq) {
-        out = ev;
-        return EventWait::kEvent;
-      }
-    }
-    if (job.terminal_emitted) return EventWait::kGone;  // feed consumed
-    if (timed_out) return EventWait::kTimeout;
-    timed_out =
-        event_cv_.wait_for(
-            lock, std::chrono::duration<double, std::milli>(timeout_ms)) ==
-        std::cv_status::timeout;
   }
 }
 
@@ -479,11 +388,6 @@ void Service::record_http_request(double ms) {
   latency_hist_->add(ms);
 }
 
-void Service::record_http_stream() {
-  http_requests_.fetch_add(1);
-  http_streams_.fetch_add(1);
-}
-
 void Service::close_span(ServeSpan span, StageTimes* stages) {
   PTB_ASSERT(spans_ != nullptr, "close_span with tracing off");
   const double ms = span.end_ms - span.start_ms;
@@ -545,19 +449,8 @@ void Service::stop() {
       }
       q.clear();
     }
-    // Any job finishing through this drain never got a terminal event from
-    // a worker: emit "aborted" so an open /v1/jobs/{id}/events stream
-    // unblocks and closes instead of hanging until the client gives up.
-    for (auto& [id, job] : jobs_) {
-      if (job->finished() && !job->terminal_emitted) {
-        std::string data =
-            "{\"id\":\"" + job->id + "\",\"state\":\"aborted\"}";
-        push_event_locked(*job, "aborted", std::move(data), true);
-      }
-    }
   }
   done_cv_.notify_all();
-  event_cv_.notify_all();
 }
 
 }  // namespace ptb::serve

@@ -57,10 +57,8 @@ struct ServiceOptions {
   // Observability. All observe-only: none of these participate in the run
   // key, and turning them off yields byte-identical artifacts (and no
   // recorder allocation, no clock reads outside the transport).
-  std::size_t trace_spans = 4096;       // --trace-spans: ring capacity, 0=off
-  Cycle progress_every_cycles = 5000;   // --progress-cycles: 0 = no events
-  double stream_heartbeat_ms = 5000.0;  // events-stream keepalive cadence
-  std::string log_file;                 // --log-file: "" = off, "-" = stderr
+  std::size_t trace_spans = 4096;        // --trace-spans: ring capacity, 0=off
+  std::string log_file;                  // --log-file: "" = off, "-" = stderr
   LogLevel log_level = LogLevel::kInfo;  // --log-level
 };
 
@@ -85,21 +83,6 @@ class Service {
   struct Submitted {
     std::string job_id;
     std::vector<std::string> unit_keys;
-  };
-
-  /// One entry of a job's event feed (progress / unit / terminal), already
-  /// JSON-encoded in `data`. Sequence numbers are per-job, dense from 1.
-  struct JobEvent {
-    std::uint64_t seq = 0;
-    std::string kind;  // "progress" | "unit" | "done" | "failed" | "aborted"
-    std::string data;  // JSON object
-    bool terminal = false;
-  };
-
-  enum class EventWait : std::uint8_t {
-    kEvent,    // `out` holds the next event after `after_seq`
-    kTimeout,  // nothing new within `timeout_ms` (stream a heartbeat)
-    kGone,     // unknown job, or its feed is fully consumed and closed
   };
 
   /// Per-stage durations (ms) in completion order: a unit's closed stage
@@ -129,23 +112,11 @@ class Service {
   /// cache (key is hex16). False on bad key, miss, or corrupt entry.
   bool result_payload(const std::string& key_hex, std::string& payload);
 
-  /// Blocking event-feed cursor for GET /v1/jobs/{id}/events: returns the
-  /// oldest retained event with seq > `after_seq`, or kTimeout after
-  /// `timeout_ms` with nothing new, or kGone when the job is unknown /
-  /// its terminal event has been consumed. Events are capped per job
-  /// (oldest dropped); seq gaps tell the client when that happened.
-  EventWait next_job_event(const std::string& job_id, std::uint64_t after_seq,
-                           double timeout_ms, JobEvent& out);
-
   /// Prometheus text exposition of the daemon's registry (/metrics).
   std::string metrics_text();
 
   /// Hook for the HTTP transport: request completed in `ms`.
   void record_http_request(double ms);
-
-  /// Hook for the HTTP transport: a streaming response completed (streams
-  /// skip the latency histogram — their duration is the stream lifetime).
-  void record_http_stream();
 
   /// The span recorder, or nullptr when tracing is off (trace_spans == 0).
   SpanRecorder* spans() { return spans_.get(); }
@@ -159,8 +130,6 @@ class Service {
 
   /// The structured access log (disabled unless --log-file was given).
   AccessLog& access_log() { return access_log_; }
-
-  const ServiceOptions& options() const { return opts_; }
 
   /// Observability sidecar of a job for access-log enrichment: the peak
   /// admission tokens its tenant held while its units ran, and the summed
@@ -198,12 +167,9 @@ class Service {
     std::string tenant;
     std::vector<Unit> units;
     std::size_t completed = 0;  // done + failed
-    // Observability: trace linkage + event feed + admission footprint.
+    // Observability: trace linkage + admission footprint.
     std::uint64_t trace_id = 0;
     std::uint32_t root_span = 0;
-    std::deque<JobEvent> events;
-    std::uint64_t next_event_seq = 1;
-    bool terminal_emitted = false;
     std::uint32_t tokens_held_peak = 0;
     bool finished() const { return completed == units.size(); }
   };
@@ -216,9 +182,6 @@ class Service {
   void worker_loop();
   /// Next admissible (tenant-fair, FIFO) unit, or {nullptr, 0}.
   QueueRef pick_unit_locked() PTB_REQUIRES(mu_);
-  /// Appends to the job's bounded event feed and wakes event waiters.
-  void push_event_locked(Job& job, const char* kind, std::string data,
-                         bool terminal) PTB_REQUIRES(mu_);
   void register_metrics();
 
   const ServiceOptions opts_;
@@ -228,7 +191,6 @@ class Service {
   Mutex mu_;
   std::condition_variable_any work_cv_;  // workers: new unit / stopping
   std::condition_variable_any done_cv_;  // waiters: a job finished
-  std::condition_variable_any event_cv_;  // streamers: new job event
   std::map<std::string, std::unique_ptr<Job>> jobs_ PTB_GUARDED_BY(mu_);
   std::map<std::string, std::deque<QueueRef>> queues_ PTB_GUARDED_BY(mu_);
   std::map<std::string, std::uint32_t> running_per_tenant_
@@ -239,7 +201,6 @@ class Service {
   // Metrics sources (atomics: readable from the registry's pull lambdas
   // without touching mu_, so /metrics never contends with the scheduler).
   std::atomic<std::uint64_t> http_requests_{0};
-  std::atomic<std::uint64_t> http_streams_{0};
   std::atomic<std::uint64_t> jobs_submitted_{0};
   std::atomic<std::uint64_t> units_completed_{0};
   std::atomic<std::uint64_t> units_failed_{0};

@@ -594,10 +594,6 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
     return t1;
   };
 
-  const bool progress_on = opts.observer != nullptr &&
-                           opts.observer->progress != nullptr &&
-                           opts.observer->progress_every > 0;
-
   for (; now < cfg_.max_cycles && finished_count < n; ++now) {
     // Checkpoint capture: top of the loop body, before the cycle executes,
     // so a restored run replays `checkpoint_at` onward (checkpoint.hpp).
@@ -709,20 +705,6 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
 
     if (prof_cycle) pt = prof_lap(pt, prof.tick_s);
 
-    // Progress callback (RunObserver): read-only over deterministic state —
-    // emitting progress can never change a result byte.
-    if (progress_on && (now + 1) % opts.observer->progress_every == 0) {
-      RunProgress p;
-      p.cycle = now + 1;
-      p.max_cycles = cfg_.max_cycles;
-      p.cores_finished = finished_count;
-      p.num_cores = n;
-      for (CoreId i = 0; i < n; ++i) p.committed += cores_[i]->committed;
-      p.ipc = static_cast<double>(p.committed) /
-              static_cast<double>(now + 1);
-      p.watts = acct.power_stat().mean();
-      opts.observer->progress(p);
-    }
     // CMP-wide totals use the one canonical FP reduction order.
     double total_act = deterministic_total(f.act_power.data(), n);
     const double total_est =

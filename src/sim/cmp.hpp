@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -107,33 +106,6 @@ struct RunResult {
   std::uint64_t machine_fingerprint = 0;
 };
 
-/// Periodic progress snapshot of a running simulation (RunObserver below).
-/// Everything here is read from the run's own deterministic state once per
-/// cycle; producing it never changes a result.
-struct RunProgress {
-  Cycle cycle = 0;        // cycles completed so far
-  Cycle max_cycles = 0;   // the run's cycle budget
-  std::uint32_t cores_finished = 0;
-  std::uint32_t num_cores = 0;
-  std::uint64_t committed = 0;  // instructions committed, all cores
-  double ipc = 0.0;             // committed / cycle (CMP aggregate)
-  double watts = 0.0;           // mean per-cycle CMP power so far
-};
-
-/// Host-side observation hooks for one run, threaded through RunOptions by
-/// the serve plane (ISSUE 10): `progress` fires from the cycle loop every
-/// `progress_every` cycles; `stage_enter`/`stage_exit` bracket named
-/// host-level stages around the run (cache probe/simulate/serialize/
-/// publish in cached_run_payload). Hooks observe only — a null observer
-/// (the default) costs one pointer test and results are byte-identical
-/// either way (tests/serve proves it).
-struct RunObserver {
-  std::function<void(std::string_view stage)> stage_enter;
-  std::function<void(std::string_view stage)> stage_exit;
-  std::function<void(const RunProgress&)> progress;
-  Cycle progress_every = 0;  // 0 = no progress callbacks
-};
-
 struct RunOptions {
   bool record_cmp_trace = false;
   bool record_core_traces = false;
@@ -162,10 +134,6 @@ struct RunOptions {
   Cycle checkpoint_at = kNeverCycle;
   /// Receives the checkpoint frame bytes; null disables capture.
   std::string* checkpoint_out = nullptr;
-  /// Observation hooks (see RunObserver); null = none, zero cost. The
-  /// pointee must outlive the run. Like tracing/stats, the observer never
-  /// feeds back into the simulation and is outside the config fingerprint.
-  const RunObserver* observer = nullptr;
 };
 
 /// Reusable per-cycle scratch for the simulator's hot loop, SoA-packed so

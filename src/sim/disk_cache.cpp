@@ -395,7 +395,6 @@ std::string cached_run_payload(const DiskRunCache& cache,
   begin("simulate");
   RunOptions opts;
   opts.stats = true;  // the artifact carries the StatsDump JSON
-  opts.observer = observer;
   const RunResult r = run_one(profile, cfg, opts);
   end("simulate");
   begin("serialize");

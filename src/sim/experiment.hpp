@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <map>
 #include <mutex>
@@ -307,15 +308,23 @@ class DiskRunCache {
   mutable std::atomic<std::uint64_t> evicted_{0};
 };
 
+/// Host-side stage hooks for cached_run_payload, used by the serve plane to
+/// time each stage as a span. Hooks observe only: a null observer (the
+/// default) costs one pointer test, and the payload bytes are identical
+/// either way (tests/serve proves it).
+struct RunObserver {
+  std::function<void(std::string_view stage)> stage_enter;
+  std::function<void(std::string_view stage)> stage_exit;
+};
+
 /// Convenience get-or-run on top of DiskRunCache: answers from the cache
 /// when the artifact for (benchmark, cfg) is present and valid, otherwise
 /// simulates on the calling thread (run_one with a stats registry, so the
 /// artifact carries the StatsDump) and persists the result. `hit` reports
 /// which path was taken. A non-null `observer` brackets the pipeline's
 /// host-level stages — "cache_probe" around the cache lookup, then on a
-/// miss "simulate" (run_one), "serialize" and "cache_publish" — and is
-/// threaded into RunOptions so its progress callback fires from the cycle
-/// loop; counters and bytes are the same with or without it.
+/// miss "simulate" (run_one), "serialize" and "cache_publish"; counters
+/// and bytes are the same with or without it.
 std::string cached_run_payload(const DiskRunCache& cache,
                                const WorkloadProfile& profile,
                                const SimConfig& cfg, bool& hit,

@@ -251,8 +251,7 @@ std::string serve_state(const tools::ServeCli& c) {
          std::to_string(s.host_tokens) + " " + enum_name(s.admission_policy) +
          " " + std::to_string(s.queue_max) + " " +
          std::to_string(s.cache_max_bytes) + " " +
-         std::to_string(s.trace_spans) + " " +
-         std::to_string(s.progress_every_cycles) + " " + s.log_file + " " +
+         std::to_string(s.trace_spans) + " " + s.log_file + " " +
          enum_name(s.log_level);
 }
 
@@ -264,8 +263,8 @@ TEST(Flags, EveryServeRowParsesBothForms) {
       {"--policy", "to_one"},     {"--cache-dir", "/tmp/c"},
       {"--cache-max-bytes", "18446744073709551615"},
       {"--queue-max", "1"},       {"--http-threads", "256"},
-      {"--trace-spans", "0"},     {"--progress-cycles", "1073741824"},
-      {"--log-file", "-"},        {"--log-level", "debug"},
+      {"--trace-spans", "0"},     {"--log-file", "-"},
+      {"--log-level", "debug"},
   };
   tools::ServeCli defaults;
   const std::string default_state = serve_state(defaults);

@@ -1,6 +1,8 @@
 // Transport-layer parsing (serve/http.hpp) and the SimConfig JSON codec
 // (serve/config_json.hpp) — everything the daemon decodes off the wire,
-// exercised without sockets. The codec tests pin the strictness contract:
+// exercised without sockets, plus the client's response framing, which
+// reads canned bytes from a one-shot loopback listener. The codec tests
+// pin the strictness contract:
 // unknown keys, bad enum strings, observe-only knobs and machines the
 // simulator would abort on reject the whole document, and
 // parse(to_json(cfg)) is the identity for every field-table entry (checked
@@ -11,7 +13,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <type_traits>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include "common/config.hpp"
 #include "common/format.hpp"
@@ -81,47 +89,70 @@ TEST(HttpResponseRender, CarriesStatusLengthAndClose) {
   EXPECT_EQ(wire.substr(wire.size() - r.body.size()), r.body);
 }
 
-TEST(HttpResponseRender, StreamHeadUsesChunkedWithoutLength) {
+// --- client response framing ------------------------------------------------
+
+// Answers the first connection on an ephemeral loopback port with `raw`
+// verbatim, then closes it; returns what http_request made of the bytes.
+bool fetch_canned(const std::string& raw, HttpResponse& out,
+                  std::string& err) {
+  const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(lfd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  EXPECT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  EXPECT_EQ(::listen(lfd, 1), 0);
+  EXPECT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  std::thread peer([lfd, &raw] {
+    const int fd = ::accept(lfd, nullptr, nullptr);
+    if (fd < 0) return;
+    std::string req;
+    char buf[1024];
+    while (req.find("\r\n\r\n") == std::string::npos) {
+      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      if (n <= 0) break;
+      req.append(buf, static_cast<std::size_t>(n));
+    }
+    ::send(fd, raw.data(), raw.size(), MSG_NOSIGNAL);
+    ::close(fd);
+  });
+  const bool ok = http_request("127.0.0.1", ntohs(addr.sin_port), "GET", "/x",
+                               "", {}, out, err);
+  peer.join();
+  ::close(lfd);
+  return ok;
+}
+
+TEST(HttpClient, ReadsExactlyContentLengthBytes) {
   HttpResponse r;
-  r.content_type = "text/event-stream";
-  r.headers.emplace_back("Cache-Control", "no-store");
-  const std::string head = render_http_stream_head(r);
-  EXPECT_NE(head.find("HTTP/1.1 200 OK\r\n"), std::string::npos);
-  EXPECT_NE(head.find("Transfer-Encoding: chunked\r\n"), std::string::npos);
-  EXPECT_NE(head.find("Cache-Control: no-store\r\n"), std::string::npos);
-  EXPECT_EQ(head.find("Content-Length"), std::string::npos);
-  EXPECT_EQ(head.substr(head.size() - 4), "\r\n\r\n") << "head only, no body";
-}
-
-// --- chunked transfer decoding ----------------------------------------------
-
-TEST(HttpDechunk, ReassemblesMultipleChunksAndIgnoresExtensions) {
-  std::string out, err;
-  // Sizes are hex; ";ext=1" is a legal chunk extension; trailers after the
-  // terminal chunk are discarded.
-  ASSERT_TRUE(http_dechunk(
-      "5\r\nhello\r\n6;ext=1\r\n world\r\nB\r\n, streaming\r\n0\r\n"
-      "X-Trailer: 1\r\n\r\n",
-      out, err))
+  std::string err;
+  ASSERT_TRUE(fetch_canned("HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n"
+                           "Content-Length: 5\r\nConnection: close\r\n\r\n"
+                           "hello",
+                           r, err))
       << err;
-  EXPECT_EQ(out, "hello world, streaming");
+  EXPECT_EQ(r.status, 200);
+  EXPECT_EQ(r.content_type, "text/plain");
+  EXPECT_EQ(r.body, "hello");
 }
 
-TEST(HttpDechunk, EmptyBodyIsJustTheTerminalChunk) {
-  std::string out = "sentinel", err;
-  ASSERT_TRUE(http_dechunk("0\r\n\r\n", out, err)) << err;
-  EXPECT_TRUE(out.empty());
+TEST(HttpClient, RejectsTransferEncoding) {
+  HttpResponse r;
+  std::string err;
+  EXPECT_FALSE(fetch_canned("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n"
+                            "Connection: close\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+                            r, err));
+  EXPECT_NE(err.find("Transfer-Encoding"), std::string::npos) << err;
 }
 
-TEST(HttpDechunk, RejectsMalformedFraming) {
-  std::string out, err;
-  EXPECT_FALSE(http_dechunk("", out, err));            // no size line
-  EXPECT_FALSE(http_dechunk("zz\r\nhi\r\n", out, err));  // bad hex
-  EXPECT_FALSE(http_dechunk("5\r\nhi", out, err));     // truncated data
-  EXPECT_FALSE(http_dechunk("2\r\nhiX\r\n0\r\n\r\n", out, err))
-      << "chunk data must end with CRLF";
-  EXPECT_FALSE(http_dechunk("5\r\nhello\r\n", out, err))
-      << "missing terminal chunk";
+TEST(HttpClient, RejectsBodyShorterThanContentLength) {
+  HttpResponse r;
+  std::string err;
+  EXPECT_FALSE(fetch_canned("HTTP/1.1 200 OK\r\nContent-Length: 10\r\n"
+                            "Connection: close\r\n\r\nhello",
+                            r, err));
+  EXPECT_NE(err.find("truncated"), std::string::npos) << err;
 }
 
 // --- enum codecs ------------------------------------------------------------

@@ -4,14 +4,14 @@
 // POST /v1/run requests, with the second answered from the persistent
 // DiskRunCache byte-identically to the first — the cache, not the process,
 // is the source of truth. The remaining cases cover /metrics exposition,
-// the admission cap, the sweep route and the error surface (routing is
-// also exercised without sockets through Server::handle).
+// the admission cap, the sweep route, async submit + poll, graceful drain
+// (queued units fail, blocked waiters return) and the error surface
+// (routing is also exercised without sockets through Server::handle).
 //
-// The observability plane is pinned here too: the live job event stream
-// (progress before terminal; "aborted" on drain), span-tree structural
-// determinism across identical requests, byte-identical artifacts with
-// tracing on vs off (the observe-only contract), and the structured
-// access log.
+// The observability plane is pinned here too: span-tree structural
+// determinism across identical requests, stage histograms fed by exactly
+// the closed spans, byte-identical artifacts with tracing on vs off (the
+// observe-only contract), and the structured access log.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
@@ -342,74 +342,6 @@ std::vector<std::string> span_paths(const TraceDoc& trace,
   return paths;
 }
 
-TEST(ServeE2E, EventsStreamProgressThenTerminal) {
-  ServiceOptions opts = test_opts(fresh_cache_dir("events"));
-  opts.progress_every_cycles = 2000;  // ~10 progress events over 20k cycles
-  Server server(opts, "127.0.0.1", 0, 2);
-  std::string err;
-  ASSERT_TRUE(server.start(err)) << err;
-
-  const HttpResponse accepted =
-      must_request(server.port(), "POST", "/v1/run", kRunBody);
-  ASSERT_EQ(accepted.status, 202) << accepted.body;
-  const std::string* job = find_header(accepted, "x-ptb-job");
-  ASSERT_NE(job, nullptr);
-
-  // The stream replays the job's retained feed from seq 1 and then blocks
-  // until the terminal event, so this single blocking GET is race-free no
-  // matter how fast the simulation finished. The client de-chunks
-  // transparently (the streaming response has no Content-Length).
-  const HttpResponse stream = must_request(
-      server.port(), "GET", "/v1/jobs/" + *job + "/events");
-  ASSERT_EQ(stream.status, 200);
-  EXPECT_NE(stream.content_type.find("text/event-stream"),
-            std::string::npos);
-  const std::string* te = find_header(stream, "transfer-encoding");
-  ASSERT_NE(te, nullptr) << "stream must use chunked transfer-encoding";
-  EXPECT_NE(te->find("chunked"), std::string::npos);
-
-  const std::size_t progress = stream.body.find("event: progress");
-  const std::size_t unit = stream.body.find("event: unit");
-  const std::size_t done = stream.body.find("event: done");
-  ASSERT_NE(progress, std::string::npos) << stream.body;
-  ASSERT_NE(unit, std::string::npos) << stream.body;
-  ASSERT_NE(done, std::string::npos) << stream.body;
-  EXPECT_LT(progress, done) << "progress must precede the terminal event";
-  EXPECT_LT(unit, done);
-  // Progress payloads carry the live simulation counters: exactly these
-  // keys, in this order, pin the wire shape clients parse.
-  const std::size_t data = stream.body.find("data: ", progress);
-  ASSERT_NE(data, std::string::npos) << stream.body;
-  const std::size_t eol = stream.body.find('\n', data);
-  ASSERT_NE(eol, std::string::npos) << stream.body;
-  const std::string payload = stream.body.substr(data + 6, eol - data - 6);
-  json::Value doc;
-  std::string jerr;
-  ASSERT_TRUE(json::parse(payload, doc, jerr)) << jerr << ": " << payload;
-  ASSERT_TRUE(doc.is_object()) << payload;
-  std::vector<std::string> keys;
-  for (const auto& [key, value] : doc.members()) keys.push_back(key);
-  EXPECT_EQ(keys, (std::vector<std::string>{"unit", "cycle", "max_cycles",
-                                            "committed", "ipc", "watts",
-                                            "cores_finished", "cores"}))
-      << payload;
-  EXPECT_NE(stream.body.find("\"state\":\"done\""), std::string::npos);
-  // Seq numbers start dense from 1.
-  EXPECT_NE(stream.body.find("id: 1\n"), std::string::npos);
-
-  // The stream counted as a streaming response, not a latency sample. The
-  // transport bumps the counter after closing the stream's socket, so the
-  // client can observe its own EOF first: poll briefly.
-  std::string streams;
-  for (int i = 0; i < 200 && streams != "1"; ++i) {
-    streams = series_value(must_request(server.port(), "GET", "/metrics").body,
-                           "ptb_serve_http_streams");
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_EQ(streams, "1");
-  server.stop();
-}
-
 // Opens a TCP connection to the daemon on 127.0.0.1; -1 on failure.
 int connect_loopback(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -446,22 +378,34 @@ bool recv_some(int fd, std::string& out) {
   return true;
 }
 
-TEST(ServeE2E, EventsStreamGetsAbortedOnDrain) {
+// The state string of unit `index` in a GET /v1/jobs/{id} document.
+std::string unit_state(const std::string& status, std::size_t index) {
+  json::Value doc;
+  std::string err;
+  EXPECT_TRUE(json::parse(status, doc, err)) << err << ": " << status;
+  const json::Value* units = doc.find("units");
+  if (units == nullptr || !units->is_array() ||
+      units->array().size() <= index) {
+    ADD_FAILURE() << "no unit " << index << " in " << status;
+    return "";
+  }
+  const json::Value* state = units->array()[index].find("state");
+  return state == nullptr ? "" : state->as_string();
+}
+
+TEST(ServeE2E, DrainFailsQueuedUnitsAndReleasesWaiters) {
   // One worker, two units: unit 0 is still simulating and unit 1 still
-  // queued when the server drains. stop() must fail the queued unit and
-  // emit a terminal "aborted" event so the open stream closes instead of
-  // hanging until the client gives up.
-  ServiceOptions opts = test_opts(fresh_cache_dir("aborted"));
+  // queued when the server drains. stop() must let unit 0 finish, fail
+  // unit 1, and release a waiter blocked on the job.
+  ServiceOptions opts = test_opts(fresh_cache_dir("drain"));
   opts.sim_workers = 1;
   opts.host_tokens = 1;
-  opts.progress_every_cycles = 1000;
   Server server(opts, "127.0.0.1", 0, 2);
   std::string err;
   ASSERT_TRUE(server.start(err)) << err;
 
-  // Unit 0 (radix on 16 cores, >100k cycles) runs for hundreds of
-  // milliseconds after its first progress event at cycle 1000; unit 1
-  // waits behind it on the single worker.
+  // Unit 0 (radix on 16 cores, >100k cycles) runs for tens to hundreds of
+  // milliseconds; unit 1 waits behind it on the single worker.
   const std::string body =
       "{\"requests\":["
       "{\"benchmark\":\"radix\",\"config\":{\"num_cores\":16}},"
@@ -473,39 +417,33 @@ TEST(ServeE2E, EventsStreamGetsAbortedOnDrain) {
   ASSERT_NE(jobp, nullptr);
   const std::string job = *jobp;
 
-  const int fd = connect_loopback(server.port());
-  ASSERT_GE(fd, 0);
-  ASSERT_TRUE(send_all(fd, "GET /v1/jobs/" + job +
-                               "/events HTTP/1.1\r\n"
-                               "Host: 127.0.0.1\r\n"
-                               "Connection: close\r\n\r\n"));
-  // Drain only once unit 0's first progress event is on the wire: unit 0
-  // is then running and unit 1 queued, whatever the host's speed.
-  std::string raw;
-  while (raw.find("event: progress") == std::string::npos &&
-         recv_some(fd, raw)) {
+  // Drain only once unit 0 is running: unit 1 is then queued, whatever
+  // the host's speed.
+  std::string state;
+  for (;;) {
+    const HttpResponse r =
+        must_request(server.port(), "GET", "/v1/jobs/" + job);
+    ASSERT_EQ(r.status, 200);
+    state = unit_state(r.body, 0);
+    if (state != "pending") break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  const bool saw_progress = raw.find("event: progress") != std::string::npos;
-  server.stop();  // finishes unit 0, fails unit 1, aborts open feeds
-  while (recv_some(fd, raw)) {
-  }
-  ::close(fd);
-  ASSERT_TRUE(saw_progress) << raw;
-  EXPECT_NE(raw.find("\"unit\":0,\"cycle\":"), std::string::npos) << raw;
+  ASSERT_EQ(state, "running");
 
-  const std::size_t head_end = raw.find("\r\n\r\n");
-  ASSERT_NE(head_end, std::string::npos) << raw;
-  std::string stream_body;
-  ASSERT_TRUE(http_dechunk(std::string_view(raw).substr(head_end + 4),
-                           stream_body, err))
-      << err;
-  EXPECT_NE(stream_body.find("event: aborted"), std::string::npos)
-      << stream_body;
-  EXPECT_NE(stream_body.find("\"state\":\"aborted\""), std::string::npos);
+  std::atomic<bool> released{false};
+  std::thread waiter(
+      [&] { released.store(server.service().wait(job)); });
+  server.stop();  // finishes unit 0, fails unit 1
+  waiter.join();
+  EXPECT_TRUE(released.load()) << "drain left a waiter blocked";
+  EXPECT_TRUE(server.service().wait(job));
+
   const std::string status = server.service().job_status_json(job);
   EXPECT_NE(status.find("\"state\":\"failed\""), std::string::npos) << status;
   EXPECT_NE(status.find("service shutting down"), std::string::npos)
       << status;
+  EXPECT_EQ(unit_state(status, 0), "done") << "a running unit is finished";
+  EXPECT_EQ(unit_state(status, 1), "failed") << status;
 }
 
 TEST(ServeE2E, SpanTreesAreStructurallyDeterministic) {
@@ -620,7 +558,6 @@ TEST(ServeE2E, TracingOnOffProducesByteIdenticalArtifacts) {
   // dirs on both sides, so both simulate.
   ServiceOptions off = test_opts(fresh_cache_dir("obs_off"));
   off.trace_spans = 0;
-  off.progress_every_cycles = 0;
   Server traced(test_opts(fresh_cache_dir("obs_on")), "127.0.0.1", 0, 2);
   Server dark(off, "127.0.0.1", 0, 2);
   std::string err;
@@ -756,6 +693,17 @@ TEST(ServeE2E, HandleErrorSurface) {
           .status,
       400);
   EXPECT_EQ(server.handle(req("GET", "/v1/jobs/j99999999")).status, 404);
+  // A live job answers on its status route only; any sub-path under it
+  // names no job.
+  const HttpResponse accepted = server.handle(req("POST", "/v1/run", kRunBody));
+  ASSERT_EQ(accepted.status, 202) << accepted.body;
+  const std::string* job = find_header(accepted, "X-Ptb-Job");
+  ASSERT_NE(job, nullptr);
+  const std::string status_path = "/v1/jobs/" + *job;
+  EXPECT_EQ(server.handle(req("GET", status_path.c_str())).status, 200);
+  EXPECT_EQ(
+      server.handle(req("GET", (status_path + "/events").c_str())).status,
+      404);
   EXPECT_EQ(
       server.handle(req("GET", "/v1/results/0123456789abcdef")).status,
       404);

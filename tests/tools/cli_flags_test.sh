@@ -3,10 +3,12 @@
 # and empty values given to the real ptb-figures, ptb-serve, ptb-trace and
 # ptb-stats binaries must each exit 2 with the offending flag named on
 # stderr — never run with a truncated, wrapped or empty setting; so must
-# an unknown figure name, which ptb-figures names on stderr. Every
-# case fails before any simulation, socket or file is touched; the timeout
-# turns a binary that accepts its flags (and starts running or serving)
-# into a failure rather than a hang.
+# an unknown figure name, which ptb-figures names on stderr, a removed
+# ptb-serve flag (rejected, not ignored), and an unknown ptb-trace
+# command, which is named before TRACE is read. Every case fails before
+# any simulation, socket or file is touched; the timeout turns a binary
+# that accepts its flags (and starts running or serving) into a failure
+# rather than a hang.
 #
 # Usage: cli_flags_test.sh <ptb-figures> <ptb-serve> <ptb-trace> <ptb-stats>
 # Exit: 0 when every case behaves, 1 otherwise.
@@ -56,7 +58,9 @@ run_case bench_fig99_bogus "$bench" bench_fig99_bogus
 run_case --jobs "$serve" --jobs 4294967297
 run_case --jobs "$serve" --jobs -4294967295
 run_case --cache-max-bytes "$serve" --cache-max-bytes -1
+run_case --progress-cycles "$serve" --progress-cycles 5000
 run_case --core "$trace" spin no-such.trace --core 4294967297
+run_case bogus "$trace" bogus /dev/null
 run_case --tol "$stats" regress new.json golden.json --tol nan
 run_case --tol "$stats" diff a.json b.json --tol nan
 

@@ -94,13 +94,13 @@ TEST(HelpText, ServeHelpDocumentsEveryFlagAndRoute) {
   for (const char* flag :
        {"--listen", "--port", "--jobs", "--host-tokens", "--policy",
         "--cache-dir", "--cache-max-bytes", "--queue-max", "--http-threads",
-        "--trace-spans", "--progress-cycles", "--log-file", "--log-level"}) {
+        "--trace-spans", "--log-file", "--log-level"}) {
     EXPECT_NE(h.find(flag), std::string::npos) << flag;
   }
   // One entry per route Server::handle dispatches.
   for (const char* route :
-       {"/v1/run", "/v1/sweep", "/v1/jobs/{id}", "/v1/jobs/{id}/events",
-        "/v1/results/{key}", "/v1/trace", "/metrics", "/healthz"}) {
+       {"/v1/run", "/v1/sweep", "/v1/jobs/{id}", "/v1/results/{key}",
+        "/v1/trace", "/metrics", "/healthz"}) {
     EXPECT_NE(h.find(route), std::string::npos) << route;
   }
 }
@@ -132,7 +132,7 @@ TEST(HelpText, GoldenShape) {
   const std::string serve = ptb::tools::serve_usage("ptb-tool");
   EXPECT_EQ(lines_of(trace).size(), 13u);
   EXPECT_EQ(lines_of(stats).size(), 14u);
-  EXPECT_EQ(lines_of(serve).size(), 31u);
+  EXPECT_EQ(lines_of(serve).size(), 27u);
 }
 
 }  // namespace

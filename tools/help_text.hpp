@@ -65,11 +65,9 @@ inline constexpr char kStatsUsage[] =
 // ptb-serve's --help after its generated flag rows (serve_usage in
 // serve_flags.hpp prints the header line and the rows first).
 inline constexpr char kServeNotes[] =
-    "Serves POST /v1/run, POST /v1/sweep, GET /v1/jobs/{id},\n"
-    "GET /v1/jobs/{id}/events (live progress stream, chunked SSE framing),\n"
-    "GET /v1/results/{key}, GET /v1/trace (request spans as Perfetto "
-    "JSON),\n"
-    "GET /metrics (Prometheus), GET /healthz.\n"
+    "Serves POST /v1/run, POST /v1/sweep, GET /v1/jobs/{id} (poll it for\n"
+    "progress), GET /v1/results/{key}, GET /v1/trace (request spans as\n"
+    "Perfetto JSON), GET /metrics (Prometheus), GET /healthz.\n"
     "Repeat requests are answered from the cache byte-identically; corrupt\n"
     "cache entries are rejected and re-simulated, never served. "
     "SIGINT/SIGTERM\n"

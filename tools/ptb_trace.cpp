@@ -31,7 +31,15 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
   std::string path = argv[2];
 
-  // spin's --core is a usage error before the trace is read.
+  // Every usage error (unknown command, wrong arity, bad --core) is
+  // reported before the trace is read.
+  const bool is_export = cmd == "export-json" || cmd == "export-csv";
+  if (!is_export && cmd != "summary" && cmd != "flows" && cmd != "dvfs" &&
+      cmd != "spin" && cmd != "deficit") {
+    std::fprintf(stderr, "%s: unknown command '%s'\n", argv[0], cmd.c_str());
+    return usage(argv[0], 2);
+  }
+  if (is_export && argc != 4) return usage(argv[0], 2);
   std::uint32_t only_core = ptb::kNoCore;
   if (cmd == "spin") {
     const ptb::FlagParse p = ptb::parse_flags(
@@ -76,17 +84,12 @@ int main(int argc, char** argv) {
     std::fputs(ptb::render_deficit(trace).c_str(), stdout);
     return 0;
   }
-  if (cmd == "export-json" || cmd == "export-csv") {
-    if (argc != 4) return usage(argv[0], 2);
-    const std::string text = cmd == "export-json"
-                                 ? ptb::trace_chrome_json(trace)
-                                 : ptb::trace_csv(trace);
-    if (!ptb::tools::write_text(argv[3], text)) {
-      std::fprintf(stderr, "%s: cannot write '%s'\n", argv[0], argv[3]);
-      return 1;
-    }
-    return 0;
+  const std::string text = cmd == "export-json"
+                               ? ptb::trace_chrome_json(trace)
+                               : ptb::trace_csv(trace);
+  if (!ptb::tools::write_text(argv[3], text)) {
+    std::fprintf(stderr, "%s: cannot write '%s'\n", argv[0], argv[3]);
+    return 1;
   }
-  std::fprintf(stderr, "%s: unknown command '%s'\n", argv[0], cmd.c_str());
-  return usage(argv[0], 2);
+  return 0;
 }

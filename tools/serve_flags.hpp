@@ -67,10 +67,6 @@ inline std::vector<FlagRow> serve_flag_rows(ServeCli& cli) {
        {"request-span ring capacity for GET /v1/trace",
         "(default 4096; 0 disables tracing entirely)"},
        flag_uint(s.trace_spans, 0, 1u << 24)},
-      {"--progress-cycles", "", "N",
-       {"simulated cycles between job progress events (default",
-        "5000; 0 disables progress events)"},
-       flag_uint(s.progress_every_cycles, 0, 1u << 30)},
       {"--log-file", "", "PATH",
        {"structured JSON access log, one line per request",
         "('-' = stderr; default: no access log)"},
