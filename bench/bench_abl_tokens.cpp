@@ -29,27 +29,21 @@ void bench::bench_abl_tokens(BenchContext& ctx) {
 
   const TechniqueSpec ptb{"PTB", TechniqueKind::kTwoLevel, true,
                           PtbPolicy::kToAll, 0.0};
+  const SimConfig base_cfg = make_sim_config(8, base_technique());
   // Ablations 1 and 2 sweep one token-wire knob over the three profiles.
   const auto sweep_wire = [&](const char* knob_name,
                               std::uint32_t PtbConfig::*knob,
                               std::initializer_list<std::uint32_t> values,
                               const char* title) {
     Table t({knob_name, "fft AoPB %", "ocean AoPB %", "unstr AoPB %"});
-    for (std::uint32_t v : values) {
-      for (const auto* p : profiles) {
-        SimConfig cfg = make_sim_config(8, ptb);
-        cfg.ptb.*knob = v;
-        ctx.submit(*p, cfg);
-      }
-    }
-    const auto results = ctx.pool().wait_all();
-    std::size_t idx = 0;
+    SimConfig cfg = make_sim_config(8, ptb);
     for (std::uint32_t v : values) {
       const auto row = t.add_row();
       t.set(row, 0, static_cast<std::int64_t>(v));
+      cfg.ptb.*knob = v;
       for (std::size_t c = 0; c < 3; ++c) {
-        t.set(row, c + 1,
-              aopb_pct(ctx.cache().get(*profiles[c], 8), results[idx++]), 2);
+        const WorkloadProfile& p = *profiles[c];
+        t.set(row, c + 1, aopb_pct(ctx.run(p, base_cfg), ctx.run(p, cfg)), 2);
       }
     }
     ctx.show(t, title);
@@ -76,18 +70,12 @@ void bench::bench_abl_tokens(BenchContext& ctx) {
   }
   {
     Table t({"PTHT entries", "fft AoPB %", "fft energy %"});
-    const std::uint32_t sizes[] = {512u, 2048u, 8192u};
-    for (std::uint32_t entries : sizes) {
+    for (std::uint32_t entries : {512u, 2048u, 8192u}) {
       SimConfig cfg = make_sim_config(8, ptb);
       cfg.power.ptht_entries = entries;
-      ctx.submit(fft, cfg);
-    }
-    const auto results = ctx.pool().wait_all();
-    std::size_t idx = 0;
-    for (std::uint32_t entries : sizes) {
       // Cross-machine on purpose: the sweep varies the machine's PTHT
       // capacity and compares each variant against the stock-machine base.
-      const Normalized n = normalize(ctx.cache().get(fft, 8), results[idx++],
+      const Normalized n = normalize(ctx.run(fft, base_cfg), ctx.run(fft, cfg),
                                      CrossMachine::kAllow);
       const auto row = t.add_row();
       t.set(row, 0, static_cast<std::int64_t>(entries));

@@ -21,23 +21,15 @@ void bench::bench_ext_baselines(BenchContext& ctx) {
   const char* benchmarks[] = {"ocean", "tomcatv", "barnes", "radix",
                               "watersp", "unstructured"};
 
-  for (const char* bn : benchmarks) {
-    const auto& profile = benchmark_by_name(bn);
-    ctx.submit(profile, make_sim_config(16, base_technique()));
-    for (const auto& t : techs) {
-      ctx.submit(profile, make_sim_config(16, t));
-    }
-  }
-  const std::vector<RunResult> results = ctx.pool().wait_all();
-
   Table table({"benchmark", "technique", "energy %", "AoPB %",
                "slowdown %"});
-  std::size_t idx = 0;
   for (const char* bn : benchmarks) {
     const auto& profile = benchmark_by_name(bn);
-    const RunResult& base = results[idx++];
+    const RunResult& base =
+        ctx.run(profile, make_sim_config(16, base_technique()));
     for (const auto& t : techs) {
-      const Normalized norm = normalize(base, results[idx++]);
+      const Normalized norm =
+          normalize(base, ctx.run(profile, make_sim_config(16, t)));
       const auto row = table.add_row();
       table.set(row, 0, profile.name);
       table.set(row, 1, t.label);

@@ -22,25 +22,16 @@ void bench::bench_ext_cluster(BenchContext& ctx) {
   };
   const char* benchmarks[] = {"fft", "ocean", "barnes", "waternsq"};
 
+  Table table({"benchmark", "variant", "energy %", "AoPB %", "slowdown %",
+               "tokens granted (M)"});
   for (const char* bn : benchmarks) {
     const auto& profile = benchmark_by_name(bn);
-    ctx.submit(profile, make_sim_config(32, base_technique()));
+    const RunResult& base =
+        ctx.run(profile, make_sim_config(32, base_technique()));
     for (const auto& v : variants) {
       SimConfig cfg = make_sim_config(32, ptb);
       cfg.ptb.cluster_size = v.cluster;
-      ctx.submit(profile, cfg);
-    }
-  }
-  const std::vector<RunResult> results = ctx.pool().wait_all();
-
-  Table table({"benchmark", "variant", "energy %", "AoPB %", "slowdown %",
-               "tokens granted (M)"});
-  std::size_t idx = 0;
-  for (const char* bn : benchmarks) {
-    const auto& profile = benchmark_by_name(bn);
-    const RunResult& base = results[idx++];
-    for (const auto& v : variants) {
-      const RunResult& r = results[idx++];
+      const RunResult& r = ctx.run(profile, cfg);
       const Normalized norm = normalize(base, r);
       const auto row = table.add_row();
       table.set(row, 0, profile.name);

@@ -15,28 +15,19 @@ void bench::bench_ext_spingate(BenchContext& ctx) {
   const char* benchmarks[] = {"unstructured", "fluidanimate", "waternsq",
                               "raytrace", "ocean", "barnes", "fft",
                               "blackscholes"};
-  // Per benchmark: base (through the cache), plain PTB, and gated PTB.
-  for (const char* bn : benchmarks) {
-    const auto& profile = benchmark_by_name(bn);
-    ctx.submit(profile, make_sim_config(16, base_technique()));
-    ctx.submit(profile, make_sim_config(16, ptb));
-    SimConfig gated_cfg = make_sim_config(16, ptb);
-    gated_cfg.ptb.gate_spinners = true;
-    ctx.submit(profile, gated_cfg);
-  }
-  const std::vector<RunResult> results = ctx.pool().wait_all();
-
   Table table({"benchmark", "PTB energy %", "+gate energy %",
                "PTB slowdown %", "+gate slowdown %", "gated Mcycles"});
   double e0 = 0, e1 = 0;
   int n = 0;
-  std::size_t idx = 0;
+  // Per benchmark: base, plain PTB, and gated PTB.
   for (const char* bn : benchmarks) {
     const auto& profile = benchmark_by_name(bn);
-    const RunResult& base = results[idx];
-    const RunResult& plain = results[idx + 1];
-    const RunResult& gated = results[idx + 2];
-    idx += 3;
+    SimConfig gated_cfg = make_sim_config(16, ptb);
+    gated_cfg.ptb.gate_spinners = true;
+    const RunResult& base =
+        ctx.run(profile, make_sim_config(16, base_technique()));
+    const RunResult& plain = ctx.run(profile, make_sim_config(16, ptb));
+    const RunResult& gated = ctx.run(profile, gated_cfg);
     const Normalized np = normalize(base, plain);
     const Normalized ng = normalize(base, gated);
     const auto row = table.add_row();

@@ -16,20 +16,13 @@ void bench::bench_ext_thermal(BenchContext& ctx) {
     techs.push_back(t);
   const char* benchmarks[] = {"fft", "ocean", "barnes", "blackscholes"};
 
-  for (const auto& tech : techs) {
-    for (const char* bn : benchmarks) {
-      ctx.submit(benchmark_by_name(bn), make_sim_config(16, tech));
-    }
-  }
-  const std::vector<RunResult> results = ctx.pool().wait_all();
-
   Table table({"technique", "mean temp C", "max temp C", "temp stddev C"});
-  std::size_t idx = 0;
   for (const auto& tech : techs) {
     double mean = 0.0, mx = 0.0, sd = 0.0;
     int n = 0;
-    for ([[maybe_unused]] const char* bn : benchmarks) {
-      const RunResult& r = results[idx++];
+    for (const char* bn : benchmarks) {
+      const RunResult& r =
+          ctx.run(benchmark_by_name(bn), make_sim_config(16, tech));
       for (const auto& c : r.cores) {
         mean += c.temp_mean;
         sd += c.temp_std;

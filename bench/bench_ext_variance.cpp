@@ -23,8 +23,7 @@ void bench::bench_ext_variance(BenchContext& ctx) {
     const auto& profile = benchmark_by_name(bn);
     for (const auto& tech : {dvfs, ptb}) {
       const ReplicatedResult r =
-          run_replicated(profile, 16, tech, kSeeds, ctx.cache(),
-                         ctx.pool());
+          run_replicated(profile, 16, tech, kSeeds, ctx.run_fn());
       const auto row = table.add_row();
       table.set(row, 0, profile.name);
       table.set(row, 1, tech.label);

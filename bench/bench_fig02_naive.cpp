@@ -7,8 +7,7 @@
 using namespace ptb;
 
 void bench::bench_fig02_naive(BenchContext& ctx) {
-  FigureGrid grid =
-      run_suite_grid(16, naive_techniques(), ctx.cache(), ctx.pool());
+  FigureGrid grid = run_suite_grid(16, naive_techniques(), ctx.run_fn());
   grid.append_average();
   ctx.show_energy_aopb(grid, "Figure 2 (16 cores, naive split)");
 }

@@ -10,21 +10,13 @@ using namespace ptb;
 void bench::bench_fig04_spinpower(BenchContext& ctx) {
   Table table({"benchmark", "2 cores", "4 cores", "8 cores", "16 cores"});
   const TechniqueSpec none = base_technique();
-  const std::uint32_t core_counts[] = {2u, 4u, 8u, 16u};
-  for (const auto& profile : benchmark_suite()) {
-    for (std::uint32_t cores : core_counts) {
-      ctx.submit(profile, make_sim_config(cores, none));
-    }
-  }
-  const std::vector<RunResult> results = ctx.pool().wait_all();
-  std::size_t idx = 0;
   double avg[4] = {0, 0, 0, 0};
   for (const auto& profile : benchmark_suite()) {
     const auto row = table.add_row();
     table.set(row, 0, profile.name);
     int col = 1;
-    for ([[maybe_unused]] std::uint32_t cores : core_counts) {
-      const RunResult& r = results[idx++];
+    for (std::uint32_t cores : {2u, 4u, 8u, 16u}) {
+      const RunResult& r = ctx.run(profile, make_sim_config(cores, none));
       const double pct = 100.0 * r.spin_energy / r.energy;
       table.set(row, col, pct, 1);
       avg[col - 1] += pct;

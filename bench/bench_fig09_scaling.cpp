@@ -13,12 +13,12 @@ void bench::bench_fig09_scaling(BenchContext& ctx) {
   for (std::uint32_t cores : {2u, 4u, 8u, 16u}) {
     // The non-PTB columns do not depend on the policy: run them once.
     const auto naive_avg =
-        run_suite_averages(cores, naive_techniques(), ctx.cache(), ctx.pool());
+        run_suite_averages(cores, naive_techniques(), ctx.run_fn());
     for (PtbPolicy policy : {PtbPolicy::kToOne, PtbPolicy::kToAll}) {
       const std::vector<TechniqueSpec> ptb_only{
           standard_techniques(policy).back()};
       const auto ptb_avg =
-          run_suite_averages(cores, ptb_only, ctx.cache(), ctx.pool());
+          run_suite_averages(cores, ptb_only, ctx.run_fn());
       const std::string label =
           std::to_string(cores) + "Core_" +
           (policy == PtbPolicy::kToOne ? "ToOne" : "ToAll");

@@ -5,8 +5,8 @@
 using namespace ptb;
 
 void bench::bench_fig10_toall(BenchContext& ctx) {
-  FigureGrid grid = run_suite_grid(16, standard_techniques(PtbPolicy::kToAll),
-                                   ctx.cache(), ctx.pool());
+  FigureGrid grid = run_suite_grid(
+      16, standard_techniques(PtbPolicy::kToAll), ctx.run_fn());
   grid.append_average();
   ctx.show_energy_aopb(grid, "Figure 10 (16 cores, ToAll)");
 }

@@ -7,8 +7,8 @@
 using namespace ptb;
 
 void bench::bench_fig11_toone(BenchContext& ctx) {
-  FigureGrid grid = run_suite_grid(16, standard_techniques(PtbPolicy::kToOne),
-                                   ctx.cache(), ctx.pool());
+  FigureGrid grid = run_suite_grid(
+      16, standard_techniques(PtbPolicy::kToOne), ctx.run_fn());
   grid.append_average();
   ctx.show_energy_aopb(grid, "Figure 11 (16 cores, ToOne)");
 }

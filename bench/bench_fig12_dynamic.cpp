@@ -6,9 +6,8 @@
 using namespace ptb;
 
 void bench::bench_fig12_dynamic(BenchContext& ctx) {
-  FigureGrid grid =
-      run_suite_grid(16, standard_techniques(PtbPolicy::kDynamic), ctx.cache(),
-                     ctx.pool());
+  FigureGrid grid = run_suite_grid(
+      16, standard_techniques(PtbPolicy::kDynamic), ctx.run_fn());
   grid.append_average();
   ctx.show_energy_aopb(grid, "Figure 12 (16 cores, dynamic policy)");
 }

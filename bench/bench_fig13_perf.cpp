@@ -7,9 +7,8 @@
 using namespace ptb;
 
 void bench::bench_fig13_perf(BenchContext& ctx) {
-  FigureGrid grid =
-      run_suite_grid(16, standard_techniques(PtbPolicy::kDynamic), ctx.cache(),
-                     ctx.pool());
+  FigureGrid grid = run_suite_grid(
+      16, standard_techniques(PtbPolicy::kDynamic), ctx.run_fn());
   grid.append_average();
   ctx.show_slowdown(grid, "Figure 13 (16 cores, dynamic policy)");
 }

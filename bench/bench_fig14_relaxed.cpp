@@ -17,7 +17,7 @@ void bench::bench_fig14_relaxed(BenchContext& ctx) {
   for (std::uint32_t cores : {2u, 4u, 8u, 16u}) {
     // Non-PTB columns are policy-independent: run once per core count.
     const auto naive_avg =
-        run_suite_averages(cores, naive_techniques(), ctx.cache(), ctx.pool());
+        run_suite_averages(cores, naive_techniques(), ctx.run_fn());
     for (PtbPolicy policy : {PtbPolicy::kToOne, PtbPolicy::kToAll}) {
       const std::vector<TechniqueSpec> ptb_cols{
           {"PTB+2Level", TechniqueKind::kTwoLevel, true, policy, 0.0},
@@ -25,7 +25,7 @@ void bench::bench_fig14_relaxed(BenchContext& ctx) {
            0.20},
       };
       const auto ptb_avg =
-          run_suite_averages(cores, ptb_cols, ctx.cache(), ctx.pool());
+          run_suite_averages(cores, ptb_cols, ctx.run_fn());
       const std::string label =
           std::to_string(cores) + "Core_" +
           (policy == PtbPolicy::kToOne ? "ToOne" : "ToAll");

@@ -12,9 +12,8 @@
 using namespace ptb;
 
 void bench::bench_ivd_tdp(BenchContext& ctx) {
-  const auto avg =
-      run_suite_averages(16, standard_techniques(PtbPolicy::kDynamic),
-                         ctx.cache(), ctx.pool());
+  const auto avg = run_suite_averages(
+      16, standard_techniques(PtbPolicy::kDynamic), ctx.run_fn());
 
   // The paper's arithmetic: 16-core, 100 W TDP -> 6.25 W/core; a 50%
   // budget targets 3.125 W/core; a technique with AoPB error e consumes

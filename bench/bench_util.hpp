@@ -1,18 +1,27 @@
 // Shared pieces of ptb-figures (ptb_figures.cpp): the flag table (--jobs,
-// --out, ...), the row declarations, and the per-figure context that each
-// bench_<name>.cpp row function writes its tables into.
+// --out, ...), the row declarations, the per-figure context that each
+// bench_<name>.cpp row function writes its tables into, and the driver
+// loop (render_rows) that turns rows into bytes.
 //
-// Threading & determinism: the driver owns one RunPool sized by --jobs and
-// one run memo (BaseRunCache). Rows submit runs through the memo
-// (BenchContext::submit, or the sim/experiment.hpp grid helpers) and read
-// the results back in submission order, so every text and JSON byte is
-// identical at any --jobs value and for any selection of rows. See
-// DESIGN.md "Threading model & determinism contract".
+// Threading & determinism: rows read, the driver schedules. A row reads
+// every run through BenchContext::run, which answers from the one run memo
+// (BaseRunCache) and records a key the memo lacks as a miss. render_rows
+// renders the rows, runs the union of their misses as one batch on the one
+// RunPool sized by --jobs, and renders the rows that missed again, until
+// every row renders with no miss. Only those renders become text and JSON,
+// so every byte is identical at any --jobs value, under any schedule and
+// for any selection of rows. See DESIGN.md "Threading model & determinism
+// contract".
 #pragma once
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <functional>
+#include <set>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -176,13 +185,20 @@ void bench_ext_cluster(BenchContext&);
 void bench_abl_tokens(BenchContext&);
 void bench_abl_substrate(BenchContext&);
 
-/// Everything one figure needs: the driver's pool and run memo, the JSON
-/// report, and the text buffer the figure's tables are rendered into.
+/// Everything one figure needs: read access to the driver's run memo, the
+/// JSON report, and the text buffer the figure's tables are rendered into.
 class BenchContext {
  public:
+  /// A run the memo did not hold when the row asked for it. `profile`
+  /// must outlive the driver loop (suite profiles are static).
+  struct Miss {
+    const WorkloadProfile* profile;
+    SimConfig cfg;
+  };
+
   /// Starts the text with the standard figure header.
-  BenchContext(const FigureRow& row, RunPool& pool, BaseRunCache& cache)
-      : pool_(pool), cache_(cache), report_(row.name) {
+  BenchContext(const FigureRow& row, const BaseRunCache& memo)
+      : memo_(&memo), report_(row.name) {
     say("==========================================================\n"
         "%s — %s\n"
         "(normalized to the no-power-control base case; budget = 50%% of "
@@ -191,14 +207,24 @@ class BenchContext {
         row.figure, row.what);
   }
 
-  RunPool& pool() { return pool_; }
-  BaseRunCache& cache() { return cache_; }
   BenchReport& report() { return report_; }
   const std::string& text() const { return text_; }
+  const std::vector<Miss>& misses() const { return misses_; }
 
-  /// Enqueues one run through the memo; returns its batch index.
-  std::size_t submit(const WorkloadProfile& profile, const SimConfig& cfg) {
-    return submit_cached(pool_, cache_, profile, cfg);
+  /// The memoized result of (profile, cfg). A key the memo does not hold
+  /// yet is recorded as a miss and answered with a stand-in whose fields a
+  /// row divides by are non-zero, so the row renders through; render_rows
+  /// discards that render and renders the row again once the miss ran.
+  const RunResult& run(const WorkloadProfile& profile, const SimConfig& cfg) {
+    if (const RunResult* r = memo_->find(profile, cfg)) return *r;
+    misses_.push_back({&profile, cfg});
+    return stand_in();
+  }
+
+  /// run() as the run function of the sim/experiment.hpp grid helpers.
+  RunFn run_fn() {
+    return [this](const WorkloadProfile& p,
+                  const SimConfig& c) -> const RunResult& { return run(p, c); };
   }
 
   /// printf into the figure's text (at most 1023 bytes per call).
@@ -233,10 +259,86 @@ class BenchContext {
   }
 
  private:
-  RunPool& pool_;
-  BaseRunCache& cache_;
+  static const RunResult& stand_in() {
+    static const RunResult kStandIn = [] {
+      RunResult r;
+      r.num_cores = 1;
+      r.cycles = 1;
+      r.energy = 1.0;
+      r.aopb = 1.0;
+      r.total_committed = 1;
+      r.dram_accesses = 1;
+      r.cores.resize(1);
+      for (Cycle& c : r.cores[0].state_cycles) c = 1;
+      return r;
+    }();
+    return kStandIn;
+  }
+
+  const BaseRunCache* memo_;
   BenchReport report_;
   std::string text_;
+  std::vector<Miss> misses_;
 };
+
+/// One row's final bytes.
+struct RenderedRow {
+  std::string text;
+  std::string json;
+};
+
+/// The driver loop: renders `rows` against `memo` until each renders with
+/// no miss, and returns their final bytes in the order of `rows`.
+///   1. Render every pending row into a fresh context.
+///   2. A render with no miss is final: its text and JSON are kept.
+///   3. The union of the misses, each key once, runs as one batch on
+///      `pool` into the memo, largest core count first; one wait_all.
+///   4. The rows that missed are pending again.
+/// A row whose later keys depend on earlier results takes one more pass.
+/// Bytes come only from renders that read the memo alone, so they cannot
+/// depend on the worker count, the schedule or the row selection.
+inline std::vector<RenderedRow> render_rows(std::span<const FigureRow> rows,
+                                            RunPool& pool,
+                                            BaseRunCache& memo) {
+  std::vector<RenderedRow> out(rows.size());
+  std::vector<std::size_t> pending(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) pending[i] = i;
+  while (!pending.empty()) {
+    std::vector<std::size_t> missed;
+    std::vector<BenchContext::Miss> batch;
+    std::set<std::pair<std::uint64_t, std::string>> keys;
+    for (const std::size_t i : pending) {
+      BenchContext ctx(rows[i], memo);
+      rows[i].run(ctx);
+      if (ctx.misses().empty()) {
+        out[i] = {ctx.text(), ctx.report().to_json()};
+        continue;
+      }
+      missed.push_back(i);
+      for (const BenchContext::Miss& m : ctx.misses()) {
+        if (keys.emplace(config_fingerprint(m.cfg), m.profile->name).second)
+          batch.push_back(m);
+      }
+    }
+    std::ranges::stable_sort(batch, std::greater<>{},
+                             [](const BenchContext::Miss& m) {
+                               return m.cfg.num_cores;
+                             });
+    const std::size_t computed = memo.computed();
+    for (const BenchContext::Miss& m : batch) {
+      pool.submit([&memo, m] {
+        memo.get(*m.profile, m.cfg);
+        return RunResult{};
+      });
+    }
+    pool.wait_all();
+    // Every miss was a key the memo lacked, and now holds: the next
+    // render of each missed row reads at least one more result.
+    PTB_ASSERT(memo.computed() == computed + batch.size(),
+               "a render missed a key the memo already held");
+    pending = std::move(missed);
+  }
+  return out;
+}
 
 }  // namespace ptb::bench

@@ -1,11 +1,13 @@
 // ptb-figures: every paper artifact — Table 2, Figures 2-14, Section IV.D,
-// the extensions and the ablations — as one row of one table, run in one
-// process on one RunPool against one run memo, so a simulation that
-// several figures share runs once.
+// the extensions and the ablations — as one row of one table, rendered in
+// one process against one run memo, so a simulation that several figures
+// share runs once. The rows only read runs; render_rows (bench_util.hpp)
+// runs every missing run of every selected row as one batch on one
+// RunPool, largest core count first.
 //
 //   ptb-figures [OPTIONS] [NAME... | all]
 //
-// Selected rows run in table order. Each row's text goes to stdout, or
+// Selected rows print in table order. Each row's text goes to stdout, or
 // with --out DIR (an existing directory) to DIR/<name>.txt beside
 // DIR/<name>.json; the name is the JSON "bench" field and the results/
 // file stem. The reference-run flags (--trace, --stats, --checkpoint-at,
@@ -216,18 +218,21 @@ int run(int argc, char** argv) {
     return 2;
   }
 
+  std::vector<FigureRow> selected;
+  for (const FigureRow& row : kFigures) {
+    if (all || std::ranges::find(names, row.name) != names.end())
+      selected.push_back(row);
+  }
   RunPool pool(opts.jobs);
   BaseRunCache memo;
   int rc = 0;
-  for (const FigureRow& row : kFigures) {
-    if (!all && std::ranges::find(names, row.name) == names.end()) continue;
-    BenchContext ctx(row, pool, memo);
-    row.run(ctx);
-    const std::string stem = opts.out_dir + "/" + row.name;
+  const std::vector<RenderedRow> rendered = render_rows(selected, pool, memo);
+  for (std::size_t i = 0; i < selected.size(); ++i) {
+    const std::string stem = opts.out_dir + "/" + selected[i].name;
     if (opts.out_dir.empty()) {
-      std::fputs(ctx.text().c_str(), stdout);
-    } else if (!write_file(stem + ".txt", ctx.text()) ||
-               !write_file(stem + ".json", ctx.report().to_json())) {
+      std::fputs(rendered[i].text.c_str(), stdout);
+    } else if (!write_file(stem + ".txt", rendered[i].text) ||
+               !write_file(stem + ".json", rendered[i].json)) {
       std::fprintf(stderr, "error: cannot write %s.{txt,json}\n",
                    stem.c_str());
       rc = 1;

@@ -29,6 +29,8 @@ constexpr std::size_t kMaxBodyBytes = 1 * 1024 * 1024;
 constexpr std::size_t kMaxHeaders = 100;
 constexpr std::size_t kMaxQueuedConnections = 1024;
 constexpr int kAcceptPollMs = 100;
+// Bounds each send/recv, and a request's head and body together: a peer
+// that trickles bytes cannot hold a worker past it.
 constexpr int kIoTimeoutSec = 10;
 
 std::string lower(std::string_view s) {
@@ -81,36 +83,35 @@ bool send_all(int fd, std::string_view data) {
   return true;
 }
 
-/// Reads until `buf` contains the blank line ending the head, or until the
-/// limit/EOF. Returns the offset just past "\r\n\r\n", or npos on failure.
-std::size_t read_head(int fd, std::string& buf) {
+/// Appends the next bytes from `fd` to `buf`. False on EOF, on error, or
+/// once now_ms() passes `deadline_ms`.
+bool recv_more(int fd, std::string& buf, double deadline_ms) {
   char chunk[4096];
   while (true) {
-    const std::size_t mark = buf.find("\r\n\r\n");
-    if (mark != std::string::npos) return mark + 4;
-    if (buf.size() > kMaxHeadBytes) return std::string::npos;
+    const double left_ms = deadline_ms - now_ms();
+    if (left_ms <= 0) return false;
+    pollfd pfd{fd, POLLIN, 0};
+    const int ready = ::poll(&pfd, 1, static_cast<int>(left_ms) + 1);
+    if (ready < 0 && errno != EINTR) return false;
+    if (ready <= 0) continue;
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return std::string::npos;
-    }
-    if (n == 0) return std::string::npos;  // EOF before end of head
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
     buf.append(chunk, static_cast<std::size_t>(n));
+    return true;
   }
 }
 
-bool read_exact_remaining(int fd, std::string& buf, std::size_t want) {
-  char chunk[4096];
-  while (buf.size() < want) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) return false;
-    buf.append(chunk, static_cast<std::size_t>(n));
+/// Reads until `buf` contains the blank line ending the head, or until the
+/// limit/EOF/deadline. Returns the offset just past "\r\n\r\n", or npos on
+/// failure.
+std::size_t read_head(int fd, std::string& buf, double deadline_ms) {
+  while (true) {
+    const std::size_t mark = buf.find("\r\n\r\n");
+    if (mark != std::string::npos) return mark + 4;
+    if (buf.size() > kMaxHeadBytes || !recv_more(fd, buf, deadline_ms))
+      return std::string::npos;
   }
-  return true;
 }
 
 }  // namespace
@@ -222,6 +223,22 @@ bool parse_http_head(std::string_view head, HttpRequest& out,
     }
     req.headers.emplace_back(lower(trim(line.substr(0, colon))),
                              std::string(trim(line.substr(colon + 1))));
+  }
+  // Body framing: Content-Length only, 1*DIGIT, every copy the same.
+  const std::string* length = nullptr;
+  for (const auto& [name, value] : req.headers) {
+    if (name == "transfer-encoding") {
+      err = "transfer-encoding not supported";
+      return false;
+    }
+    if (name != "content-length") continue;
+    if (value.empty() ||
+        value.find_first_not_of("0123456789") != std::string::npos ||
+        (length != nullptr && *length != value)) {
+      err = "bad content-length";
+      return false;
+    }
+    length = &value;
   }
   out = std::move(req);
   return true;
@@ -408,12 +425,13 @@ void HttpServer::worker_loop() {
 
 void HttpServer::handle_connection(int fd) {
   const double t0 = now_ms();
+  const double deadline_ms = t0 + kIoTimeoutSec * 1000.0;
   std::string buf;
   HttpResponse resp;
   HttpRequest req;
   bool have_request = false;
 
-  const std::size_t body_off = read_head(fd, buf);
+  const std::size_t body_off = read_head(fd, buf, deadline_ms);
   if (body_off == std::string::npos) {
     resp.status = buf.size() > kMaxHeadBytes ? 413 : 400;
     resp.body = "{\"error\":\"malformed or oversized request head\"}";
@@ -439,7 +457,10 @@ void HttpServer::handle_connection(int fd) {
         }
         content_length = static_cast<std::size_t>(v);
       }
-      if (!read_exact_remaining(fd, buf, body_off + content_length)) {
+      bool complete = true;
+      while (complete && buf.size() < body_off + content_length)
+        complete = recv_more(fd, buf, deadline_ms);
+      if (!complete) {
         resp.status = 400;
         resp.body = "{\"error\":\"truncated request body\"}";
       } else {

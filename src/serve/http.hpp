@@ -66,7 +66,9 @@ const char* http_status_reason(int status);
 
 /// Parses a request head (request line + header lines, no body) as read off
 /// the wire up to the blank line. Exposed for the unit tests; the server
-/// and client both use it. Returns false on malformed input.
+/// uses it. Returns false on malformed input, including body framing the
+/// server does not accept: a Transfer-Encoding header, a Content-Length
+/// that is not 1*DIGIT, or two Content-Length headers that differ.
 bool parse_http_head(std::string_view head, HttpRequest& out,
                      std::string& err);
 

@@ -845,6 +845,11 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
   }
   if (thrifty_) res.barrier_sleep_cycles = thrifty_->sleep_cycles;
   if (meeting_) res.meeting_point_episodes = meeting_->episodes;
+  const DirectoryController& dir = mem_->directory();
+  res.owner_forwards = dir.owner_forwards;
+  res.writebacks = dir.writebacks;
+  res.dram_accesses = dir.dram().accesses;
+  res.dram_row_hits = dir.dram().row_hits;
   if (tracer) {
     std::uint32_t wire_latency = 0;
     if (balancer_) wire_latency = balancer_->wire_latency();

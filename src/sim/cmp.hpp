@@ -90,6 +90,12 @@ struct RunResult {
   std::uint64_t barrier_sleep_cycles = 0;  // thrifty-barrier baseline
   std::uint64_t meeting_point_episodes = 0;  // meeting-points baseline
 
+  // Memory-system counters (the substrate ablations read them).
+  std::uint64_t owner_forwards = 0;  // directory: requests served by owner
+  std::uint64_t writebacks = 0;      // directory: dirty lines written back
+  std::uint64_t dram_accesses = 0;   // banked DRAM model only
+  std::uint64_t dram_row_hits = 0;   // banked DRAM model only
+
   // Recorded event trace (null unless RunOptions::trace_categories != 0).
   // shared_ptr keeps RunResult cheap to move/copy through the RunPool.
   std::shared_ptr<const EventTrace> trace;

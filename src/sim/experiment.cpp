@@ -117,43 +117,33 @@ const RunResult& BaseRunCache::get(const WorkloadProfile& profile,
   }
   std::call_once(entry->once, [&] {
     entry->result = run_one(profile, cfg);
+    entry->done.store(true);
     computed_.fetch_add(1);
   });
   return entry->result;
 }
 
-std::size_t submit_cached(RunPool& pool, BaseRunCache& cache,
-                          const WorkloadProfile& profile,
-                          const SimConfig& cfg) {
-  return pool.submit(
-      [&cache, &profile, cfg] { return cache.get(profile, cfg); });
+const RunResult* BaseRunCache::find(const WorkloadProfile& profile,
+                                    const SimConfig& cfg) const {
+  MutexLock lock(mu_);
+  const auto it = cache_.find(Key{config_fingerprint(cfg), profile.name});
+  if (it == cache_.end() || !it->second.done.load())
+    return nullptr;
+  return &it->second.result;
 }
 
 FigureGrid run_suite_grid(std::uint32_t cores,
                           const std::vector<TechniqueSpec>& techs,
-                          BaseRunCache& cache, RunPool& pool) {
-  const auto& suite = benchmark_suite();
-  // Base runs first, then every (benchmark x technique) cell.
-  const SimConfig base_cfg = make_sim_config(cores, base_technique());
-  for (const auto& profile : suite) {
-    submit_cached(pool, cache, profile, base_cfg);
-  }
-  for (const auto& profile : suite) {
-    for (const auto& t : techs) {
-      submit_cached(pool, cache, profile, make_sim_config(cores, t));
-    }
-  }
-  const std::vector<RunResult> results = pool.wait_all();
-
+                          const RunFn& run) {
   FigureGrid grid;
   for (const auto& t : techs) grid.technique_labels.push_back(t.label);
-  std::size_t idx = suite.size();  // cells follow the base runs
-  for (const auto& profile : suite) {
-    const RunResult& base = cache.get(profile, cores);
+  const SimConfig base_cfg = make_sim_config(cores, base_technique());
+  for (const auto& profile : benchmark_suite()) {
+    const RunResult& base = run(profile, base_cfg);
     std::vector<Normalized> row;
     row.reserve(techs.size());
-    for (std::size_t c = 0; c < techs.size(); ++c) {
-      row.push_back(normalize(base, results[idx++]));
+    for (const auto& t : techs) {
+      row.push_back(normalize(base, run(profile, make_sim_config(cores, t))));
     }
     grid.row_labels.push_back(profile.name);
     grid.grid.push_back(std::move(row));
@@ -163,8 +153,8 @@ FigureGrid run_suite_grid(std::uint32_t cores,
 
 std::vector<Normalized> run_suite_averages(
     std::uint32_t cores, const std::vector<TechniqueSpec>& techs,
-    BaseRunCache& cache, RunPool& pool) {
-  FigureGrid g = run_suite_grid(cores, techs, cache, pool);
+    const RunFn& run) {
+  FigureGrid g = run_suite_grid(cores, techs, run);
   g.append_average();
   return g.grid.back();
 }
@@ -172,19 +162,16 @@ std::vector<Normalized> run_suite_averages(
 ReplicatedResult run_replicated(const WorkloadProfile& profile,
                                 std::uint32_t cores,
                                 const TechniqueSpec& tech,
-                                std::uint32_t num_seeds, BaseRunCache& cache,
-                                RunPool& pool, std::uint64_t first_seed) {
+                                std::uint32_t num_seeds, const RunFn& run,
+                                std::uint64_t first_seed) {
   PTB_ASSERT(num_seeds >= 1, "need at least one seed");
   const TechniqueSpec none = base_technique();
-  for (std::uint32_t s = 0; s < num_seeds; ++s) {
-    const std::uint64_t seed = first_seed + s;
-    submit_cached(pool, cache, profile, make_sim_config(cores, none, seed));
-    submit_cached(pool, cache, profile, make_sim_config(cores, tech, seed));
-  }
-  const std::vector<RunResult> results = pool.wait_all();
   ReplicatedResult out;
   for (std::uint32_t s = 0; s < num_seeds; ++s) {
-    const Normalized n = normalize(results[2 * s], results[2 * s + 1]);
+    const std::uint64_t seed = first_seed + s;
+    const RunResult& base = run(profile, make_sim_config(cores, none, seed));
+    const Normalized n =
+        normalize(base, run(profile, make_sim_config(cores, tech, seed)));
     out.energy_pct.add(n.energy_pct);
     out.aopb_pct.add(n.aopb_pct);
     out.slowdown_pct.add(n.slowdown_pct);

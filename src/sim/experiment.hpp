@@ -1,13 +1,13 @@
 // Experiment harness: builds configurations for the paper's technique
-// matrix, runs benchmarks (serially or fanned out across a RunPool), and
-// normalizes results against the no-control base case exactly as the
-// paper's figures do.
+// matrix, runs and memoizes benchmarks, and normalizes results against the
+// no-control base case exactly as the paper's figures do.
 //
 // Threading & determinism: every entry point in this header is
 // deterministic for a given (profile, config, seed) triple — the simulator
-// itself is a single-threaded cycle loop, and the grid runners gather
-// results in submission order, so the worker count never changes any
-// number. Unless a function takes a RunPool it runs on the calling thread.
+// itself is a single-threaded cycle loop, and the grid helpers only read
+// results through the run function they are given, so where and when a
+// run was simulated never changes any number. Everything here runs on the
+// calling thread; only BaseRunCache::get may be called from pool workers.
 #pragma once
 
 #include <atomic>
@@ -107,15 +107,20 @@ struct FigureGrid {
 /// always simulates. Observe-only knobs (audit_level, trace, RunOptions)
 /// are outside the key, so observed runs bypass the memo.
 ///
-/// Thread-safety contract: get() may be called concurrently from any
-/// number of pool workers. Each key is simulated exactly once — concurrent
-/// requests for a missing key block until the single computation finishes
-/// (per-entry std::call_once under a map guarded by a mutex; std::map's
-/// reference stability keeps returned references valid for the memo's
-/// lifetime).
+/// Thread-safety contract: get() and find() may be called concurrently
+/// from any number of pool workers. Each key is simulated exactly once —
+/// concurrent requests for a missing key block until the single
+/// computation finishes (per-entry std::call_once under a map guarded by a
+/// mutex; std::map's reference stability keeps returned references valid
+/// for the memo's lifetime).
 class BaseRunCache {
  public:
   const RunResult& get(const WorkloadProfile& profile, const SimConfig& cfg);
+
+  /// The finished result for (profile, cfg), or null when get() has not
+  /// computed it yet. Never simulates.
+  const RunResult* find(const WorkloadProfile& profile,
+                        const SimConfig& cfg) const;
 
   /// The no-control base run at (cores, seed).
   const RunResult& get(const WorkloadProfile& profile, std::uint32_t cores,
@@ -131,24 +136,20 @@ class BaseRunCache {
   struct Entry {
     std::once_flag once;
     RunResult result;
+    std::atomic<bool> done{false};  // set once `result` is written
   };
   using Key = std::pair<std::uint64_t, std::string>;
 
   // mu_ guards cache_ lookup/insert only, never the runs: get() drops the
   // lock before the per-entry call_once (std::map node stability keeps the
   // Entry pointer valid). Entry::result is *not* GUARDED_BY(mu_) — its
-  // happens-before edge is the once_flag, which -Wthread-safety cannot
-  // model; TSan covers that edge (tests/sim/run_pool_test.cpp hammers it).
-  Mutex mu_;
+  // happens-before edge is the once_flag (for get) or the done flag (for
+  // find), which -Wthread-safety cannot model; TSan covers those edges
+  // (tests/sim/run_pool_test.cpp exercises both).
+  mutable Mutex mu_;
   std::map<Key, Entry> cache_ PTB_GUARDED_BY(mu_);
   std::atomic<std::size_t> computed_{0};
 };
-
-/// Enqueues cache.get(profile, cfg) on `pool`; returns its batch index.
-/// `profile` must outlive the batch (suite profiles are static).
-std::size_t submit_cached(RunPool& pool, BaseRunCache& cache,
-                          const WorkloadProfile& profile,
-                          const SimConfig& cfg);
 
 /// The canonical on-disk/over-the-wire artifact of one simulation run:
 /// the RunResult scalar summary plus (when the run carried a stats
@@ -330,29 +331,31 @@ std::string cached_run_payload(const DiskRunCache& cache,
                                const SimConfig& cfg, bool& hit,
                                const RunObserver* observer = nullptr);
 
+/// Where the grid helpers get one run's result: (profile, config) ->
+/// result. The returned reference must stay valid while the helper runs
+/// (BaseRunCache::get and BenchContext::run in bench/ both qualify).
+using RunFn = std::function<const RunResult&(const WorkloadProfile&,
+                                             const SimConfig&)>;
+
 /// Runs every suite benchmark under each technique at `cores`, normalized
-/// against the base runs. Every run (base runs and cells) goes through
-/// `cache` via submit_cached and executes concurrently on `pool`;
-/// rows/columns follow suite/`techs` order regardless of completion order,
-/// so the output is identical at any worker count.
-/// The pool's current batch must be empty (wait_all drained) on entry.
-/// Returns the grid without the average row.
+/// against the base runs, reading each run through `run`. Rows/columns
+/// follow suite/`techs` order, so the grid depends only on the results
+/// `run` returns. Returns the grid without the average row.
 FigureGrid run_suite_grid(std::uint32_t cores,
                           const std::vector<TechniqueSpec>& techs,
-                          BaseRunCache& cache, RunPool& pool);
+                          const RunFn& run);
 
 /// Average of each technique column over the whole suite at `cores` (no
-/// per-benchmark rows — for the scaling figures). Same threading and
-/// determinism contract as run_suite_grid.
+/// per-benchmark rows — for the scaling figures). Same contract as
+/// run_suite_grid.
 std::vector<Normalized> run_suite_averages(
     std::uint32_t cores, const std::vector<TechniqueSpec>& techs,
-    BaseRunCache& cache, RunPool& pool);
+    const RunFn& run);
 
 /// Multi-seed replication: runs (benchmark, technique) under several seeds,
 /// each normalized against its own-seed base run, and aggregates the
-/// normalized metrics. Used to put error bars on the headline results.
-/// All 2*num_seeds runs go through `cache` on `pool` up front; aggregation
-/// is in seed order, so the result is worker-count independent.
+/// normalized metrics in seed order. Used to put error bars on the
+/// headline results.
 struct ReplicatedResult {
   RunningStat energy_pct;
   RunningStat aopb_pct;
@@ -362,7 +365,7 @@ struct ReplicatedResult {
 ReplicatedResult run_replicated(const WorkloadProfile& profile,
                                 std::uint32_t cores,
                                 const TechniqueSpec& tech,
-                                std::uint32_t num_seeds, BaseRunCache& cache,
-                                RunPool& pool, std::uint64_t first_seed = 1);
+                                std::uint32_t num_seeds, const RunFn& run,
+                                std::uint64_t first_seed = 1);
 
 }  // namespace ptb

@@ -78,6 +78,26 @@ TEST(HttpHead, RejectsMalformedInput) {
       parse_http_head("GET /x HTTP/1.1\r\nno-colon-here\r\n\r\n", req, err));
 }
 
+TEST(HttpHead, RejectsAmbiguousBodyFraming) {
+  const auto parses = [](const std::string& headers) {
+    HttpRequest req;
+    std::string err;
+    return parse_http_head("POST /v1/run HTTP/1.1\r\n" + headers + "\r\n",
+                           req, err);
+  };
+  EXPECT_TRUE(parses("Content-Length: 12\r\n"));
+  EXPECT_TRUE(parses("Content-Length: 0\r\n"));
+  EXPECT_TRUE(parses("Content-Length: 12\r\nContent-Length: 12\r\n"));
+  // Content-Length is 1*DIGIT: no sign, no blank, no list.
+  for (const char* bad : {"+12", "-0", "-1", "", "1 2", "0x10", "12,12"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(parses(std::string("Content-Length: ") + bad + "\r\n"));
+  }
+  EXPECT_FALSE(parses("Content-Length: 12\r\nContent-Length: 0\r\n"));
+  EXPECT_FALSE(parses("Transfer-Encoding: chunked\r\n"));
+  EXPECT_FALSE(parses("Content-Length: 5\r\nTransfer-Encoding: identity\r\n"));
+}
+
 TEST(HttpResponseRender, CarriesStatusLengthAndClose) {
   HttpResponse r;
   r.status = 404;

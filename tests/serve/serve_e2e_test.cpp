@@ -18,6 +18,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -668,6 +669,80 @@ TEST(ServeE2E, OversizedContentLengthRejectedWith413) {
 
   // A request at the cap's edge with a *lying* (absent) body also cannot
   // wedge the worker: a fresh, well-formed request still gets served.
+  EXPECT_EQ(must_request(server.port(), "GET", "/healthz").status, 200);
+  server.stop();
+}
+
+TEST(ServeE2E, RequestFramingIsStrict) {
+  // Each request carries a 12-byte body: a lenient server would frame it
+  // somehow and answer the (valid) GET /healthz.
+  Server server(test_opts(fresh_cache_dir("framing")), "127.0.0.1", 0, 1);
+  std::string err;
+  ASSERT_TRUE(server.start(err)) << err;
+  const char* framings[] = {
+      "Content-Length: +12\r\n",
+      "Content-Length: -0\r\n",
+      "Content-Length: -1\r\n",
+      "Content-Length: 12\r\nContent-Length: 0\r\n",
+      "Transfer-Encoding: chunked\r\n",
+      "Content-Length: 12\r\nTransfer-Encoding: identity\r\n",
+  };
+  for (const char* framing : framings) {
+    SCOPED_TRACE(framing);
+    const std::string resp = raw_request(
+        server.port(), std::string("GET /healthz HTTP/1.1\r\n") + framing +
+                           "Connection: close\r\n\r\n0123456789ab");
+    EXPECT_EQ(resp.rfind("HTTP/1.1 400 ", 0), 0u) << resp;
+  }
+  // Identical duplicates frame the body unambiguously.
+  const std::string dup = raw_request(
+      server.port(),
+      "GET /healthz HTTP/1.1\r\nContent-Length: 12\r\n"
+      "Content-Length: 12\r\nConnection: close\r\n\r\n0123456789ab");
+  EXPECT_EQ(dup.rfind("HTTP/1.1 200 ", 0), 0u) << dup;
+  server.stop();
+}
+
+TEST(ServeE2E, TrickleClientIsCutAtTheRequestDeadline) {
+  // One head byte a second never trips a per-recv timeout, so only a
+  // deadline over the whole request (10 s) frees the worker: the server
+  // must answer 400 or close by then, plus slack.
+  Server server(test_opts(fresh_cache_dir("trickle")), "127.0.0.1", 0, 1);
+  std::string err;
+  ASSERT_TRUE(server.start(err)) << err;
+  const int fd = connect_loopback(server.port());
+  ASSERT_GE(fd, 0);
+  const std::string head =
+      "GET /healthz HTTP/1.1\r\nHost: 127.0.0.1\r\nX-Trickle: "
+      "0123456789012345678901234567890123456789\r\n\r\n";
+  const auto start = std::chrono::steady_clock::now();
+  const auto elapsed_s = [&start] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+  std::string resp;
+  bool cut = false;
+  for (std::size_t i = 0; i < head.size() && elapsed_s() < 14.0; ++i) {
+    (void)send_all(fd, head.substr(i, 1));
+    pollfd pfd{};
+    pfd.fd = fd;
+    pfd.events = POLLIN;
+    if (::poll(&pfd, 1, 1000) > 0) {
+      while (recv_some(fd, resp)) {
+      }
+      cut = true;
+      break;
+    }
+  }
+  const double cut_at = elapsed_s();
+  ::close(fd);
+  ASSERT_TRUE(cut) << "still reading a trickled head after " << cut_at
+                   << " s";
+  EXPECT_GE(cut_at, 9.0);
+  EXPECT_LT(cut_at, 14.0);
+  EXPECT_TRUE(resp.empty() || resp.rfind("HTTP/1.1 400 ", 0) == 0) << resp;
+  // The worker is free again.
   EXPECT_EQ(must_request(server.port(), "GET", "/healthz").status, 200);
   server.stop();
 }

@@ -6,12 +6,47 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "sim/reporting.hpp"
 #include "sim/run_pool.hpp"
 #include "workloads/suite.hpp"
 
 namespace ptb {
 namespace {
+
+// Two tiny benchmarks and two technique grids over them that share the base
+// and 2Level cells (grid A: base, DVFS, 2Level; grid B: base, 2Level,
+// PTB+2Level), as (profile, config) cells.
+std::vector<std::pair<const WorkloadProfile*, SimConfig>> shared_grid_cells(
+    std::size_t grid) {
+  static const std::vector<WorkloadProfile> profiles = [] {
+    std::vector<WorkloadProfile> v(2);
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      v[i].name = "memo" + std::to_string(i);
+      v[i].iterations = 1;
+      v[i].ops_per_iteration = 1500 + 500 * i;
+      v[i].barrier_per_iter = false;
+    }
+    return v;
+  }();
+  const std::vector<TechniqueSpec> all = standard_techniques(PtbPolicy::kToAll);
+  const std::vector<TechniqueSpec> grids[] = {
+      {base_technique(), all[0], all[2]},
+      {base_technique(), all[2], all[3]},
+  };
+  std::vector<std::pair<const WorkloadProfile*, SimConfig>> cells;
+  for (const auto& p : profiles) {
+    for (const auto& t : grids[grid]) {
+      cells.emplace_back(&p, make_sim_config(2, t));
+    }
+  }
+  return cells;
+}
+
+template <std::size_t kGrid>
+void read_shared_grid(bench::BenchContext& ctx) {
+  for (const auto& [p, cfg] : shared_grid_cells(kGrid)) ctx.run(*p, cfg);
+}
 
 TEST(Techniques, StandardMatrixShape) {
   const auto t = standard_techniques(PtbPolicy::kToAll);
@@ -77,43 +112,33 @@ TEST(BaseRunCache, CachesByBenchmarkAndCores) {
   EXPECT_NE(&a, &c);
 }
 
-// One memo across figures: two grids that share cells, submitted to one
-// pool, simulate each (config_fingerprint, benchmark) key once, and every
-// memoized result is the run_one result byte for byte. A fresh memo holds
-// nothing, so it simulates again.
+// One memo across figures: two rows whose grids share cells, rendered by
+// the figure driver on one pool, simulate each (config_fingerprint,
+// benchmark) key once, and every memoized result is the run_one result
+// byte for byte. A fresh memo holds nothing, so it simulates again.
 TEST(BaseRunCache, SharedGridsSimulateEachKeyOnce) {
-  std::vector<WorkloadProfile> profiles(2);
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    profiles[i].name = "memo" + std::to_string(i);
-    profiles[i].iterations = 1;
-    profiles[i].ops_per_iteration = 1500 + 500 * i;
-    profiles[i].barrier_per_iter = false;
-  }
-  const std::vector<TechniqueSpec> all = standard_techniques(PtbPolicy::kToAll);
-  // Grid A: base, DVFS, 2Level; grid B: base, 2Level, PTB+2Level.
-  const std::vector<TechniqueSpec> grids[] = {
-      {base_technique(), all[0], all[2]},
-      {base_technique(), all[2], all[3]},
+  const bench::FigureRow rows[] = {
+      {"grid_a", "A", "base, DVFS, 2Level", read_shared_grid<0>},
+      {"grid_b", "B", "base, 2Level, PTB+2Level", read_shared_grid<1>},
   };
-  std::vector<std::pair<const WorkloadProfile*, SimConfig>> cells;
-  for (const auto& techs : grids) {
-    for (const auto& p : profiles) {
-      for (const auto& t : techs) cells.emplace_back(&p, make_sim_config(2, t));
-    }
-  }
   RunPool pool(3);
   BaseRunCache memo;
-  for (const auto& [p, cfg] : cells) submit_cached(pool, memo, *p, cfg);
-  const std::vector<RunResult> results = pool.wait_all();
+  bench::render_rows(rows, pool, memo);
   EXPECT_EQ(memo.computed(), 8u);  // 4 distinct techniques x 2 benchmarks
+  std::vector<std::pair<const WorkloadProfile*, SimConfig>> cells =
+      shared_grid_cells(0);
+  for (const auto& cell : shared_grid_cells(1)) cells.push_back(cell);
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const auto& [p, cfg] = cells[i];
     SCOPED_TRACE(i);
-    EXPECT_EQ(RunArtifact::from_result(p->name, cfg, results[i]).to_payload(),
+    const RunResult* memoized = memo.find(*p, cfg);
+    ASSERT_NE(memoized, nullptr);
+    EXPECT_EQ(RunArtifact::from_result(p->name, cfg, *memoized).to_payload(),
               RunArtifact::from_result(p->name, cfg, run_one(*p, cfg))
                   .to_payload());
   }
   BaseRunCache fresh;
+  EXPECT_EQ(fresh.find(*cells[0].first, cells[0].second), nullptr);
   fresh.get(*cells[0].first, cells[0].second);
   EXPECT_EQ(fresh.computed(), 1u);
 }

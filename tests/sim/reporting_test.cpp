@@ -52,9 +52,11 @@ TEST(ReplicatedResult, AggregatesAcrossSeeds) {
   p.barrier_per_iter = false;
   TechniqueSpec t{"2l", TechniqueKind::kTwoLevel, false, PtbPolicy::kToAll,
                   0.0};
-  RunPool pool(2);
   BaseRunCache cache;
-  const ReplicatedResult r = run_replicated(p, 2, t, 2, cache, pool);
+  const ReplicatedResult r = run_replicated(
+      p, 2, t, 2,
+      [&cache](const WorkloadProfile& q, const SimConfig& c)
+          -> const RunResult& { return cache.get(q, c); });
   EXPECT_EQ(r.energy_pct.count(), 2u);
   EXPECT_EQ(r.aopb_pct.count(), 2u);
   EXPECT_EQ(r.slowdown_pct.count(), 2u);

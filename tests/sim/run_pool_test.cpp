@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "sim/experiment.hpp"
 #include "sim/reporting.hpp"
 #include "workloads/suite.hpp"
@@ -150,14 +151,17 @@ TEST(RunPool, OneWorkerAndManyWorkersBitIdentical) {
 // The suite-level wrappers and the JSON exporter must also be worker-count
 // invariant: identical grids, and byte-identical serialized JSON.
 TEST(RunPool, SuiteGridAndJsonWorkerCountInvariant) {
-  const std::vector<TechniqueSpec> techs = naive_techniques();
+  const bench::FigureRow rows[] = {
+      {"probe", "Probe", "4-core naive grid", [](bench::BenchContext& ctx) {
+         FigureGrid g = run_suite_grid(4, naive_techniques(), ctx.run_fn());
+         g.append_average();
+         ctx.show_energy_aopb(g, "determinism probe");
+       }}};
 
   auto grid_json_with = [&](unsigned jobs) {
     RunPool pool(jobs);
     BaseRunCache cache;
-    FigureGrid g = run_suite_grid(4, techs, cache, pool);
-    g.append_average();
-    return figure_grid_json(g, "determinism probe");
+    return bench::render_rows(rows, pool, cache)[0].json;
   };
 
   const std::string j1 = grid_json_with(1);
@@ -195,6 +199,28 @@ TEST(BaseRunCache, ConcurrentGetComputesOncePerKey) {
   // Re-reads stay cached.
   cache.get(profile, 4);
   EXPECT_EQ(cache.computed(), 3u);
+}
+
+// find() never simulates and never shows a result before get() has
+// written it: a reader polling find() while a worker computes the key sees
+// null, then the finished entry (TSan checks the publication edge).
+TEST(BaseRunCache, FindSeesOnlyFinishedResults) {
+  BaseRunCache cache;
+  const auto& profile = benchmark_by_name("blackscholes");
+  const SimConfig cfg = make_sim_config(4, base_technique());
+  EXPECT_EQ(cache.find(profile, cfg), nullptr);
+  const RunResult* got = nullptr;
+  std::thread worker([&] { got = &cache.get(profile, cfg); });
+  const RunResult* seen = nullptr;
+  while ((seen = cache.find(profile, cfg)) == nullptr) {
+    std::this_thread::yield();
+  }
+  const Cycle cycles = seen->cycles;
+  worker.join();
+  EXPECT_EQ(seen, got);
+  EXPECT_EQ(cycles, got->cycles);
+  EXPECT_GT(cycles, 0u);
+  EXPECT_EQ(cache.computed(), 1u);
 }
 
 }  // namespace

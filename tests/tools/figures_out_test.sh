@@ -1,32 +1,66 @@
 #!/usr/bin/env bash
-# ptb-figures --out, end to end: Table 2 (no simulation, well under a
-# second) written to a scratch directory must match the checked-in
-# results/ text and JSON byte for byte.
+# The figure behaviour contract, end to end: one `ptb-figures --jobs 4
+# --out DIR --stats DIR/s.json:4096 all` run must reproduce every
+# checked-in results/ figure file (text and JSON) byte for byte, its stats
+# dump must reproduce results/stats_fig10.json through `ptb-stats dump
+# --json --no-volatile`, and the fft reference trace must be the same
+# bytes at --jobs 1 and --jobs 4.
 #
-# Usage: figures_out_test.sh <ptb-figures> <results-dir>
-# Exit: 0 when both files match, 1 otherwise.
+# Usage: figures_out_test.sh <ptb-figures> <ptb-stats> <results-dir>
+# Exit: 0 when every file matches, 1 otherwise.
 set -u
 
-[[ $# -eq 2 ]] || {
-  echo "usage: figures_out_test.sh <ptb-figures> <results-dir>"
+[[ $# -eq 3 ]] || {
+  echo "usage: figures_out_test.sh <ptb-figures> <ptb-stats> <results-dir>"
   exit 1
 }
+figures="$1"
+stats="$2"
+results="$3"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-"$1" --out "$tmp" bench_table2_workloads > /dev/null || {
+fail=0
+check() {  # check NAME CMD...: runs CMD, reports NAME as ok or FAIL
+  local name="$1"
+  shift
+  if "$@"; then
+    echo "ok   [$name]"
+  else
+    echo "FAIL [$name]"
+    fail=1
+  fi
+}
+
+"$figures" --jobs 4 --out "$tmp" --stats "$tmp/s.json:4096" all \
+    > /dev/null || {
   echo "figures_out_test: ptb-figures exited $?"
   exit 1
 }
-fail=0
-for ext in txt json; do
-  if cmp "$tmp/bench_table2_workloads.$ext" \
-         "$2/bench_table2_workloads.$ext"; then
-    echo "ok   [bench_table2_workloads.$ext]"
-  else
-    fail=1
-  fi
+# Every figure file on each side has its twin on the other.
+for f in "$results"/*.txt "$results"/*.json; do
+  name="$(basename "$f")"
+  case "$name" in
+    bench_micro.txt | stats_fig10.json) continue ;;  # not figure rows
+  esac
+  check "$name" cmp "$tmp/$name" "$f"
 done
+for f in "$tmp"/*.txt "$tmp"/*.json; do
+  name="$(basename "$f")"
+  [[ "$name" == s.json ]] && continue
+  [[ -e "$results/$name" ]] || check "$name is checked in" false
+done
+
+"$stats" dump "$tmp/s.json" --json --no-volatile > "$tmp/stats_fig10.json"
+check stats_fig10.json cmp "$tmp/stats_fig10.json" "$results/stats_fig10.json"
+
+for jobs in 1 4; do
+  "$figures" --only fft --jobs "$jobs" --trace "$tmp/fig12-j$jobs.trace" \
+      > /dev/null || check "--trace at --jobs $jobs" false
+done
+check "fft trace at --jobs 1 and 4" cmp "$tmp/fig12-j1.trace" \
+    "$tmp/fig12-j4.trace"
+
 if [[ $fail -ne 0 ]]; then
   echo "figures_out_test: FAILED"
   exit 1
