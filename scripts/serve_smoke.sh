@@ -7,9 +7,12 @@
 #      simulator would abort on (l1d.assoc = 0, 64 cores) must be a 400
 #      naming the field, with /healthz still answering 200 afterwards;
 #   3. POST /v1/sweep?wait=1 twice: the second may contain no "miss";
-#   4. scrape /metrics and check the request/cache/queue/stage series, that
-#      the soak's repeat hits came from the in-process memory tier, and
-#      that the misses left no warm-checkpoint images or series behind;
+#   4. soak: 210 repeat ?wait=1 hits, over whose last 200 the daemon's
+#      VmRSS (/proc/PID/status) may grow by at most 1 MiB — an answered
+#      job keeps no artifact bytes; then scrape /metrics and check the
+#      request/cache/queue/stage series, that the soak's repeat hits came
+#      from the in-process memory tier, and that the misses left no
+#      warm-checkpoint images or series behind;
 #   5. POST /v1/run (async) for a fresh config and poll GET /v1/jobs/{id}
 #      until it is done: one unit, completed, a cache miss;
 #   6. GET /v1/trace must be valid Perfetto JSON naming the simulate stage
@@ -131,11 +134,28 @@ body_of "$tmp/s2" "$tmp/s2.body"
 check "second sweep is all hits" bash -c \
   '! grep -q "\"cache\":\"miss\"" "$1"' -- "$tmp/s2.body"
 
-# Short soak: hammer the cached answer, then make sure the counters moved.
-for _ in $(seq 1 10); do
+# Short soak: hammer the cached answer, then make sure the counters moved
+# and the daemon's resident memory did not. A unit holds its artifact only
+# until its ?wait=1 answer takes it, so 200 answered hits leave the
+# daemon's VmRSS where it was (+0.2 MiB measured: job metadata and
+# spans); a job table that kept each answered 13.7 KB artifact grew it by
+# 1.3-2.6 MiB. The first 10 hits warm the allocator before the baseline
+# is read.
+soak_hit() {
   http POST '/v1/run?wait=1' "$run_body" "$tmp/rs"
   grep -qi '^x-ptb-cache: hit' "$tmp/rs" || { echo "FAIL [soak hit]"; fail=1; }
-done
+}
+vm_rss_kb() {
+  sed -n 's/^VmRSS:[[:space:]]*\([0-9]*\) kB$/\1/p' "/proc/$serve_pid/status"
+}
+for _ in $(seq 1 10); do soak_hit; done
+rss_before=$(vm_rss_kb)
+for _ in $(seq 1 200); do soak_hit; done
+rss_after=$(vm_rss_kb)
+echo "daemon VmRSS ${rss_before} kB -> ${rss_after} kB over 200 hits"
+check "soak VmRSS was read" test -n "$rss_before" -a -n "$rss_after"
+check "soak VmRSS grew <= 1 MiB over 200 hits" \
+  test "$(( ${rss_after:-0} - ${rss_before:-0} ))" -le 1024
 
 http GET '/metrics' '' "$tmp/m"
 body_of "$tmp/m" "$tmp/m.body"
@@ -148,10 +168,10 @@ for series in ptb_serve_http_requests ptb_serve_cache_hits \
 done
 check "no corrupt entries seen" grep -q '^ptb_serve_cache_corrupt 0' \
   "$tmp/m.body"
-# The soak's 10 repeat hits re-read nothing: the key was verified once.
+# The soak's 210 repeat hits re-read nothing: the key was verified once.
 memory_hits=$(sed -n 's/^ptb_serve_cache_memory_hits \([0-9]*\).*/\1/p' \
               "$tmp/m.body")
-check "soak hits served from memory (>= 10)" test "${memory_hits:-0}" -ge 10
+check "soak hits served from memory (>= 210)" test "${memory_hits:-0}" -ge 210
 
 # Every miss replays functional warmup: the daemon writes no warm-checkpoint
 # images and exports no warm-image series or stage.

@@ -115,12 +115,16 @@ HttpResponse Server::dispatch(const HttpRequest& req,
       }
     }
 
+    // A waited job's units keep their bytes until unit_result() below
+    // takes them; an async job's keep none (its client reads
+    // GET /v1/results/{key}).
+    const bool waited = want_wait(req);
     Service::Submitted submitted;
     if (!service_.submit(tenant_of(req), std::move(requests), submitted, err,
-                         ctx)) {
+                         ctx, waited)) {
       return error_response(err == "queue full" ? 429 : 503, err);
     }
-    if (!want_wait(req)) {
+    if (!waited) {
       HttpResponse r;
       r.status = 202;
       r.body = submitted_json(submitted);

@@ -11,7 +11,9 @@
 //                           with each artifact embedded verbatim.
 //   GET  /v1/jobs/{id}      job status/progress document, 404 unknown.
 //   GET  /v1/results/{key}  artifact by run key (hex16) straight from the
-//                           persistent cache; 404 on miss/corrupt.
+//                           persistent cache; 404 on miss/corrupt. The
+//                           only way to read an async job's artifacts:
+//                           the job table keeps no bytes for them.
 //   GET  /v1/trace          request-span snapshot as Perfetto JSON (the
 //                           newest kSpanRingCapacity spans).
 //   GET  /metrics           Prometheus exposition of the daemon registry.

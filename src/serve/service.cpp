@@ -95,7 +95,8 @@ void Service::register_metrics() {
 
 bool Service::submit(const std::string& tenant,
                      std::vector<RunRequest> requests, Submitted& out,
-                     std::string& err, const TraceCtx& trace) {
+                     std::string& err, const TraceCtx& trace,
+                     bool waited) {
   PTB_ASSERT(!requests.empty(), "submit requires at least one request");
   Submitted result;
   {
@@ -131,6 +132,7 @@ bool Service::submit(const std::string& tenant,
     job->tenant = tenant.empty() ? "default" : tenant;
     job->trace_id = trace.trace_id;
     job->root_span = trace.root_span;
+    job->waited = waited;
     job->units.reserve(requests.size());
     const double enqueued = now_ms();
     for (RunRequest& req : requests) {
@@ -210,6 +212,7 @@ void Service::worker_loop() {
     const double enqueued = u.enqueued_ms;
     const double blocked = u.blocked_ms;
     const double picked = u.picked_ms;
+    const bool keep_payload = job->waited;
     lock.unlock();
 
     // A unit submitted without trace linkage (a direct submit() caller)
@@ -267,7 +270,7 @@ void Service::worker_loop() {
     lock.lock();
     u.state = Unit::State::kDone;
     u.cache_hit = hit;
-    u.payload = std::move(payload);
+    if (keep_payload) u.payload = std::move(payload);
     const auto running = running_per_tenant_.find(job->tenant);
     if (--running->second == 0) running_per_tenant_.erase(running);
     units_running_.fetch_sub(1);
@@ -345,9 +348,9 @@ bool Service::unit_result(const std::string& job_id, std::size_t index,
   MutexLock lock(mu_);
   const auto it = jobs_.find(job_id);
   if (it == jobs_.end() || index >= it->second->units.size()) return false;
-  const Unit& u = it->second->units[index];
+  Unit& u = it->second->units[index];
   if (u.state != Unit::State::kDone) return false;
-  payload = u.payload;
+  payload = std::exchange(u.payload, std::string());
   cache_hit = u.cache_hit;
   return true;
 }
@@ -386,6 +389,15 @@ void Service::close_span(ServeSpan span) {
 std::size_t Service::tenant_entries() {
   MutexLock lock(mu_);
   return queues_.size() + running_per_tenant_.size();
+}
+
+std::size_t Service::held_payload_bytes() {
+  MutexLock lock(mu_);
+  std::size_t bytes = 0;
+  for (const auto& [id, job] : jobs_) {
+    for (const Unit& u : job->units) bytes += u.payload.size();
+  }
+  return bytes;
 }
 
 void Service::stop() {

@@ -15,6 +15,13 @@
 // atomic store on miss). Clients either poll GET /v1/jobs/{id} or block
 // with ?wait=1 (wait()).
 //
+// A unit holds its artifact bytes only until they are handed over: the
+// worker keeps them only for a waited job (submit's `waited`), and
+// unit_result() moves them out. An async unit keeps none — its client
+// reads GET /v1/results/{key}, straight from the cache. A finished unit
+// keeps its request, key, state, cache disposition and error: under 1 KB
+// per retained unit, most of it the 520-byte RunRequest.
+//
 // Concurrent identical requests may both simulate (benign: the artifact
 // is a pure function of the request, stores are atomic and byte-identical,
 // last rename wins); the second request through the cache after the first
@@ -91,10 +98,14 @@ class Service {
   };
 
   /// Enqueues one job for `tenant`, carrying the submitting request's
-  /// trace linkage. False (with `err`) when the queue is full or the
+  /// trace linkage. `waited`: the submitter will block in wait() and take
+  /// every unit's bytes with unit_result(); otherwise the units keep no
+  /// bytes. Known here, before any worker can finish a unit, so a fast
+  /// hit cannot race it. False (with `err`) when the queue is full or the
   /// service is stopping — the caller answers 429/503.
   bool submit(const std::string& tenant, std::vector<RunRequest> requests,
-              Submitted& out, std::string& err, const TraceCtx& trace = {});
+              Submitted& out, std::string& err, const TraceCtx& trace = {},
+              bool waited = false);
 
   /// Blocks until the job has finished (done or failed). False when the
   /// id is unknown.
@@ -103,9 +114,11 @@ class Service {
   /// Job status document for GET /v1/jobs/{id} ("" when unknown).
   std::string job_status_json(const std::string& job_id);
 
-  /// Unit payload + cache disposition for the synchronous (?wait=1)
-  /// response path; valid after wait(). False when the id/index is
-  /// unknown or the unit failed.
+  /// Hands a done unit's artifact bytes and cache disposition to the
+  /// synchronous (?wait=1) response path, after wait(). The bytes are
+  /// moved out, so the unit holds none afterwards: a second call, or a
+  /// job not submitted `waited`, yields an empty payload. False when the
+  /// id/index is unknown or the unit failed.
   bool unit_result(const std::string& job_id, std::size_t index,
                    std::string& payload, bool& cache_hit);
 
@@ -132,6 +145,10 @@ class Service {
   /// running count. Both are dropped when they empty, so 0 when idle.
   std::size_t tenant_entries();
 
+  /// Artifact bytes the job table holds: waited units not yet handed
+  /// over by unit_result(), so 0 once every ?wait=1 answer has gone out.
+  std::size_t held_payload_bytes();
+
   const DiskRunCache& cache() const { return cache_; }
   const TokenAdmission& admission() const { return admission_; }
 
@@ -146,8 +163,10 @@ class Service {
     enum class State : std::uint8_t { kPending, kRunning, kDone, kFailed };
     State state = State::kPending;
     bool cache_hit = false;
-    std::string payload;  // artifact bytes (done units)
-    std::string error;    // failed units
+    // Artifact bytes of a done unit of a waited job, until unit_result()
+    // moves them out; always empty otherwise.
+    std::string payload;
+    std::string error;  // failed units
     // Span timestamps (now_ms()):
     double enqueued_ms = 0.0;  // entered its tenant queue
     double blocked_ms = 0.0;   // first denied by admission (0: never)
@@ -159,6 +178,7 @@ class Service {
     std::string tenant;
     std::vector<Unit> units;
     std::size_t completed = 0;  // done + failed
+    bool waited = false;  // a ?wait=1 submitter takes the payloads
     // Trace linkage (zero: no spans for this job's units).
     std::uint64_t trace_id = 0;
     std::uint32_t root_span = 0;

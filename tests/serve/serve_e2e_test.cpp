@@ -12,7 +12,8 @@
 // determinism across identical requests, stage histograms fed by exactly
 // the closed spans, and a served artifact byte-identical to the payload
 // built without an observer (the observe-only contract). Tenant
-// bookkeeping is dropped once a tenant's work is done.
+// bookkeeping is dropped once a tenant's work is done, and an answered job
+// holds no artifact bytes.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
@@ -32,6 +33,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/format.hpp"
@@ -241,6 +243,24 @@ TEST(ServeE2E, SweepWaitReturnsEveryArtifactAndSecondSweepHits) {
   server.stop();
 }
 
+// Polls GET /v1/jobs/{id} through the real route until the job is done or
+// failed (bounded by the test timeout; each unit is milliseconds) and
+// returns the final status document ("" on a non-200 answer).
+std::string poll_job(std::uint16_t port, const std::string& job) {
+  for (;;) {
+    const HttpResponse r = must_request(port, "GET", "/v1/jobs/" + job);
+    EXPECT_EQ(r.status, 200) << r.body;
+    if (r.status != 200) return "";
+    if (r.body.find("\"state\":\"done\"") != std::string::npos ||
+        r.body.find("\"state\":\"failed\"") != std::string::npos) {
+      return r.body;
+    }
+    // Gentle poll: a tight loop would churn thousands of one-shot
+    // connections into TIME_WAIT while a sanitizer build simulates.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+}
+
 TEST(ServeE2E, AsyncSubmitThenPollJob) {
   Server server(test_opts(fresh_cache_dir("async")), "127.0.0.1", 0, 2);
   std::string err;
@@ -252,22 +272,7 @@ TEST(ServeE2E, AsyncSubmitThenPollJob) {
   const std::string* job = find_header(accepted, "x-ptb-job");
   ASSERT_NE(job, nullptr);
 
-  // Poll through the real route until the job lands (bounded by the test
-  // timeout; each unit is milliseconds).
-  std::string status;
-  for (;;) {
-    const HttpResponse r =
-        must_request(server.port(), "GET", "/v1/jobs/" + *job);
-    ASSERT_EQ(r.status, 200);
-    status = r.body;
-    if (status.find("\"state\":\"done\"") != std::string::npos ||
-        status.find("\"state\":\"failed\"") != std::string::npos) {
-      break;
-    }
-    // Gentle poll: a tight loop would churn thousands of one-shot
-    // connections into TIME_WAIT while a sanitizer build simulates.
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
+  const std::string status = poll_job(server.port(), *job);
   EXPECT_NE(status.find("\"state\":\"done\""), std::string::npos) << status;
   EXPECT_NE(status.find("\"completed\":1"), std::string::npos) << status;
   server.stop();
@@ -380,8 +385,10 @@ bool recv_some(int fd, std::string& out) {
   return true;
 }
 
-// The state string of unit `index` in a GET /v1/jobs/{id} document.
-std::string unit_state(const std::string& status, std::size_t index) {
+// The `field` string ("state", "cache", ...) of unit `index` in a
+// GET /v1/jobs/{id} document ("" when the unit has no such field).
+std::string unit_field(const std::string& status, std::size_t index,
+                       const char* field) {
   json::Value doc;
   std::string err;
   EXPECT_TRUE(json::parse(status, doc, err)) << err << ": " << status;
@@ -391,8 +398,12 @@ std::string unit_state(const std::string& status, std::size_t index) {
     ADD_FAILURE() << "no unit " << index << " in " << status;
     return "";
   }
-  const json::Value* state = units->array()[index].find("state");
-  return state == nullptr ? "" : state->as_string();
+  const json::Value* value = units->array()[index].find(field);
+  return value == nullptr ? "" : value->as_string();
+}
+
+std::string unit_state(const std::string& status, std::size_t index) {
+  return unit_field(status, index, "state");
 }
 
 TEST(ServeE2E, DrainFailsQueuedUnitsAndReleasesWaiters) {
@@ -601,6 +612,90 @@ TEST(ServeE2E, FinishedTenantsLeaveNoBookkeeping) {
   }
   EXPECT_EQ(service.tenant_entries(), 0u);
   service.stop();
+}
+
+TEST(ServeE2E, AnsweredJobsHoldNoArtifactBytes) {
+  // A unit holds its artifact only until it is handed over: a ?wait=1
+  // answer moves the bytes out, and an async job keeps none (its client
+  // reads GET /v1/results/{key}). After a miss, its hit, a waited sweep
+  // and an async run polled to done, the job table holds no bytes, while
+  // every job still reports done with its cache disposition.
+  Server server(test_opts(fresh_cache_dir("held")), "127.0.0.1", 0, 2);
+  std::string err;
+  ASSERT_TRUE(server.start(err)) << err;
+  const std::uint16_t port = server.port();
+
+  // Every job id below with the expected cache disposition of each unit.
+  std::vector<std::pair<std::string, std::vector<std::string>>> jobs;
+  const auto job_of = [](const HttpResponse& r) {
+    const std::string* job = find_header(r, "x-ptb-job");
+    return job == nullptr ? std::string() : *job;
+  };
+
+  const HttpResponse miss =
+      must_request(port, "POST", "/v1/run?wait=1", kRunBody);
+  ASSERT_EQ(miss.status, 200) << miss.body;
+  EXPECT_EQ(*find_header(miss, "x-ptb-cache"), "miss");
+  jobs.push_back({job_of(miss), {"miss"}});
+  const HttpResponse hit =
+      must_request(port, "POST", "/v1/run?wait=1", kRunBody);
+  ASSERT_EQ(hit.status, 200) << hit.body;
+  EXPECT_EQ(*find_header(hit, "x-ptb-cache"), "hit");
+  EXPECT_EQ(hit.body, miss.body);
+  jobs.push_back({job_of(hit), {"hit"}});
+
+  // fft is the run above (a hit); radix is fresh (a miss).
+  const std::string sweep_body =
+      "{\"requests\":[" + std::string(kRunBody) +
+      ",{\"benchmark\":\"radix\",\"config\":{\"num_cores\":2,"
+      "\"max_cycles\":20000}}]}";
+  const HttpResponse sweep =
+      must_request(port, "POST", "/v1/sweep?wait=1", sweep_body);
+  ASSERT_EQ(sweep.status, 200) << sweep.body;
+  jobs.push_back({job_of(sweep), {"hit", "miss"}});
+
+  // A config no earlier request used, so the async job really simulates.
+  const std::string async_body =
+      "{\"benchmark\":\"fft\","
+      "\"config\":{\"num_cores\":2,\"max_cycles\":26000}}";
+  const HttpResponse accepted =
+      must_request(port, "POST", "/v1/run", async_body);
+  ASSERT_EQ(accepted.status, 202) << accepted.body;
+  const std::string async_job = job_of(accepted);
+  poll_job(port, async_job);
+  jobs.push_back({async_job, {"miss"}});
+
+  EXPECT_EQ(server.service().held_payload_bytes(), 0u)
+      << "a finished job kept artifact bytes";
+
+  for (const auto& [job, caches] : jobs) {
+    ASSERT_FALSE(job.empty());
+    const HttpResponse r = must_request(port, "GET", "/v1/jobs/" + job);
+    ASSERT_EQ(r.status, 200) << job;
+    EXPECT_NE(r.body.find("\"state\":\"done\""), std::string::npos)
+        << r.body;
+    for (std::size_t i = 0; i < caches.size(); ++i) {
+      EXPECT_EQ(unit_field(r.body, i, "cache"), caches[i]) << r.body;
+    }
+  }
+
+  // The async job's artifact is served by key, with exactly the bytes a
+  // ?wait=1 of the same request answers.
+  json::Value doc;
+  ASSERT_TRUE(json::parse(accepted.body, doc, err)) << err;
+  const json::Value* keys = doc.find("keys");
+  ASSERT_TRUE(keys != nullptr && keys->is_array() &&
+              keys->array().size() == 1)
+      << accepted.body;
+  const HttpResponse by_key = must_request(
+      port, "GET", "/v1/results/" + keys->array()[0].as_string());
+  ASSERT_EQ(by_key.status, 200) << by_key.body;
+  const HttpResponse waited =
+      must_request(port, "POST", "/v1/run?wait=1", async_body);
+  ASSERT_EQ(waited.status, 200) << waited.body;
+  EXPECT_EQ(by_key.body, waited.body);
+  EXPECT_EQ(server.service().held_payload_bytes(), 0u);
+  server.stop();
 }
 
 // Routing error surface, exercised without sockets through handle().

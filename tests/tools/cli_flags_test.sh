@@ -8,7 +8,10 @@
 # command, which is named before TRACE is read. Every case fails before
 # any simulation, socket or file is touched; the timeout turns a binary
 # that accepts its flags (and starts running or serving) into a failure
-# rather than a hang. One startup case rides along: a ptb-serve
+# rather than a hang. Every ptb-serve case passes --port 0, so a daemon
+# that wrongly starts binds an ephemeral port: never the default 7580,
+# where a concurrent run or another daemon would turn the accepted flag
+# into a bind failure. One startup case rides along: a ptb-serve
 # --cache-dir that cannot be created exits 1 naming the path (not an
 # assertion abort).
 #
@@ -60,13 +63,13 @@ run_case --jobs "$bench" --jobs=4294967297
 run_case --out "$bench" --out=
 run_case --only "$bench" --only=
 run_case bench_fig99_bogus "$bench" bench_fig99_bogus
-run_case --jobs "$serve" --jobs 4294967297
-run_case --jobs "$serve" --jobs -4294967295
-run_case --cache-max-bytes "$serve" --cache-max-bytes -1
-run_case --progress-cycles "$serve" --progress-cycles 5000
-run_case --log-file "$serve" --log-file x
-run_case --log-level "$serve" --log-level debug
-run_case --trace-spans "$serve" --trace-spans 0
+run_case --jobs "$serve" --port 0 --jobs 4294967297
+run_case --jobs "$serve" --port 0 --jobs -4294967295
+run_case --cache-max-bytes "$serve" --port 0 --cache-max-bytes -1
+run_case --progress-cycles "$serve" --port 0 --progress-cycles 5000
+run_case --log-file "$serve" --port 0 --log-file x
+run_case --log-level "$serve" --port 0 --log-level debug
+run_case --trace-spans "$serve" --port 0 --trace-spans 0
 run_case --core "$trace" spin no-such.trace --core 4294967297
 run_case bogus "$trace" bogus /dev/null
 run_case --tol "$stats" regress new.json golden.json --tol nan
