@@ -143,7 +143,7 @@ bool run_reference(const BenchOptions& o) {
     }
   }
   if (!o.restore_path.empty()) {
-    // A frame from another machine configuration, seed or benchmark is
+    // A frame captured under another config, seed or benchmark is
     // rejected with the validator's diagnostic.
     std::string frame, err;
     CmpSimulator sim(cfg, prof);

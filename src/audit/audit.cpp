@@ -8,7 +8,7 @@
 #include <map>
 
 #include "core/balancer.hpp"
-#include "core/enforcer.hpp"
+#include "core/two_level.hpp"
 #include "cpu/core.hpp"
 #include "dvfs/dvfs.hpp"
 #include "mem/memory_system.hpp"
@@ -377,11 +377,11 @@ void InvariantAuditor::check_core(Cycle now, CoreId i, const Core& core) {
 }
 
 void InvariantAuditor::check_enforcer(Cycle now, CoreId i,
-                                      const PowerEnforcer& enf,
+                                      const TwoLevelController& enf,
                                       const Core& core) {
   ++checks_;
   if (i >= enf_snap_.size()) enf_snap_.resize(i + 1);
-  const DvfsController& dvfs = enf.controller().dvfs();
+  const DvfsController& dvfs = enf.dvfs();
   const std::uint32_t mode = dvfs.mode();
 
   if (mode >= kDvfsModes.size()) {

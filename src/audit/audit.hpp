@@ -33,8 +33,8 @@ namespace ptb {
 class Core;
 class EnergyAccounting;
 class MemorySystem;
-class PowerEnforcer;
 class PtbLoadBalancer;
+class TwoLevelController;
 
 /// The four audited invariant families (ISSUE 2 tentpole).
 enum class AuditClass : std::uint8_t {
@@ -127,7 +127,7 @@ class InvariantAuditor {
   /// 5-mode table, single-step transitions counted exactly once, a stall
   /// window opened on every transition, and no core tick during a stall
   /// window (pass the core so tick progress can be cross-checked).
-  void check_enforcer(Cycle now, CoreId i, const PowerEnforcer& enf,
+  void check_enforcer(Cycle now, CoreId i, const TwoLevelController& enf,
                       const Core& core);
 
   /// Accounting consistency, called once per cycle after

@@ -119,7 +119,9 @@ class TimeSeries {
   std::size_t size() const { return times_.size(); }
 
   // Checkpoint support: decimation state + points, so a restored series
-  // keeps decimating exactly where the saved run left off.
+  // keeps decimating exactly where the saved run left off. A state add()
+  // could not continue from (zero stride, fewer than two points allowed,
+  // more points than allowed) fails the reader.
   void save_state(ByteWriter& w) const {
     w.u64(max_points_);
     w.u64(stride_);
@@ -133,7 +135,10 @@ class TimeSeries {
     seen_ = r.u64();
     r.f64_vec(times_);
     r.f64_vec(values_);
-    if (times_.size() != values_.size()) r.fail();
+    if (stride_ == 0 || max_points_ < 2 || times_.size() != values_.size() ||
+        times_.size() > max_points_) {
+      r.fail();
+    }
   }
 
  private:

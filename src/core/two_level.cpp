@@ -6,15 +6,18 @@
 
 namespace ptb {
 
-TwoLevelController::TwoLevelController(const SimConfig& cfg, bool use_dvfs,
-                                       bool use_microarch, bool freq_only)
-    : cfg_(cfg), dvfs_(cfg.dvfs, cfg.power, freq_only), use_dvfs_(use_dvfs),
-      use_microarch_(use_microarch) {}
+TwoLevelController::TwoLevelController(const SimConfig& cfg,
+                                       TechniqueKind kind)
+    : cfg_(cfg), dvfs_(cfg.dvfs, cfg.power, kind == TechniqueKind::kDfs),
+      active_(kind == TechniqueKind::kDvfs || kind == TechniqueKind::kDfs ||
+              kind == TechniqueKind::kTwoLevel),
+      use_microarch_(kind == TechniqueKind::kTwoLevel) {}
 
 void TwoLevelController::tick(Cycle now, double est_power, double budget,
                               bool enforce, double relax_threshold,
                               Core& core) {
-  if (use_dvfs_) dvfs_.tick(now, est_power, budget, enforce);
+  if (!active_) return;
+  dvfs_.tick(now, est_power, budget, enforce);
 
   if (!use_microarch_) {
     ++level_cycles[0];
@@ -50,6 +53,7 @@ void TwoLevelController::tick(Cycle now, double est_power, double budget,
 
 void TwoLevelController::register_stats(StatsRegistry& reg,
                                         const std::string& prefix) const {
+  if (!active_) return;
   for (std::size_t l = 0; l < 4; ++l) {
     reg.counter(prefix + ".level_cycles." + std::to_string(l),
                 "cycles spent at microarch throttle level " +

@@ -23,10 +23,12 @@ class StatsRegistry;
 
 class TwoLevelController {
  public:
-  /// Flags select the paper's technique variants: DVFS-only, DFS-only, or
-  /// the full 2-level (DVFS + microarchitectural spike removal).
-  TwoLevelController(const SimConfig& cfg, bool use_dvfs, bool use_microarch,
-                     bool freq_only);
+  /// Binds one core's local enforcer to the technique: kDvfs runs DVFS
+  /// only, kDfs frequency-only DVFS, kTwoLevel DVFS plus microarchitectural
+  /// spike removal. Every other kind (kNone and the CMP-level thrifty-
+  /// barrier / meeting-points baselines) is inactive: tick() does nothing
+  /// and both ratios stay at 1.0.
+  TwoLevelController(const SimConfig& cfg, TechniqueKind kind);
 
   /// One control cycle. `budget` is the core's (possibly PTB-augmented)
   /// local budget; `enforce` is the global over-budget condition;
@@ -34,11 +36,15 @@ class TwoLevelController {
   void tick(Cycle now, double est_power, double budget, bool enforce,
             double relax_threshold, Core& core);
 
-  double vdd_ratio() const { return use_dvfs_ ? dvfs_.vdd_ratio() : 1.0; }
-  double freq_ratio() const { return use_dvfs_ ? dvfs_.freq_ratio() : 1.0; }
+  /// True when this technique enforces a local budget at all; the cycle
+  /// loop skips inactive controllers wholesale.
+  bool active() const { return active_; }
+  // Queried for every core on every cycle: inline.
+  double vdd_ratio() const { return active_ ? dvfs_.vdd_ratio() : 1.0; }
+  double freq_ratio() const { return active_ ? dvfs_.freq_ratio() : 1.0; }
   /// Core must stall while the regulator ramps.
   bool stalled(Cycle now) const {
-    return use_dvfs_ && dvfs_.in_transition(now);
+    return active_ && dvfs_.in_transition(now);
   }
   const DvfsController& dvfs() const { return dvfs_; }
   std::uint32_t microarch_level() const { return level_; }
@@ -56,7 +62,7 @@ class TwoLevelController {
   std::uint64_t level_cycles[4] = {0, 0, 0, 0};
 
   /// Registers level residency, the current throttle level and the DVFS
-  /// controller's stats under `prefix` (src/stats).
+  /// controller's stats under `prefix` (src/stats); no-op when inactive.
   void register_stats(StatsRegistry& reg, const std::string& prefix) const;
 
   // Checkpoint support: DVFS controller + throttle level + residency.
@@ -79,7 +85,7 @@ class TwoLevelController {
  private:
   const SimConfig& cfg_;
   DvfsController dvfs_;
-  bool use_dvfs_;
+  bool active_;
   bool use_microarch_;
   std::uint32_t level_ = 0;  // 0 = off, 1..3 = progressively stronger
   EventTracer* tracer_ = nullptr;  // owned by the running simulator

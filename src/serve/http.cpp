@@ -363,8 +363,6 @@ void HttpServer::stop() {
   }
 }
 
-std::uint64_t HttpServer::requests_served() const { return served_.load(); }
-
 void HttpServer::accept_loop() {
   while (!stop_.load()) {
     pollfd pfd{};
@@ -452,7 +450,6 @@ void HttpServer::handle_connection(int fd) {
           resp.body = "{\"error\":\"bad content-length\"}";
           send_all(fd, render_http_response(resp));
           ::close(fd);
-          served_.fetch_add(1);
           return;
         }
         content_length = static_cast<std::size_t>(v);
@@ -477,7 +474,6 @@ void HttpServer::handle_connection(int fd) {
   }
   send_all(fd, render_http_response(resp));
   ::close(fd);
-  served_.fetch_add(1);
   if (latency_hook_) latency_hook_(now_ms() - t0);
 }
 

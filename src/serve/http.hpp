@@ -110,9 +110,6 @@ class HttpServer {
   /// The actually bound port (resolves port 0).
   std::uint16_t port() const { return bound_port_; }
 
-  /// Completed request count (all statuses).
-  std::uint64_t requests_served() const;
-
   /// Optional per-request latency hook (milliseconds, parse + handler +
   /// write). Set before start(); called from worker threads.
   void set_latency_hook(std::function<void(double)> hook) {
@@ -135,7 +132,6 @@ class HttpServer {
   std::atomic<bool> stop_{false};
   std::atomic<bool> accept_joined_{false};
   std::atomic<bool> workers_joined_{false};
-  std::atomic<std::uint64_t> served_{0};
 
   Mutex mu_;
   std::condition_variable_any queue_cv_;

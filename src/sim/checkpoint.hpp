@@ -1,13 +1,9 @@
 // Full-state checkpoint frames for CmpSimulator (byte-stable, corrupt-
-// rejecting), the substrate under:
-//
-//   * restore-exactness: a run restored from a mid-run checkpoint produces
-//     the same RunResult bytes as the uninterrupted run (asserted by
-//     tests/sim/checkpoint_test.cpp);
-//   * warm forking: a cycle-0 checkpoint taken right after functional
-//     warmup is technique/budget-independent, so a sweep forks its N policy
-//     points from one shared warmed image instead of re-warming N times
-//     (sim/experiment.hpp wires this through the disk run cache).
+// rejecting). A run restored from a checkpoint, at any cycle including 0,
+// produces the same RunResult bytes as the uninterrupted run (asserted by
+// tests/sim/checkpoint_test.cpp). One restore rule holds for every frame:
+// it resumes only under the config fingerprint it was captured with, and
+// every section must load completely (CmpSimulator::restore_checkpoint).
 //
 // Frame layout, following the trace subsystem's serialization idiom
 // (little-endian, fields written individually — never structs, padding is
@@ -21,11 +17,12 @@
 //     u64 num_sections
 //     sections: (u32 tag, u64 length, bytes) ...
 //
-// Sections are independently parseable: a reader skips unknown tags (a
-// newer writer's extra sections degrade to freshly-constructed state) and
+// Sections are independently parseable: a reader skips unknown tags and
 // every section loader bounds-checks against its own length. The outer
 // checksum catches bit-flips; the length field catches truncation; both
-// are exercised by the fault-injection tests.
+// are exercised by the fault-injection tests. The checksum is not a MAC,
+// so restore also rejects a re-checksummed section that does not parse
+// exactly, or that exists for a component this config lacks.
 #pragma once
 
 #include <cstdint>
@@ -74,12 +71,12 @@ enum class CkptSection : std::uint32_t {
   kResPower,      // RunResult power traces (CMP + per-core TimeSeries)
 };
 
-/// Cache key for a checkpoint image: FNV-1a over (format version,
-/// machine_fingerprint, seed, benchmark, cycle). Deliberately *excludes*
-/// the technique/budget knobs — a cycle-0 post-warmup image is valid under
-/// any technique of the same machine+seed+benchmark, which is what makes
-/// one warmed image shareable across a whole sweep. Mid-run images
-/// (cycle != 0) additionally pin the full config_fingerprint at restore.
+/// Key of a checkpoint image: FNV-1a over (format version,
+/// machine_fingerprint, seed, benchmark, cycle). It excludes the
+/// technique/budget knobs, so images of one machine+seed+benchmark+cycle
+/// under different techniques share a key; it names an image (the disk
+/// cache's warm-image files) and never decides a restore, which checks
+/// the frame's full config_fingerprint.
 std::uint64_t checkpoint_fingerprint(const SimConfig& cfg,
                                      std::string_view benchmark, Cycle cycle);
 

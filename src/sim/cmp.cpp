@@ -28,51 +28,43 @@ constexpr double kSpinGateThresholdFrac = 0.55;
 // feed only volatile stats (never a simulation decision, never a
 // deterministic dump).
 constexpr Cycle kSelfProfilePeriod = 64;
+}  // namespace
 
-struct SelfProfile {
+// Volatile wall-clock readings only; the deterministic count of timed
+// cycles is CycleFrame::prof_timed_cycles.
+struct CmpSimulator::SelfProfile {
   double tick_s = 0.0;     // phase 1: core ticks (memory accesses
                            // included), power model, smoothing
   double power_s = 0.0;    // phase 2: reductions, NoC drain, global signal
   double control_s = 0.0;  // phases 3-3b: balancing + enforcement + gating
   double account_s = 0.0;  // phases 4-5: accounting, audit, sample
-  std::uint64_t timed_cycles = 0;
 };
-}  // namespace
 
-// Run-scoped state a restore must carry into the next run() call: the
-// checkpointed cycle, the CycleFrame persistents and the raw payloads of
-// sections whose targets (energy accounting, registry-owned histogram,
-// sample buffer, tracer, result power traces) only exist as run() locals.
-// Populated only for mid-run frames; a cycle-0 warm frame carries just the
-// cycle (everything run-scoped is at its freshly-constructed value there,
-// and the frame's eff_budget would pin the *donor's* budget).
+// The payloads of sections whose targets run() builds from its RunOptions
+// (registry-owned histogram, sample buffer, tracer, result power traces),
+// already checked by restore_checkpoint(); empty when the frame has none.
 struct CmpSimulator::CheckpointCarry {
   Cycle cycle = 0;
-  bool epoch_over = false;
-  double epoch_acc = 0.0;
-  std::uint32_t epoch_n = 0;
-  std::uint64_t spin_gated_cycles = 0;
-  std::uint64_t prof_timed_cycles = 0;
-  std::vector<double> freq_acc;
-  std::vector<double> est_ema;
-  std::vector<double> act_ema;
-  std::vector<double> eff_budget;
-  std::vector<double> thermal_acc;
-  std::vector<std::uint8_t> finished;
-  std::string acct;
   std::string hist;
   std::string samples;
   std::string tracer;
   std::string res_power;
 };
 
-void CycleFrame::reset(std::uint32_t n, double local_budget) {
+void CycleFrame::reset(std::uint32_t n, double local_budget,
+                       double global_budget) {
   freq_acc.assign(n, 0.0);
   est_ema.assign(n, 0.0);
   act_ema.assign(n, 0.0);
   eff_budget.assign(n, local_budget);
   thermal_acc.assign(n, 0.0);
   finished.assign(n, 0);
+  acct = EnergyAccounting(global_budget);
+  epoch_over = false;
+  epoch_acc = 0.0;
+  epoch_n = 0;
+  spin_gated_cycles = 0;
+  prof_timed_cycles = 0;
   states.assign(n, ExecState::kBusy);
   fetch_exact.assign(n, 0.0);
   fetch_est.assign(n, 0.0);
@@ -102,7 +94,7 @@ CmpSimulator::CmpSimulator(const SimConfig& cfg,
     cores_.push_back(std::make_unique<Core>(i, cfg_, *mem_, *sync_,
                                             *programs_[i], *energy_model_));
     enforcers_.push_back(
-        std::make_unique<PowerEnforcer>(cfg_, cfg_.technique));
+        std::make_unique<TwoLevelController>(cfg_, cfg_.technique));
   }
   if (cfg_.ptb.enabled) {
     if (cfg_.ptb.cluster_size > 0 &&
@@ -177,13 +169,15 @@ bool CmpSimulator::restore_checkpoint(std::string_view bytes,
     if (err != nullptr) *err = std::move(m);
     return false;
   };
+  carry_.reset();
   CheckpointReader ck;
   if (!ck.parse(bytes)) return fail(ck.error());
   const CheckpointHeader& h = ck.header();
-  if (h.num_cores != cfg_.num_cores) {
+  const std::uint32_t n = cfg_.num_cores;
+  if (h.num_cores != n) {
     return fail("checkpoint core count mismatch (" +
-                std::to_string(h.num_cores) + " vs " +
-                std::to_string(cfg_.num_cores) + ")");
+                std::to_string(h.num_cores) + " vs " + std::to_string(n) +
+                ")");
   }
   if (h.benchmark != profile_.name) {
     return fail("checkpoint benchmark mismatch ('" + h.benchmark + "' vs '" +
@@ -193,97 +187,126 @@ bool CmpSimulator::restore_checkpoint(std::string_view bytes,
     return fail("checkpoint machine fingerprint mismatch");
   }
   if (h.seed != cfg_.seed) return fail("checkpoint seed mismatch");
-  if (h.cycle != 0 && h.config_fp != config_fingerprint(cfg_)) {
+  if (h.config_fp != config_fingerprint(cfg_)) {
     return fail(
-        "checkpoint config fingerprint mismatch: a mid-run frame resumes "
-        "only under the exact config it was captured with (cycle-0 warm "
-        "frames restore across techniques)");
+        "checkpoint config fingerprint mismatch: a frame resumes only under "
+        "the exact config it was captured with");
   }
 
-  // Component sections load straight into the members. A section whose
-  // target does not exist under this configuration is skipped (a warm fork
-  // into a different technique); a section that exists but fails to parse
-  // or leaves trailing bytes rejects the restore.
-  const auto load = [&](CkptSection tag, auto&& fn) -> bool {
-    if (!ck.has_section(tag)) return true;
+  // A section is present exactly when its target exists under this config,
+  // and its payload must parse completely: anything else rejects the frame.
+  const auto load = [&](CkptSection tag, bool present, auto&& fn) -> bool {
+    if (ck.has_section(tag) != present) return false;
+    if (!present) return true;
     ByteReader r(ck.section(tag));
     fn(r);
     return r.ok() && r.empty();
   };
-  const auto skip_rest = [](ByteReader& r) { r.raw(r.remaining()); };
 
   bool ok = true;
-  ok = ok && load(CkptSection::kCores, [&](ByteReader& r) {
+  ok = ok && load(CkptSection::kCores, true, [&](ByteReader& r) {
     for (auto& c : cores_) c->load_state(r);
   });
-  ok = ok && load(CkptSection::kPrograms, [&](ByteReader& r) {
+  ok = ok && load(CkptSection::kPrograms, true, [&](ByteReader& r) {
     for (auto& p : programs_) p->load_state(r);
   });
-  ok = ok && load(CkptSection::kMem,
+  ok = ok && load(CkptSection::kMem, true,
                   [&](ByteReader& r) { mem_->load_state(r); });
-  ok = ok && load(CkptSection::kMesh,
+  ok = ok && load(CkptSection::kMesh, true,
                   [&](ByteReader& r) { mesh_->load_state(r); });
-  ok = ok && load(CkptSection::kSync,
+  ok = ok && load(CkptSection::kSync, true,
                   [&](ByteReader& r) { sync_->load_state(r); });
-  ok = ok && load(CkptSection::kTrackers, [&](ByteReader& r) {
+  ok = ok && load(CkptSection::kTrackers, true, [&](ByteReader& r) {
     for (SpinTracker& t : trackers_) t.load_state(r);
   });
-  ok = ok && load(CkptSection::kBalancer, [&](ByteReader& r) {
-    balancer_ ? balancer_->load_state(r) : skip_rest(r);
-  });
-  ok = ok && load(CkptSection::kClustered, [&](ByteReader& r) {
-    clustered_ ? clustered_->load_state(r) : skip_rest(r);
-  });
-  ok = ok && load(CkptSection::kEnforcers, [&](ByteReader& r) {
+  ok = ok && load(CkptSection::kBalancer, balancer_ != nullptr,
+                  [&](ByteReader& r) { balancer_->load_state(r); });
+  ok = ok && load(CkptSection::kClustered, clustered_ != nullptr,
+                  [&](ByteReader& r) { clustered_->load_state(r); });
+  ok = ok && load(CkptSection::kEnforcers, true, [&](ByteReader& r) {
     for (auto& e : enforcers_) e->load_state(r);
   });
-  ok = ok && load(CkptSection::kSelector, [&](ByteReader& r) {
-    selector_ ? selector_->load_state(r) : skip_rest(r);
-  });
-  ok = ok && load(CkptSection::kGates, [&](ByteReader& r) {
-    if (r.u64() != gate_detectors_.size()) {
-      skip_rest(r);  // different gating config: keep fresh detectors
-      return;
-    }
-    for (SpinPowerDetector& d : gate_detectors_) d.load_state(r);
-  });
-  ok = ok && load(CkptSection::kThrifty, [&](ByteReader& r) {
-    thrifty_ ? thrifty_->load_state(r) : skip_rest(r);
-  });
-  ok = ok && load(CkptSection::kMeeting, [&](ByteReader& r) {
-    meeting_ ? meeting_->load_state(r) : skip_rest(r);
-  });
-  ok = ok && load(CkptSection::kThermal,
+  ok = ok && load(CkptSection::kSelector, selector_ != nullptr,
+                  [&](ByteReader& r) { selector_->load_state(r); });
+  ok = ok && load(CkptSection::kGates, !gate_detectors_.empty(),
+                  [&](ByteReader& r) {
+                    if (r.u64() != gate_detectors_.size()) return r.fail();
+                    for (SpinPowerDetector& d : gate_detectors_) {
+                      d.load_state(r);
+                    }
+                  });
+  ok = ok && load(CkptSection::kThrifty, thrifty_ != nullptr,
+                  [&](ByteReader& r) { thrifty_->load_state(r); });
+  ok = ok && load(CkptSection::kMeeting, meeting_ != nullptr,
+                  [&](ByteReader& r) { meeting_->load_state(r); });
+  ok = ok && load(CkptSection::kThermal, true,
                   [&](ByteReader& r) { thermal_.load_state(r); });
 
+  // The loop's carried state loads in place; run() resumes from frame_.
+  CycleFrame& f = frame_;
+  f.reset(n, budgets_.local_budget(), budgets_.global_budget());
+  ok = ok && load(CkptSection::kFrame, true, [&](ByteReader& r) {
+    for (std::vector<double>* v :
+         {&f.freq_acc, &f.est_ema, &f.act_ema, &f.eff_budget,
+          &f.thermal_acc}) {
+      r.f64_vec(*v);
+      if (v->size() != n) r.fail();
+    }
+    r.u8_vec(f.finished);
+    if (f.finished.size() != n) r.fail();
+  });
+  ok = ok && load(CkptSection::kAcct, true,
+                  [&](ByteReader& r) { f.acct.load_state(r); });
+  ok = ok && load(CkptSection::kRun, true, [&](ByteReader& r) {
+    f.epoch_over = r.boolean();
+    f.epoch_acc = r.f64();
+    f.epoch_n = r.u32();
+    f.spin_gated_cycles = r.u64();
+    f.prof_timed_cycles = r.u64();
+    if (f.epoch_n >= cfg_.dvfs.window_cycles) r.fail();
+  });
+
+  // The rest stays staged as bytes until run() builds its targets from its
+  // RunOptions. Each payload loads here into a target of the same shape,
+  // so run() never applies one its loader would reject.
   auto carry = std::make_unique<CheckpointCarry>();
   carry->cycle = h.cycle;
-  if (h.cycle != 0) {
-    ok = ok && load(CkptSection::kFrame, [&](ByteReader& r) {
-      r.f64_vec(carry->freq_acc);
-      r.f64_vec(carry->est_ema);
-      r.f64_vec(carry->act_ema);
-      r.f64_vec(carry->eff_budget);
-      r.f64_vec(carry->thermal_acc);
-      r.u8_vec(carry->finished);
-      if (carry->finished.size() != cfg_.num_cores ||
-          carry->freq_acc.size() != cfg_.num_cores) {
-        r.fail();
-      }
-    });
-    ok = ok && load(CkptSection::kRun, [&](ByteReader& r) {
-      carry->epoch_over = r.boolean();
-      carry->epoch_acc = r.f64();
-      carry->epoch_n = r.u32();
-      carry->spin_gated_cycles = r.u64();
-      carry->prof_timed_cycles = r.u64();
-    });
-    carry->acct = std::string(ck.section(CkptSection::kAcct));
-    carry->hist = std::string(ck.section(CkptSection::kHist));
-    carry->samples = std::string(ck.section(CkptSection::kSamples));
-    carry->tracer = std::string(ck.section(CkptSection::kTracer));
-    carry->res_power = std::string(ck.section(CkptSection::kResPower));
+  const auto stage = [&](CkptSection tag, std::string& out,
+                         auto&& fn) -> bool {
+    if (!ck.has_section(tag)) return true;
+    ByteReader r(ck.section(tag));
+    fn(r);
+    if (!r.ok() || !r.empty()) return false;
+    out = std::string(ck.section(tag));
+    return true;
+  };
+  if (ck.has_section(CkptSection::kHist) ||
+      ck.has_section(CkptSection::kSamples)) {
+    // The histogram and the sample columns belong to the run's registry.
+    StatsRegistry reg;
+    const Cycle now = 0;
+    const std::uint32_t finished_count = 0;
+    const SelfProfile prof;
+    Histogram& hist = register_run_stats(reg, now, finished_count, prof);
+    ok = ok && stage(CkptSection::kHist, carry->hist,
+                     [&](ByteReader& r) { hist.load_state(r); });
+    ok = ok && stage(CkptSection::kSamples, carry->samples,
+                     [&](ByteReader& r) { SampleBuffer(reg).load_state(r); });
   }
+  ok = ok && stage(CkptSection::kTracer, carry->tracer, [&](ByteReader& r) {
+    EventTracer(0, cfg_.trace.buffer_events).load_state(r);
+  });
+  ok = ok && stage(CkptSection::kResPower, carry->res_power,
+                   [&](ByteReader& r) {
+                     TimeSeries t;
+                     t.load_state(r);
+                     // run() records either no per-core series or n.
+                     const std::uint64_t k = r.u64();
+                     if (k != 0 && k != n) r.fail();
+                     for (std::uint64_t i = 0; r.ok() && i < k; ++i) {
+                       t.load_state(r);
+                     }
+                   });
   if (!ok) {
     return fail("checkpoint section payload rejected (corrupt or "
                 "incompatible with this configuration)");
@@ -316,8 +339,10 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
   };
   if (tracer) wire_tracer(tracer.get());
 
-  // A restored checkpoint already contains post-warmup (or later) state.
-  if (cfg_.functional_warmup && carry_ == nullptr) warm_caches();
+  // A restored checkpoint already contains post-warmup (or later) state,
+  // and restore_checkpoint() loaded the loop's carried state into frame_.
+  const bool resuming = carry_ != nullptr;
+  if (cfg_.functional_warmup && !resuming) warm_caches();
   RunResult res;
   res.benchmark = profile_.name;
   res.num_cores = n;
@@ -328,11 +353,12 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
     res.core_power_traces.assign(n, TimeSeries(1 << 12));
   }
 
-  EnergyAccounting acct(budgets_.global_budget());
-  // All per-core scratch lives in the simulator-owned CycleFrame: reset()
+  // All loop state lives in the simulator-owned CycleFrame: reset()
   // reuses capacity across runs and the loop below never allocates.
   CycleFrame& f = frame_;
-  f.reset(n, budgets_.local_budget());
+  if (!resuming) {
+    f.reset(n, budgets_.local_budget(), budgets_.global_budget());
+  }
   std::uint32_t finished_count = 0;
 
   // Commit charging concentrates an instruction's energy into one cycle;
@@ -340,16 +366,6 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
   // smoothing (tau ~ 8 cycles) models that spreading for both the actual
   // power curve and the PTHT control estimate.
   constexpr double kEmaAlpha = 1.0 / 8.0;
-
-  // Without PTB's dedicated wire layer, the "CMP over the global budget"
-  // condition is only observable at power-monitor epochs (one DVFS window):
-  // the enforcement flag is re-evaluated from the previous epoch's average.
-  // PTB's load-balancer aggregates tokens every cycle, giving it (and the
-  // techniques under it) a per-cycle global signal — a key reason it
-  // matches the budget so much more accurately (Sections III.E, IV.A).
-  bool epoch_over = false;
-  double epoch_acc = 0.0;
-  std::uint32_t epoch_n = 0;
 
   const double wire_overhead =
       cfg_.ptb.enabled ? (1.0 + cfg_.power.ptb_wire_overhead_frac) : 1.0;
@@ -373,74 +389,16 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
   Cycle now = 0;
 
   // Stats registry (src/stats): pull-based. Registration binds the
-  // components' existing counters (and a few locals of this frame: now,
-  // finished_count, acct) — the loop below does no extra bookkeeping for
-  // them. Local to the run so the bound sources always outlive it.
+  // components' existing counters (and the loop's now / finished_count) —
+  // the loop below does no extra bookkeeping for them. Local to the run so
+  // the bound sources always outlive it.
   const bool stats_on = opts.stats || opts.stats_sample_every > 0;
   std::unique_ptr<StatsRegistry> stats;
   Histogram* power_hist = nullptr;
   SelfProfile prof;
   if (stats_on) {
     stats = std::make_unique<StatsRegistry>();
-    StatsRegistry& reg = *stats;
-    reg.counter_fn("sim.cycles", "global cycles simulated",
-                   [&now] { return static_cast<double>(now); });
-    reg.counter_fn("sim.finished_cores", "cores whose program completed",
-                   [&finished_count] {
-                     return static_cast<double>(finished_count);
-                   });
-    reg.formula("sim.energy.total", "total CMP energy (tokens)",
-                [&acct] { return acct.energy(); }, 1);
-    reg.formula("sim.energy.aopb",
-                "energy above the global budget (tokens)",
-                [&acct] { return acct.aopb(); }, 1);
-    reg.formula("sim.energy.aopb_frac", "AoPB / total energy",
-                [&acct] {
-                  return acct.energy() > 0.0 ? acct.aopb() / acct.energy()
-                                             : 0.0;
-                },
-                6);
-    reg.formula("sim.power.mean", "mean per-cycle CMP power",
-                [&acct] { return acct.power_stat().mean(); });
-    reg.formula("sim.power.max", "peak observed per-cycle CMP power",
-                [&acct] { return acct.power_stat().max(); });
-    reg.formula("sim.power.stddev", "per-cycle CMP power stddev",
-                [&acct] { return acct.power_stat().stddev(); });
-    power_hist = &reg.distribution("sim.power.dist",
-                                   "per-cycle CMP power distribution",
-                                   0.0, budgets_.peak_power(), 64);
-    budgets_.register_stats(reg, "sim.budget");
-    energy_model_->register_stats(reg, "power.model");
-    mesh_->register_stats(reg, "noc");
-    mem_->register_stats(reg, "mem");
-    for (CoreId i = 0; i < n; ++i) {
-      const std::string p = "core." + std::to_string(i);
-      cores_[i]->register_stats(reg, p);
-      trackers_[i].register_stats(reg, p + ".spin");
-      enforcers_[i]->register_stats(reg, p + ".enforcer");
-    }
-    if (balancer_) balancer_->register_stats(reg, "ptb.balancer");
-    if (clustered_) clustered_->register_stats(reg, "ptb");
-    thermal_.register_stats(reg, "thermal");
-    // Wall-clock self-profiling: volatile (machine-dependent), so excluded
-    // from deterministic dumps and the sample buffer.
-    reg.gauge_fn("sim.self.tick_seconds",
-                 "wall-clock spent in core ticks + power model (sampled, "
-                 "scaled)",
-                 [&prof] { return prof.tick_s; }, 6, /*is_volatile=*/true);
-    reg.gauge_fn("sim.self.power_seconds",
-                 "wall-clock spent in CMP-wide reductions (sampled, scaled)",
-                 [&prof] { return prof.power_s; }, 6, /*is_volatile=*/true);
-    reg.gauge_fn("sim.self.control_seconds",
-                 "wall-clock spent in balancing/enforcement (sampled, "
-                 "scaled)",
-                 [&prof] { return prof.control_s; }, 6, /*is_volatile=*/true);
-    reg.gauge_fn("sim.self.account_seconds",
-                 "wall-clock spent in accounting/audit (sampled, scaled)",
-                 [&prof] { return prof.account_s; }, 6, /*is_volatile=*/true);
-    reg.counter_fn("sim.self.timed_cycles",
-                   "cycles actually timed by the self-profiler",
-                   [&prof] { return static_cast<double>(prof.timed_cycles); });
+    power_hist = &register_run_stats(*stats, now, finished_count, prof);
   }
   std::unique_ptr<SampleBuffer> samples;
   if (stats && opts.stats_sample_every > 0) {
@@ -502,17 +460,17 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
       w.f64_vec(f.thermal_acc);
       w.u8_vec(f.finished);
     }
-    acct.save_state(cw.section(CkptSection::kAcct));
+    f.acct.save_state(cw.section(CkptSection::kAcct));
     {
       ByteWriter& w = cw.section(CkptSection::kRun);
-      w.boolean(epoch_over);
-      w.f64(epoch_acc);
-      w.u32(epoch_n);
-      w.u64(res.spin_gated_cycles);
+      w.boolean(f.epoch_over);
+      w.f64(f.epoch_acc);
+      w.u32(f.epoch_n);
+      w.u64(f.spin_gated_cycles);
       // The self-profile *cycle count* is deterministic (its cadence is a
       // pure function of `now`) and feeds a sample-buffer column, so it is
       // carried; the wall-clock seconds stay volatile and uncarried.
-      w.u64(prof.timed_cycles);
+      w.u64(f.prof_timed_cycles);
     }
     if (power_hist) power_hist->save_state(cw.section(CkptSection::kHist));
     if (samples) samples->save_state(cw.section(CkptSection::kSamples));
@@ -526,60 +484,40 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
     return cw.finish();
   };
 
-  // --- checkpoint carry application ---
-  // restore_checkpoint() already loaded the component sections into the
-  // members; the run-scoped remainder lands here, now that the locals
-  // exist. Consumed so a later run() on this simulator starts fresh.
-  if (carry_) {
+  // --- resume from a restored checkpoint ---
+  // restore_checkpoint() loaded the components and frame_ and checked the
+  // staged payloads; each lands here when this run built its target (a
+  // run with other RunOptions than the captured one keeps its fresh
+  // state). Consumed so a later run() on this simulator starts fresh.
+  if (resuming) {
     now = carry_->cycle;
-    if (carry_->cycle != 0) {
-      epoch_over = carry_->epoch_over;
-      epoch_acc = carry_->epoch_acc;
-      epoch_n = carry_->epoch_n;
-      res.spin_gated_cycles = carry_->spin_gated_cycles;
-      prof.timed_cycles = carry_->prof_timed_cycles;
-      f.freq_acc = std::move(carry_->freq_acc);
-      f.est_ema = std::move(carry_->est_ema);
-      f.act_ema = std::move(carry_->act_ema);
-      f.eff_budget = std::move(carry_->eff_budget);
-      f.thermal_acc = std::move(carry_->thermal_acc);
-      f.finished = std::move(carry_->finished);
-      finished_count = 0;
-      for (CoreId i = 0; i < n; ++i) {
-        if (f.finished[i] != 0) {
-          ++finished_count;
-          res.cores[i].finish_cycle = cores_[i]->finish_cycle;
+    for (CoreId i = 0; i < n; ++i) {
+      if (f.finished[i] != 0) {
+        ++finished_count;
+        res.cores[i].finish_cycle = cores_[i]->finish_cycle;
+      }
+    }
+    const auto apply = [](const std::string& bytes, auto&& fn) {
+      if (bytes.empty()) return;
+      ByteReader r(bytes);
+      fn(r);
+    };
+    if (power_hist) {
+      apply(carry_->hist, [&](ByteReader& r) { power_hist->load_state(r); });
+    }
+    if (samples) {
+      apply(carry_->samples, [&](ByteReader& r) { samples->load_state(r); });
+    }
+    if (tracer) {
+      apply(carry_->tracer, [&](ByteReader& r) { tracer->load_state(r); });
+    }
+    if (opts.record_cmp_trace || opts.record_core_traces) {
+      apply(carry_->res_power, [&](ByteReader& r) {
+        res.cmp_power_trace.load_state(r);
+        if (r.u64() == res.core_power_traces.size()) {
+          for (TimeSeries& t : res.core_power_traces) t.load_state(r);
         }
-      }
-      // Raw run-scoped payloads: applied when the matching consumer exists
-      // in this run; a mismatch (different RunOptions than the captured
-      // run) leaves the freshly-constructed state.
-      const auto apply = [](const std::string& bytes, auto&& fn) {
-        if (bytes.empty()) return;
-        ByteReader r(bytes);
-        fn(r);
-      };
-      apply(carry_->acct, [&](ByteReader& r) { acct.load_state(r); });
-      if (power_hist) {
-        apply(carry_->hist,
-              [&](ByteReader& r) { power_hist->load_state(r); });
-      }
-      if (samples) {
-        apply(carry_->samples,
-              [&](ByteReader& r) { samples->load_state(r); });
-      }
-      if (tracer) {
-        apply(carry_->tracer,
-              [&](ByteReader& r) { tracer->load_state(r); });
-      }
-      if (opts.record_cmp_trace || opts.record_core_traces) {
-        apply(carry_->res_power, [&](ByteReader& r) {
-          res.cmp_power_trace.load_state(r);
-          if (r.u64() == res.core_power_traces.size()) {
-            for (TimeSeries& t : res.core_power_traces) t.load_state(r);
-          }
-        });
-      }
+      });
     }
     carry_.reset();
   }
@@ -604,7 +542,7 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
     const bool prof_cycle = stats_on && now % kSelfProfilePeriod == 0;
     ProfClock::time_point pt{};
     if (prof_cycle) {
-      ++prof.timed_cycles;
+      ++f.prof_timed_cycles;
       pt = ProfClock::now();
     }
 
@@ -619,7 +557,7 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
       double vdd_ratio = 1.0;
       bool stalled = false;
       if (enforcers_active) {
-        const PowerEnforcer& enf = *enforcers_[i];
+        const TwoLevelController& enf = *enforcers_[i];
         freq_ratio = enf.freq_ratio();
         vdd_ratio = enf.vdd_ratio();
         stalled = enf.stalled(now);
@@ -720,14 +658,21 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
                    total_est - budgets_.global_budget());
     }
     const bool global_over_now = total_est > budgets_.global_budget();
-    epoch_acc += total_est;
-    if (++epoch_n >= cfg_.dvfs.window_cycles) {
-      epoch_over =
-          (epoch_acc / epoch_n) > budgets_.global_budget();
-      epoch_acc = 0.0;
-      epoch_n = 0;
+    // Without PTB's dedicated wire layer, the "CMP over the global budget"
+    // condition is only observable at power-monitor epochs (one DVFS
+    // window): the enforcement flag is re-evaluated from the previous
+    // epoch's average. PTB's load-balancer aggregates tokens every cycle,
+    // giving it (and the techniques under it) a per-cycle global signal — a
+    // key reason it matches the budget so much more accurately (Sections
+    // III.E, IV.A).
+    f.epoch_acc += total_est;
+    if (++f.epoch_n >= cfg_.dvfs.window_cycles) {
+      f.epoch_over =
+          (f.epoch_acc / f.epoch_n) > budgets_.global_budget();
+      f.epoch_acc = 0.0;
+      f.epoch_n = 0;
     }
-    const bool global_over = ptb_active ? global_over_now : epoch_over;
+    const bool global_over = ptb_active ? global_over_now : f.epoch_over;
 
     if (prof_cycle) pt = prof_lap(pt, prof.power_s);
 
@@ -768,7 +713,7 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
           // Duty-cycled fetch gate: the spin loop still polls during the
           // 2-cycle window at the start of each period.
           cores_[i]->set_fetch_limit(0);
-          ++res.spin_gated_cycles;
+          ++f.spin_gated_cycles;
         } else if (cfg_.technique != TechniqueKind::kTwoLevel) {
           // Release the gate ourselves: only the 2-level enforcer manages
           // the fetch limit per cycle.
@@ -781,14 +726,14 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
 
     // --- 4. accounting (the per-core spin/thermal attribution already ran
     //        in phase 1; only CMP-level totals remain) ---
-    acct.record_cycle(total_act);
+    f.acct.record_cycle(total_act);
     if (power_hist) power_hist->add(total_act);
     if (opts.record_cmp_trace) {
       res.cmp_power_trace.add(static_cast<double>(now), total_act);
     }
 
     // --- 5. invariant audit (off the results path; read-only) ---
-    if (auditor_) audit_cycle(now, acct, total_act, f.eff_budget.data());
+    if (auditor_) audit_cycle(now, f.acct, total_act, f.eff_budget.data());
 
     if (samples && (now + 1) % opts.stats_sample_every == 0) {
       samples->sample(now);
@@ -810,9 +755,10 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
 
   res.cycles = now;
   res.hit_max_cycles = (finished_count < n);
-  res.energy = acct.energy();
-  res.aopb = acct.aopb();
-  res.power = acct.power_stat();
+  res.energy = f.acct.energy();
+  res.aopb = f.acct.aopb();
+  res.power = f.acct.power_stat();
+  res.spin_gated_cycles = f.spin_gated_cycles;
   for (CoreId i = 0; i < n; ++i) {
     CoreResult& c = res.cores[i];
     c.committed = cores_[i]->committed;
@@ -827,7 +773,7 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
     c.temp_std = thermal_.history(i).stddev();
     res.spin_energy += c.spin_energy;
     res.total_committed += c.committed;
-    res.dvfs_transitions += enforcers_[i]->controller().dvfs().transitions;
+    res.dvfs_transitions += enforcers_[i]->dvfs().transitions;
   }
   if (balancer_) {
     res.tokens_donated = balancer_->tokens_donated;
@@ -866,6 +812,73 @@ RunResult CmpSimulator::run(const RunOptions& opts) {
     res.stats = std::make_shared<const StatsDump>(std::move(d));
   }
   return res;
+}
+
+Histogram& CmpSimulator::register_run_stats(
+    StatsRegistry& reg, const Cycle& now, const std::uint32_t& finished_count,
+    const SelfProfile& prof) {
+  const std::uint32_t n = cfg_.num_cores;
+  const CycleFrame& f = frame_;
+  const EnergyAccounting& acct = f.acct;
+  reg.counter_fn("sim.cycles", "global cycles simulated",
+                 [&now] { return static_cast<double>(now); });
+  reg.counter_fn("sim.finished_cores", "cores whose program completed",
+                 [&finished_count] {
+                   return static_cast<double>(finished_count);
+                 });
+  reg.formula("sim.energy.total", "total CMP energy (tokens)",
+              [&acct] { return acct.energy(); }, 1);
+  reg.formula("sim.energy.aopb",
+              "energy above the global budget (tokens)",
+              [&acct] { return acct.aopb(); }, 1);
+  reg.formula("sim.energy.aopb_frac", "AoPB / total energy",
+              [&acct] {
+                return acct.energy() > 0.0 ? acct.aopb() / acct.energy()
+                                           : 0.0;
+              },
+              6);
+  reg.formula("sim.power.mean", "mean per-cycle CMP power",
+              [&acct] { return acct.power_stat().mean(); });
+  reg.formula("sim.power.max", "peak observed per-cycle CMP power",
+              [&acct] { return acct.power_stat().max(); });
+  reg.formula("sim.power.stddev", "per-cycle CMP power stddev",
+              [&acct] { return acct.power_stat().stddev(); });
+  Histogram& power_hist = reg.distribution(
+      "sim.power.dist", "per-cycle CMP power distribution", 0.0,
+      budgets_.peak_power(), 64);
+  budgets_.register_stats(reg, "sim.budget");
+  energy_model_->register_stats(reg, "power.model");
+  mesh_->register_stats(reg, "noc");
+  mem_->register_stats(reg, "mem");
+  for (CoreId i = 0; i < n; ++i) {
+    const std::string p = "core." + std::to_string(i);
+    cores_[i]->register_stats(reg, p);
+    trackers_[i].register_stats(reg, p + ".spin");
+    enforcers_[i]->register_stats(reg, p + ".enforcer");
+  }
+  if (balancer_) balancer_->register_stats(reg, "ptb.balancer");
+  if (clustered_) clustered_->register_stats(reg, "ptb");
+  thermal_.register_stats(reg, "thermal");
+  // Wall-clock self-profiling: volatile (machine-dependent), so excluded
+  // from deterministic dumps and the sample buffer.
+  reg.gauge_fn("sim.self.tick_seconds",
+               "wall-clock spent in core ticks + power model (sampled, "
+               "scaled)",
+               [&prof] { return prof.tick_s; }, 6, /*is_volatile=*/true);
+  reg.gauge_fn("sim.self.power_seconds",
+               "wall-clock spent in CMP-wide reductions (sampled, scaled)",
+               [&prof] { return prof.power_s; }, 6, /*is_volatile=*/true);
+  reg.gauge_fn("sim.self.control_seconds",
+               "wall-clock spent in balancing/enforcement (sampled, "
+               "scaled)",
+               [&prof] { return prof.control_s; }, 6, /*is_volatile=*/true);
+  reg.gauge_fn("sim.self.account_seconds",
+               "wall-clock spent in accounting/audit (sampled, scaled)",
+               [&prof] { return prof.account_s; }, 6, /*is_volatile=*/true);
+  reg.counter_fn("sim.self.timed_cycles",
+                 "cycles actually timed by the self-profiler",
+                 [&f] { return static_cast<double>(f.prof_timed_cycles); });
+  return power_hist;
 }
 
 void CmpSimulator::audit_cycle(Cycle now, const EnergyAccounting& acct,

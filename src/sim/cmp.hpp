@@ -31,8 +31,8 @@
 #include "core/clustered.hpp"
 #include "core/baselines.hpp"
 #include "core/budget.hpp"
-#include "core/enforcer.hpp"
 #include "core/policy.hpp"
+#include "core/two_level.hpp"
 #include "cpu/core.hpp"
 #include "mem/memory_system.hpp"
 #include "noc/mesh.hpp"
@@ -134,18 +134,20 @@ struct RunOptions {
   /// The capture happens at the top of that cycle's loop body — before the
   /// cycle executes — so a run restored from the frame replays cycle
   /// `checkpoint_at` onward and finishes with bit-identical results.
-  /// 0 captures the warm point at loop entry (post functional warmup),
-  /// which is technique/budget-independent: one warmed frame forks a whole
-  /// sweep. No frame is written when the run ends before `checkpoint_at`.
+  /// 0 captures the point at loop entry (after functional warmup); like
+  /// every frame it resumes only under the config it was captured with.
+  /// No frame is written when the run ends before `checkpoint_at`.
   Cycle checkpoint_at = kNeverCycle;
   /// Receives the checkpoint frame bytes; null disables capture.
   std::string* checkpoint_out = nullptr;
 };
 
-/// Reusable per-cycle scratch for the simulator's hot loop, SoA-packed so
-/// the batched power model and the balancer walk dense arrays. Owned by the
-/// CmpSimulator and reset (not reallocated) at the start of each run, so the
-/// cycle loop itself performs no allocations.
+/// The cycle loop's own state: what it carries from cycle to cycle, and
+/// reusable per-cycle scratch, SoA-packed so the batched power model and
+/// the balancer walk dense arrays. Owned by the CmpSimulator and reset (not
+/// reallocated) at the start of each run, so the cycle loop itself performs
+/// no allocations. restore_checkpoint() loads the carried part in place
+/// (kFrame, kAcct and kRun sections) and the next run() resumes from it.
 struct CycleFrame {
   // Control state carried across cycles.
   std::vector<double> freq_acc;     // fractional-frequency tick accumulator
@@ -154,6 +156,15 @@ struct CycleFrame {
   std::vector<double> eff_budget;   // local budget after PTB augmentation
   std::vector<double> thermal_acc;  // power integrated over a thermal step
   std::vector<std::uint8_t> finished;
+  EnergyAccounting acct{0.0};       // energy and AoPB so far
+  // Power-monitor epoch (the over-budget signal without PTB's wires).
+  bool epoch_over = false;
+  double epoch_acc = 0.0;
+  std::uint32_t epoch_n = 0;
+  std::uint64_t spin_gated_cycles = 0;  // spinner-gating extension
+  // Self-profile cycle count: a pure function of the cycle, so unlike the
+  // wall-clock seconds it is deterministic and checkpointed.
+  std::uint64_t prof_timed_cycles = 0;
   std::vector<ExecState> states;  // scratch for the dynamic policy selector
   // Per-cycle activity snapshot feeding core_cycle_power_batch.
   std::vector<double> fetch_exact;
@@ -166,7 +177,7 @@ struct CycleFrame {
   std::vector<double> est_power;
   std::vector<double> act_power;
 
-  void reset(std::uint32_t n, double local_budget);
+  void reset(std::uint32_t n, double local_budget, double global_budget);
 };
 
 class CmpSimulator {
@@ -183,13 +194,17 @@ class CmpSimulator {
 
   /// Restores a checkpoint frame produced via RunOptions::checkpoint_at.
   /// Validates identity before touching any state: core count, benchmark,
-  /// machine fingerprint and seed must match; a mid-run frame (cycle != 0)
-  /// additionally pins the full config fingerprint, while a cycle-0 warm
-  /// frame restores under any technique/budget of the same machine.
-  /// The next run() then resumes from the checkpointed cycle (skipping
-  /// functional warmup). Returns false with a diagnostic in `*err` on any
-  /// rejected frame; the simulator may be partially mutated after a
-  /// failure and must not be run (construct a fresh one).
+  /// machine fingerprint, seed and the full config fingerprint must all
+  /// match, at any cycle (cycle 0 included). Then every section must load
+  /// completely: a section is present exactly when its component exists
+  /// under this config, and the per-core vectors are `num_cores` long.
+  /// The payloads whose targets run() builds from its RunOptions
+  /// (histogram, sample rows, trace rings, power traces) are checked here
+  /// against targets of the same shape and applied by the next run(), which
+  /// resumes from the checkpointed cycle (skipping functional warmup).
+  /// Returns false with a diagnostic in `*err` on any rejected frame; the
+  /// simulator may be partially mutated after a failure and must not be run
+  /// (construct a fresh one).
   bool restore_checkpoint(std::string_view bytes, std::string* err = nullptr);
 
   // Introspection for tests (valid after construction; cores after run()).
@@ -208,6 +223,14 @@ class CmpSimulator {
   /// aborts via PTB_ASSERTF on the first violated invariant.
   void audit_cycle(Cycle now, const EnergyAccounting& acct, double total_act,
                    const double* eff_budget);
+  /// Wall-clock self-profile of one stats run.
+  struct SelfProfile;
+  /// Registers one run's stats into `reg`: every component, the frame's
+  /// accounting and the loop's `now` / `finished_count` (bound by
+  /// reference). Returns the per-cycle power histogram it registers.
+  Histogram& register_run_stats(StatsRegistry& reg, const Cycle& now,
+                                const std::uint32_t& finished_count,
+                                const SelfProfile& prof);
   // Both are copied: a simulator must outlive any temporary it was
   // constructed from.
   SimConfig cfg_;
@@ -223,7 +246,7 @@ class CmpSimulator {
   std::vector<SpinTracker> trackers_;
   std::vector<std::unique_ptr<SyntheticProgram>> programs_;
   std::vector<std::unique_ptr<Core>> cores_;
-  std::vector<std::unique_ptr<PowerEnforcer>> enforcers_;
+  std::vector<std::unique_ptr<TwoLevelController>> enforcers_;
   std::unique_ptr<PtbLoadBalancer> balancer_;
   std::unique_ptr<ClusteredBalancer> clustered_;
   std::unique_ptr<DynamicPolicySelector> selector_;
@@ -233,8 +256,8 @@ class CmpSimulator {
   ThermalModel thermal_;
   std::unique_ptr<InvariantAuditor> auditor_;
   CycleFrame frame_;
-  // Run-scoped checkpoint state staged by restore_checkpoint() and applied
-  // (then consumed) by the next run() once its locals exist.
+  // The resume cycle and the checked payloads whose targets only exist
+  // inside run(): staged by restore_checkpoint(), consumed by the next run().
   struct CheckpointCarry;
   std::unique_ptr<CheckpointCarry> carry_;
 };

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "core/balancer.hpp"
-#include "core/enforcer.hpp"
+#include "core/two_level.hpp"
 #include "mem/memory_system.hpp"
 #include "noc/mesh.hpp"
 #include "power/energy_stats.hpp"
@@ -217,7 +217,7 @@ TEST(AuditPipeline, TickDuringDvfsStallFires) {
   cfg.technique = TechniqueKind::kDvfs;
   CmpSimulator sim(cfg, tiny_profile());
   Core& core = sim.core(0);
-  PowerEnforcer enf(cfg, TechniqueKind::kDvfs);
+  TwoLevelController enf(cfg, TechniqueKind::kDvfs);
   InvariantAuditor aud(cfg);
   // Drive the enforcer hard over budget until a mode transition opens a
   // stall window (the auditor snapshots stalled(now + 1) each cycle).

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 namespace ptb {
 namespace {
@@ -93,6 +95,39 @@ TEST(TimeSeries, DecimatesWhenFull) {
   // Retained points are still time-ordered.
   for (std::size_t i = 1; i < ts.size(); ++i)
     EXPECT_LT(ts.times()[i - 1], ts.times()[i]);
+}
+
+// Hand-built checkpoint payloads: max_points, stride, seen, times, values.
+std::string series_state(std::uint64_t max_points, std::uint64_t stride,
+                         std::size_t points) {
+  ByteWriter w;
+  w.u64(max_points);
+  w.u64(stride);
+  w.u64(points * stride);
+  const std::vector<double> v(points, 1.0);
+  w.f64_vec(v);
+  w.f64_vec(v);
+  return w.take();
+}
+
+TEST(TimeSeries, LoadStateRejectsStatesAddCannotContinue) {
+  {
+    const std::string good = series_state(4, 2, 3);
+    ByteReader r(good);
+    TimeSeries ts;
+    ts.load_state(r);
+    EXPECT_TRUE(r.ok() && r.empty());
+    EXPECT_EQ(ts.size(), 3u);
+  }
+  for (const std::string& bad :
+       {series_state(4, 0, 3),    // zero stride: add() divides by it
+        series_state(1, 1, 1),    // fewer than two points allowed
+        series_state(4, 1, 5)}) {  // more points than allowed
+    ByteReader r(bad);
+    TimeSeries ts;
+    ts.load_state(r);
+    EXPECT_FALSE(r.ok());
+  }
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// The 2-level hybrid controller and the per-core enforcer.
+// The 2-level hybrid controller, and its binding to each technique kind
+// (the per-core power enforcer of the cycle loop).
 #include "core/two_level.hpp"
 
 #include <gtest/gtest.h>
 
-#include "core/enforcer.hpp"
 #include "cpu/core.hpp"
 #include "mem/memory_system.hpp"
 #include "noc/mesh.hpp"
@@ -53,7 +53,7 @@ class TwoLevelTest : public ::testing::Test {
 };
 
 TEST_F(TwoLevelTest, MicroarchLevelsEscalateWithOvershoot) {
-  TwoLevelController ctrl(cfg_, true, true, false);
+  TwoLevelController ctrl(cfg_, TechniqueKind::kTwoLevel);
   ctrl.tick(0, 105.0, 100.0, true, 0.0, core_);
   EXPECT_EQ(ctrl.microarch_level(), 1u);
   EXPECT_EQ(core_.fetch_limit(), cfg_.core.fetch_width / 2);
@@ -66,7 +66,7 @@ TEST_F(TwoLevelTest, MicroarchLevelsEscalateWithOvershoot) {
 }
 
 TEST_F(TwoLevelTest, ReleasesWhenUnderBudget) {
-  TwoLevelController ctrl(cfg_, true, true, false);
+  TwoLevelController ctrl(cfg_, TechniqueKind::kTwoLevel);
   ctrl.tick(0, 200.0, 100.0, true, 0.0, core_);
   ASSERT_EQ(core_.fetch_limit(), 0u);
   ctrl.tick(1, 50.0, 100.0, true, 0.0, core_);
@@ -75,14 +75,14 @@ TEST_F(TwoLevelTest, ReleasesWhenUnderBudget) {
 }
 
 TEST_F(TwoLevelTest, NoMicroarchWhenNotEnforcing) {
-  TwoLevelController ctrl(cfg_, true, true, false);
+  TwoLevelController ctrl(cfg_, TechniqueKind::kTwoLevel);
   ctrl.tick(0, 500.0, 100.0, /*enforce=*/false, 0.0, core_);
   EXPECT_EQ(ctrl.microarch_level(), 0u);
   EXPECT_EQ(core_.fetch_limit(), cfg_.core.fetch_width);
 }
 
 TEST_F(TwoLevelTest, RelaxThresholdDelaysTrigger) {
-  TwoLevelController ctrl(cfg_, true, true, false);
+  TwoLevelController ctrl(cfg_, TechniqueKind::kTwoLevel);
   // 15% over budget: triggers at relax 0, not at relax 0.2.
   ctrl.tick(0, 115.0, 100.0, true, 0.0, core_);
   EXPECT_GT(ctrl.microarch_level(), 0u);
@@ -91,7 +91,7 @@ TEST_F(TwoLevelTest, RelaxThresholdDelaysTrigger) {
 }
 
 TEST_F(TwoLevelTest, DvfsOnlyVariantNeverTouchesFetch) {
-  TwoLevelController ctrl(cfg_, true, /*use_microarch=*/false, false);
+  TwoLevelController ctrl(cfg_, TechniqueKind::kDvfs);
   for (Cycle t = 0; t < 4096; ++t) ctrl.tick(t, 300.0, 100.0, true, 0.0,
                                              core_);
   EXPECT_EQ(core_.fetch_limit(), cfg_.core.fetch_width);
@@ -99,7 +99,7 @@ TEST_F(TwoLevelTest, DvfsOnlyVariantNeverTouchesFetch) {
 }
 
 TEST_F(TwoLevelTest, StalledDuringDvfsTransition) {
-  TwoLevelController ctrl(cfg_, true, true, false);
+  TwoLevelController ctrl(cfg_, TechniqueKind::kTwoLevel);
   Cycle t = 0;
   for (std::uint32_t i = 0; i < cfg_.dvfs.window_cycles; ++i)
     ctrl.tick(t++, 300.0, 100.0, true, 0.0, core_);
@@ -115,7 +115,7 @@ TEST(PowerEnforcer, KindNoneIsInert) {
   BaseEnergyModel energy(cfg.power, 1);
   EndlessProgram prog;
   Core core(0, cfg, mem, sync, prog, energy);
-  PowerEnforcer enf(cfg, TechniqueKind::kNone);
+  TwoLevelController enf(cfg, TechniqueKind::kNone);
   for (Cycle t = 0; t < 1024; ++t) enf.tick(t, 1000.0, 10.0, true, 0.0, core);
   EXPECT_DOUBLE_EQ(enf.vdd_ratio(), 1.0);
   EXPECT_DOUBLE_EQ(enf.freq_ratio(), 1.0);
@@ -132,7 +132,7 @@ TEST(PowerEnforcer, DfsKeepsVoltage) {
   BaseEnergyModel energy(cfg.power, 1);
   EndlessProgram prog;
   Core core(0, cfg, mem, sync, prog, energy);
-  PowerEnforcer enf(cfg, TechniqueKind::kDfs);
+  TwoLevelController enf(cfg, TechniqueKind::kDfs);
   Cycle t = 0;
   for (int w = 0; w < 50; ++w)
     for (std::uint32_t i = 0; i < cfg.dvfs.window_cycles; ++i)

@@ -5,20 +5,22 @@
 //     cleanly (truncation, bit-flips, wrong magic/version, bogus section
 //     tables) — never UB, never a partial accept;
 //   - identity validation: a frame restores only into a simulator with the
-//     same core count / benchmark / machine fingerprint / seed, and a
-//     mid-run frame additionally pins the full config fingerprint;
-//   - the headline guarantee: a run restored from a mid-run checkpoint
-//     finishes bit-identical — RunResult fields, serialized event-trace
-//     bytes and the deterministic stats dump — to the uninterrupted run;
-//   - warm forking: a cycle-0 post-warmup frame captured under one
-//     technique restores under another and reproduces that technique's
-//     from-scratch results exactly.
+//     same core count / benchmark / machine fingerprint / seed and the full
+//     config fingerprint, at any cycle (cycle 0 included);
+//   - section validation: a re-checksummed frame whose payloads are
+//     malformed (an inconsistent core window, a short per-core vector, a
+//     truncated accounting section, a zero-stride power trace) is refused
+//     at restore, before any run can act on it;
+//   - the headline guarantee: a run restored from a checkpoint finishes
+//     bit-identical — RunResult fields, serialized event-trace bytes and
+//     the deterministic stats dump — to the uninterrupted run.
 #include "sim/checkpoint.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "cpu/branch_predictor.hpp"
 #include "power/ptht.hpp"
@@ -240,6 +242,37 @@ std::string capture_at(const WorkloadProfile& p, const SimConfig& cfg,
   return ckpt;
 }
 
+// Re-frames a capture with `tag`'s payload replaced (or added) by `body`
+// (the frame is re-checksummed, so only the section loaders can catch the
+// change).
+std::string reframe(const CheckpointReader& in, CkptSection tag,
+                    std::string_view body) {
+  CheckpointWriter w(in.header());
+  for (std::uint32_t k = 1;
+       k <= static_cast<std::uint32_t>(CkptSection::kResPower); ++k) {
+    const auto t = static_cast<CkptSection>(k);
+    if (t != tag && !in.has_section(t)) continue;
+    const std::string_view b = t == tag ? body : in.section(t);
+    w.section(t).raw(b.data(), b.size());
+  }
+  return w.finish();
+}
+
+// Restores `tampered` (rejected as a bad payload) and, as a control, the
+// untampered re-framed capture (accepted) into fresh simulators.
+void expect_payload_rejected(const WorkloadProfile& p, const SimConfig& cfg,
+                             const CheckpointReader& in, CkptSection tag,
+                             std::string_view tampered) {
+  std::string err;
+  CmpSimulator control(cfg, p);
+  ASSERT_TRUE(control.restore_checkpoint(reframe(in, tag, in.section(tag)),
+                                         &err))
+      << err;
+  CmpSimulator sim(cfg, p);
+  EXPECT_FALSE(sim.restore_checkpoint(reframe(in, tag, tampered), &err));
+  EXPECT_NE(err.find("section payload rejected"), std::string::npos) << err;
+}
+
 TEST(CheckpointRestore, IdentityMismatchesRejected) {
   const WorkloadProfile p = small_profile();
   const SimConfig cfg = make_sim_config(4, ptb_spec());
@@ -301,19 +334,6 @@ TEST(CheckpointRestore, InconsistentCoreWindowRejected) {
   const std::string ckpt = capture_at(p, cfg, 500);
   CheckpointReader in;
   ASSERT_TRUE(in.parse(ckpt)) << in.error();
-  // Re-frames the capture with a replacement kCores payload.
-  const auto reframe = [&](const std::string& cores) {
-    CheckpointWriter w(in.header());
-    for (std::uint32_t tag = 1;
-         tag <= static_cast<std::uint32_t>(CkptSection::kResPower); ++tag) {
-      const auto t = static_cast<CkptSection>(tag);
-      if (!in.has_section(t)) continue;
-      const std::string_view body =
-          t == CkptSection::kCores ? std::string_view(cores) : in.section(t);
-      w.section(t).raw(body.data(), body.size());
-    }
-    return w.finish();
-  };
 
   std::string cores(in.section(CkptSection::kCores));
   // Core 0's state opens the section: skip its predictor/PTHT/BCT prefix
@@ -334,14 +354,79 @@ TEST(CheckpointRestore, InconsistentCoreWindowRejected) {
   for (int i = 0; i < 4; ++i) {
     cores[at + i] = static_cast<char>((bad >> (8 * i)) & 0xff);
   }
+  expect_payload_rejected(p, cfg, in, CkptSection::kCores, cores);
+}
 
-  std::string err;
-  CmpSimulator control(cfg, p);
-  ASSERT_TRUE(control.restore_checkpoint(
-      reframe(std::string(in.section(CkptSection::kCores))), &err))
-      << err;
+// The loop state in kFrame holds one entry per core in every vector; a
+// shorter est_ema would be indexed past its end by the resumed run.
+TEST(CheckpointRestore, ShortFrameVectorRejected) {
+  const WorkloadProfile p = small_profile();
+  const SimConfig cfg = make_sim_config(4, ptb_spec());
+  const std::string ckpt = capture_at(p, cfg, 500);
+  CheckpointReader in;
+  ASSERT_TRUE(in.parse(ckpt)) << in.error();
+  ByteReader r(in.section(CkptSection::kFrame));
+  std::vector<double> vecs[5];  // freq_acc, est_ema, act_ema, eff, thermal
+  for (std::vector<double>& v : vecs) r.f64_vec(v);
+  std::vector<std::uint8_t> finished;
+  r.u8_vec(finished);
+  ASSERT_TRUE(r.ok() && r.empty());
+  ASSERT_EQ(vecs[1].size(), 4u);
+  vecs[1].resize(1);
+  ByteWriter w;
+  for (const std::vector<double>& v : vecs) w.f64_vec(v);
+  w.u8_vec(finished);
+  expect_payload_rejected(p, cfg, in, CkptSection::kFrame, w.data());
+}
+
+// A truncated accounting section would resume with its AoPB and power
+// statistics zeroed.
+TEST(CheckpointRestore, TruncatedAccountingRejected) {
+  const WorkloadProfile p = small_profile();
+  const SimConfig cfg = make_sim_config(4, ptb_spec());
+  const std::string ckpt = capture_at(p, cfg, 500);
+  CheckpointReader in;
+  ASSERT_TRUE(in.parse(ckpt)) << in.error();
+  ASSERT_GT(in.section(CkptSection::kAcct).size(), 8u);
+  expect_payload_rejected(p, cfg, in, CkptSection::kAcct,
+                          in.section(CkptSection::kAcct).substr(0, 8));
+}
+
+// The CMP power trace's decimation stride is a divisor in TimeSeries::add.
+TEST(CheckpointRestore, ZeroStridePowerTraceRejected) {
+  const WorkloadProfile p = small_profile();
+  const SimConfig cfg = make_sim_config(4, ptb_spec());
+  RunOptions opts;
+  opts.record_cmp_trace = true;
+  const std::string ckpt = capture_at(p, cfg, 500, opts);
+  CheckpointReader in;
+  ASSERT_TRUE(in.parse(ckpt)) << in.error();
+  // The payload opens with the CMP series: u64 max_points, u64 stride.
+  std::string res(in.section(CkptSection::kResPower));
+  ASSERT_GE(res.size(), 16u);
+  ASSERT_EQ(res[8], 1);
+  res[8] = 0;
+  expect_payload_rejected(p, cfg, in, CkptSection::kResPower, res);
+}
+
+// A section for a component this config lacks is a rejected payload, not
+// skipped: here PTB balancer wires framed into a no-control capture.
+TEST(CheckpointRestore, SectionForAbsentComponentRejected) {
+  const WorkloadProfile p = small_profile();
+  const SimConfig cfg = make_sim_config(4, base_spec());
+  const std::string ckpt = capture_at(p, cfg, 500);
+  const std::string other = capture_at(p, make_sim_config(4, ptb_spec()), 500);
+  CheckpointReader in, donor;
+  ASSERT_TRUE(in.parse(ckpt)) << in.error();
+  ASSERT_TRUE(donor.parse(other)) << donor.error();
+  ASSERT_FALSE(in.has_section(CkptSection::kBalancer));
+  ASSERT_TRUE(donor.has_section(CkptSection::kBalancer));
   CmpSimulator sim(cfg, p);
-  EXPECT_FALSE(sim.restore_checkpoint(reframe(cores), &err));
+  std::string err;
+  EXPECT_FALSE(sim.restore_checkpoint(
+      reframe(in, CkptSection::kBalancer,
+              donor.section(CkptSection::kBalancer)),
+      &err));
   EXPECT_NE(err.find("section payload rejected"), std::string::npos) << err;
 }
 
@@ -400,13 +485,11 @@ TEST(CheckpointRestore, CarryConsumedBySingleRun) {
   expect_bit_identical(full, resumed);
 }
 
-// --- warm forking -----------------------------------------------------------
+// --- cycle-0 frames ---------------------------------------------------------
 
-// A cycle-0 frame captured right after functional warmup under the *base*
-// technique restores under a PTB config (different config fingerprint) and
-// reproduces the PTB run's from-scratch results bit for bit: the warmed
-// image is technique/budget-independent, so one image serves a sweep.
-TEST(CheckpointRestore, WarmFrameForksAcrossTechniques) {
+// A cycle-0 frame (captured right after functional warmup) follows the
+// same identity rule as any other: under another technique it is refused.
+TEST(CheckpointRestore, CycleZeroFrameRefusedAcrossTechniques) {
   const WorkloadProfile p = small_profile();
   const std::string warm = capture_at(p, make_sim_config(4, base_spec()), 0);
   ASSERT_FALSE(warm.empty());
@@ -416,8 +499,23 @@ TEST(CheckpointRestore, WarmFrameForksAcrossTechniques) {
         TechniqueSpec{"dvfs", TechniqueKind::kDvfs, false, PtbPolicy::kToAll,
                       0.0}}) {
     SCOPED_TRACE(tech.label);
+    CmpSimulator sim(make_sim_config(4, tech), p);
+    std::string err;
+    EXPECT_FALSE(sim.restore_checkpoint(warm, &err));
+    EXPECT_NE(err.find("config fingerprint"), std::string::npos) << err;
+  }
+}
+
+// Under its own config a cycle-0 frame resumes like any frame: the run
+// from it is bit-identical to the run from scratch.
+TEST(CheckpointRestore, CycleZeroFrameResumesBitIdentical) {
+  const WorkloadProfile p = small_profile();
+  for (const TechniqueSpec& tech : {base_spec(), ptb_spec()}) {
+    SCOPED_TRACE(tech.label);
     const SimConfig cfg = make_sim_config(4, tech);
     const RunResult scratch = CmpSimulator(cfg, p).run();
+    const std::string warm = capture_at(p, cfg, 0);
+    ASSERT_FALSE(warm.empty());
     CmpSimulator sim(cfg, p);
     std::string err;
     ASSERT_TRUE(sim.restore_checkpoint(warm, &err)) << err;

@@ -5,9 +5,10 @@
 # dump must reproduce results/stats_fig10.json through `ptb-stats dump
 # --json --no-volatile`, the fft reference trace must be the same bytes at
 # --jobs 1 and --jobs 4, and the checkpoint round-trip must hold: the fft
-# reference run captured at cycle 20000 (it ends near 34k) and restored
-# from that frame finishes at the same cycle with the same energy, and a
-# frame restored into another benchmark is refused with exit 1.
+# reference run captured at cycle 20000 (it ends near 34k) or at cycle 0
+# and restored from that frame finishes at the same cycle with the same
+# energy, and a frame restored into another benchmark is refused with
+# exit 1.
 #
 # Usage: figures_out_test.sh <ptb-figures> <ptb-stats> <results-dir>
 # Exit: 0 when every file matches, 1 otherwise.
@@ -71,6 +72,13 @@ check "fft trace at --jobs 1 and 4" cmp "$tmp/fig12-j1.trace" \
 check "checkpoint captured" test -s "$tmp/fft.captured"
 check "restored run finishes like the captured one" cmp "$tmp/fft.captured" \
     "$tmp/fft.restored"
+"$figures" --only fft --checkpoint-at "0:$tmp/fft0.ptbc" \
+    | grep -o 'finished at cycle .*' > "$tmp/fft0.captured"
+"$figures" --only fft --restore-from "$tmp/fft0.ptbc" \
+    | grep -o 'finished at cycle .*' > "$tmp/fft0.restored"
+check "cycle-0 checkpoint captured" test -s "$tmp/fft0.captured"
+check "cycle-0 restored run finishes like the captured one" \
+    cmp "$tmp/fft0.captured" "$tmp/fft0.restored"
 "$figures" --only radix --restore-from "$tmp/fft.ptbc" > /dev/null 2>&1
 check "fft frame refused by radix (exit 1)" test $? -eq 1
 
